@@ -39,6 +39,14 @@ def as_vector(b) -> np.ndarray:
     return arr
 
 
+def fro_norm(a) -> float:
+    """Frobenius norm taken after dividing by the max-abs entry, so it cannot
+    overflow or underflow at any float64 scale."""
+    arr = np.asarray(a)
+    scale = float(np.max(np.abs(arr))) if arr.size else 0.0
+    return scale * float(np.linalg.norm(arr / scale)) if 0 < scale < np.inf else scale
+
+
 def matmul(a, b) -> np.ndarray:
     """Matrix product with an explicit inner-dimension check."""
     am = as_matrix(a)
@@ -57,10 +65,11 @@ def adjoint(a) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SvdResult:
-    """Full singular value decomposition ``a = u @ diag(sigma) @ v*``.
+    """Singular value decomposition ``a = u @ diag(sigma) @ v*``.
 
-    `u` is m-by-m unitary, `sigma` holds the min(m, n) singular values in
-    descending order, `v` is n-by-n unitary.
+    `sigma` holds the min(m, n) singular values in descending order; `u` is
+    m-by-m and `v` n-by-n unitary, or only their first min(m, n) columns
+    in the thin form.
     """
 
     u: np.ndarray
@@ -90,21 +99,21 @@ class EigResult:
         return (self.q * self.eigenvalues) @ self.q.conj().T
 
 
-def svd(a, cfg: ToleranceConfig = DEFAULT_TOL) -> SvdResult:
-    """Full SVD with a reconstruction guard.
+def svd(a, cfg: ToleranceConfig = DEFAULT_TOL, full_matrices: bool = True) -> SvdResult:
+    """SVD with a reconstruction guard; thin factors if not ``full_matrices``.
 
     Raises FactorizationError if the backend fails to converge or the
     factors do not reproduce the input within ``ktol * ||a||``.
     """
     arr = as_matrix(a)
     try:
-        u, s, vh = np.linalg.svd(arr, full_matrices=True)
+        u, s, vh = np.linalg.svd(arr, full_matrices=full_matrices)
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(f"SVD did not converge: {exc}") from exc
     result = SvdResult(u=u, sigma=s, v=vh.conj().T)
-    norm = np.linalg.norm(arr)
+    norm = fro_norm(arr)
     if norm > 0:
-        residual = np.linalg.norm(result.reconstruct() - arr)
+        residual = fro_norm(result.reconstruct() - arr)
         if residual > cfg.ktol * norm:
             raise FactorizationError(
                 f"SVD reconstruction residual {residual:.3e} exceeds "
@@ -122,9 +131,9 @@ def eigh(a, cfg: ToleranceConfig = DEFAULT_TOL) -> EigResult:
     arr = as_matrix(a)
     if arr.shape[0] != arr.shape[1]:
         raise DimensionMismatchError(f"eigh needs a square matrix, got {arr.shape}")
-    norm = np.linalg.norm(arr)
-    herm_residual = np.linalg.norm(arr - arr.conj().T)
-    if herm_residual > cfg.htol * max(norm, 1e-300):
+    norm = fro_norm(arr)
+    herm_residual = fro_norm(arr - arr.conj().T)
+    if herm_residual > cfg.htol * norm:
         raise NotHermitianError(
             f"||a - a*|| = {herm_residual:.3e} exceeds {cfg.htol:.1e} * ||a||"
         )
@@ -135,7 +144,7 @@ def eigh(a, cfg: ToleranceConfig = DEFAULT_TOL) -> EigResult:
         raise FactorizationError(f"eigh did not converge: {exc}") from exc
     result = EigResult(q=q, eigenvalues=w)
     if norm > 0:
-        residual = np.linalg.norm(result.reconstruct() - arr)
+        residual = fro_norm(result.reconstruct() - arr)
         if residual > (cfg.ktol + cfg.htol) * norm:
             raise FactorizationError(
                 f"eigendecomposition residual {residual:.3e} exceeds tolerance"

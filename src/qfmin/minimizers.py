@@ -1,11 +1,11 @@
 """Constrained minimizers for quadratic forms ``<x, T x>`` under ``A x = b``.
 
-Three square-root pseudoinverse constructions cover the strictly positive
-definite case (an eigenbasis route and a matrix-square-root route), a
-Lat-invariance shortcut that collapses the solution to ``pinv(A) b``, and a
-positive semidefinite route that minimizes over the orthogonal complement
-of the kernel of T.  A minimum-norm least-squares solver handles the
-unconstrained-relaxation baseline.
+One kernel computes ``x = W pinv(A W) b``, ``W = Q_r Λ_r^{-1/2}``, from one
+eigendecomposition of T (only its range for a singular semidefinite T, which
+minimizes over the orthogonal complement of the kernel) and one thin SVD of
+``A W``.  The square-root route ``inv(R) pinv(A inv(R)) b`` stays literal as
+an independent reference, a Lat-invariance shortcut collapses the solution
+to ``pinv(A) b``, and ``min_norm_ls`` is the unconstrained baseline.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
-from .dense_core import EigResult, as_matrix, as_vector, eigh
+from .dense_core import EigResult, as_matrix, as_vector, eigh, fro_norm, svd
 from .errors import (
     Diagnostic,
     DimensionMismatchError,
@@ -29,10 +29,10 @@ from .errors import (
     NotSingularError,
 )
 from .pinv_ops import (
-    ep_decompose,
+    ep_decompose,  # noqa: F401  kept bound: perfbench/tracing.py wraps it
     pinv,
     pinv_with_rank,
-    projector_rangestar,
+    projector_rangestar,  # noqa: F401  kept bound: perfbench/tracing.py wraps it
     range_basis,
     rangestar_basis,
     rank_decide,
@@ -84,9 +84,9 @@ class QpProblem:
             raise DimensionMismatchError(
                 f"b has length {b.shape[0]} but a has {a.shape[0]} rows"
             )
-        norm = np.linalg.norm(t)
-        herm = np.linalg.norm(t - t.conj().T)
-        if herm > self.tol.htol * max(norm, 1e-300):
+        norm = fro_norm(t)
+        herm = fro_norm(t - t.conj().T)
+        if herm > self.tol.htol * norm:
             raise NotHermitianError(
                 f"t deviates from its adjoint by {herm:.3e} (norm {norm:.3e})"
             )
@@ -161,14 +161,15 @@ def classify_spectrum(eigenvalues, cfg: ToleranceConfig = DEFAULT_TOL) -> Spectr
     return SpectrumClass.PSD_SINGULAR
 
 
-def _invertible_constraint(a, cfg: ToleranceConfig) -> bool:
-    if a.shape[0] != a.shape[1]:
-        return False
-    sigma = np.linalg.svd(a, compute_uv=False)
-    return rank_decide(sigma, cfg, dim=a.shape[0]).rank == a.shape[0]
-
-
-def _rank_note(decision) -> Diagnostic:
+def _constraint_note(p: QpProblem, decision) -> Diagnostic:
+    """Rank of the rescaled constraint ``a W``; full rank of a square `a` is trivial."""
+    if p.a.shape[0] == p.a.shape[1] == decision.rank:
+        return Diagnostic(
+            code="trivial_constraint",
+            message=(
+                "constraint matrix is invertible; x is the unique solution of a x = b"
+            ),
+        )
     return Diagnostic(
         code="reduced_rank",
         message="numerical rank of the rescaled constraint matrix",
@@ -176,28 +177,60 @@ def _rank_note(decision) -> Diagnostic:
     )
 
 
-def _trivial_constraint_result(p: QpProblem, method: Method) -> MinimizationResult:
-    xhat = np.linalg.solve(p.a, p.b)
-    note = Diagnostic(
-        code="trivial_constraint",
-        message="constraint matrix is invertible; x is the unique solution of a x = b",
-    )
-    return MinimizationResult(
-        xhat=xhat,
-        min_value=quad_value(p.t, xhat),
-        feasibility_residual=float(np.linalg.norm(p.a @ xhat - p.b)),
-        method=method,
-        diagnostics=(note,),
-    )
+def _spectrum(p: QpProblem) -> tuple[EigResult, SpectrumClass]:
+    eig = eigh(p.t, p.tol)
+    return eig, classify_spectrum(eig.eigenvalues, p.tol)
 
 
-def _require_pd(eig: EigResult, cfg: ToleranceConfig) -> None:
-    cls = classify_spectrum(eig.eigenvalues, cfg)
+def _require_pd(p: QpProblem) -> EigResult:
+    eig, cls = _spectrum(p)
     if cls is not SpectrumClass.POSITIVE_DEFINITE:
         raise NotPositiveDefiniteError(
             f"spectrum classified as {cls.value}; the definite routes need "
             "strictly positive eigenvalues"
         )
+    return eig
+
+
+def _factor_once(p: QpProblem, eig: EigResult, method: Method) -> MinimizationResult:
+    """``x = W pinv(a W) b``, ``W = Q_r Λ_r^{-1/2}``, minimum ``||pinv(a W) b||^2``.
+
+    `eig` factors `t`; r = n unless the route is the kernel complement, whose
+    range split is `ep_decompose`'s rank rule on ``|λ|`` (eigenvalues within
+    the negative tolerance count as kernel).  One thin SVD of ``a W`` gives
+    the rank, feasibility (`b` inside ``range(a W)``) and the minimizer.
+    """
+    cfg = p.tol
+    w, q = eig.eigenvalues, eig.q
+    complement = method is Method.PSD_COMPLEMENT
+    if complement:
+        threshold = rank_decide(np.sort(np.abs(w))[::-1], cfg, dim=p.dim).threshold
+        keep = w > threshold
+        w, q = w[keep], q[:, keep]
+    inv_root = q / np.sqrt(w)
+    fact = svd(p.a @ inv_root, cfg, full_matrices=False)
+    decision = rank_decide(fact.sigma, cfg, dim=max(p.a.shape))
+    k = decision.rank
+    u = fact.u[:, :k]
+    coeff = u.conj().T @ p.b
+    if fro_norm(p.b - u @ coeff) > cfg.feas_tol * max(1.0, fro_norm(p.b)):
+        if complement:
+            raise InfeasibleOnComplementError(
+                "no point of the kernel complement satisfies a x = b"
+            )
+        raise InfeasibleError("b is not in the range of a; the constraint set is empty")
+    y = fact.v[:, :k] @ (coeff / fact.sigma[:k])
+    xhat = inv_root @ y
+    diagnostics = [_constraint_note(p, decision)]
+    if complement:
+        diagnostics.extend(_complement_conditioning(p, q, cfg))
+    return MinimizationResult(
+        xhat=xhat,
+        min_value=float(np.real(np.vdot(y, y))),
+        feasibility_residual=fro_norm(p.a @ xhat - p.b),
+        method=method,
+        diagnostics=tuple(diagnostics),
+    )
 
 
 def minimize_posdef_diag(p: QpProblem) -> MinimizationResult:
@@ -207,41 +240,21 @@ def minimize_posdef_diag(p: QpProblem) -> MinimizationResult:
     minimizer off the minimum-norm solution of the rescaled constraint:
     ``x = q Λ^{-1/2} pinv(a q Λ^{-1/2}) b``, attaining ``||pinv(.) b||^2``.
     """
-    cfg = p.tol
-    eig = eigh(p.t, cfg)
-    _require_pd(eig, cfg)
-    if _invertible_constraint(p.a, cfg):
-        return _trivial_constraint_result(p, Method.POSDEF_DIAG)
-    if not feasible(p.a, p.b, cfg=cfg):
-        raise InfeasibleError("b is not in the range of a; the constraint set is empty")
-    inv_root = eig.q / np.sqrt(eig.eigenvalues)
-    reduced, decision = pinv_with_rank(p.a @ inv_root, cfg)
-    y = reduced @ p.b
-    xhat = inv_root @ y
-    return MinimizationResult(
-        xhat=xhat,
-        min_value=float(np.real(np.vdot(y, y))),
-        feasibility_residual=float(np.linalg.norm(p.a @ xhat - p.b)),
-        method=Method.POSDEF_DIAG,
-        diagnostics=(_rank_note(decision),),
-    )
+    return _factor_once(p, _require_pd(p), Method.POSDEF_DIAG)
 
 
 def minimize_posdef(p: QpProblem) -> MinimizationResult:
     """Square-root route for positive definite `t`.
 
     With ``r = sqrt_psd(t)`` (invertible here), the minimizer is
-    ``r^{-1} pinv(a r^{-1}) b`` and the minimum is ``||pinv(a r^{-1}) b||^2``.
+    ``r^{-1} pinv(a r^{-1}) b`` and the minimum is ``||pinv(a r^{-1}) b||^2``,
+    built literally as the independent reference for the factor-once kernel.
     """
     cfg = p.tol
-    eig = eigh(p.t, cfg)
-    _require_pd(eig, cfg)
-    if _invertible_constraint(p.a, cfg):
-        return _trivial_constraint_result(p, Method.POSDEF)
+    _require_pd(p)
     if not feasible(p.a, p.b, cfg=cfg):
         raise InfeasibleError("b is not in the range of a; the constraint set is empty")
-    root = sqrt_psd(p.t, cfg)
-    root_inv = np.linalg.inv(root)
+    root_inv = np.linalg.inv(sqrt_psd(p.t, cfg))
     reduced, decision = pinv_with_rank(p.a @ root_inv, cfg)
     y = reduced @ p.b
     xhat = root_inv @ y
@@ -250,7 +263,7 @@ def minimize_posdef(p: QpProblem) -> MinimizationResult:
         min_value=float(np.real(np.vdot(y, y))),
         feasibility_residual=float(np.linalg.norm(p.a @ xhat - p.b)),
         method=Method.POSDEF,
-        diagnostics=(_rank_note(decision),),
+        diagnostics=(_constraint_note(p, decision),),
     )
 
 
@@ -269,8 +282,7 @@ def try_cor1_shortcut(p: QpProblem) -> MinimizationResult | None:
     invariance condition fails.
     """
     cfg = p.tol
-    eig = eigh(p.t, cfg)
-    _require_pd(eig, cfg)
+    _require_pd(p)
     if p.a.shape[0] != p.a.shape[1]:
         return None
     if not lat_invariant(range_basis(p.a, cfg), p.t, cfg=cfg):
@@ -301,55 +313,31 @@ def try_cor1_shortcut(p: QpProblem) -> MinimizationResult | None:
 def minimize_psd_complement(p: QpProblem) -> MinimizationResult:
     """Kernel-complement route for singular positive semidefinite `t`.
 
-    Minimizes over ``x`` in the column space of `t` only.  Splits `t` into
-    its invertible core, embeds the inverse square root of the core back
-    into ambient coordinates and solves the rescaled constraint by
-    minimum-norm least squares.
+    Minimizes over ``x`` in the column space of `t` only: with ``Q_r`` the
+    eigenvectors of the nonzero eigenvalues ``Λ_r``, the minimizer is
+    ``x = W pinv(a W) b`` for ``W = Q_r Λ_r^{-1/2}``.
     """
-    cfg = p.tol
-    eig = eigh(p.t, cfg)
-    cls = classify_spectrum(eig.eigenvalues, cfg)
+    eig, cls = _spectrum(p)
     if cls is SpectrumClass.INDEFINITE:
         raise NotPsdError("t has negative eigenvalues beyond tolerance")
     if cls is SpectrumClass.POSITIVE_DEFINITE:
         raise NotSingularError(
             "t is invertible; use the positive definite routes instead"
         )
-    decomp = ep_decompose(p.t, cfg)
-    p_range = decomp.u1[:, : decomp.rank] @ decomp.u1[:, : decomp.rank].conj().T
-    if not feasible(p.a @ p_range, p.b, cfg=cfg):
-        raise InfeasibleOnComplementError(
-            "no point of the kernel complement satisfies a x = b"
-        )
-    root = sqrt_psd(decomp.a1, cfg)
-    n = p.dim
-    embedded = np.zeros((n, n), dtype=np.result_type(root.dtype, p.t.dtype))
-    embedded[: decomp.rank, : decomp.rank] = np.linalg.inv(root)
-    lift = decomp.u1 @ embedded
-    reduced, decision = pinv_with_rank(p.a @ lift, cfg)
-    y = reduced @ p.b
-    xhat = lift @ y
-    diagnostics = [_rank_note(decision)]
-    diagnostics.extend(_complement_conditioning(p, p_range, cfg))
-    return MinimizationResult(
-        xhat=xhat,
-        min_value=float(np.real(np.vdot(y, y))),
-        feasibility_residual=float(np.linalg.norm(p.a @ xhat - p.b)),
-        method=Method.PSD_COMPLEMENT,
-        diagnostics=tuple(diagnostics),
-    )
+    return _factor_once(p, eig, Method.PSD_COMPLEMENT)
 
 
-def _complement_conditioning(p: QpProblem, p_range, cfg) -> list[Diagnostic]:
-    """Conditioning of the row-space/range projector product.
+def _complement_conditioning(p: QpProblem, range_t, cfg) -> list[Diagnostic]:
+    """Conditioning of the reduction onto the kernel complement.
 
-    The kept singular values of ``P_{a*} P_t`` are the cosines of the
-    principal angles between the row space of `a` and the column space of
-    `t`; tiny kept values signal a nearly-degenerate reduction.
+    The singular values of ``V_a* Q_r`` (orthonormal bases of the row space
+    of `a` and of the column space of `t`) are the cosines of the principal
+    angles between them; tiny kept values signal a nearly-degenerate reduction.
     """
-    product = projector_rangestar(p.a, cfg) @ p_range
-    sigma = np.linalg.svd(product, compute_uv=False)
-    decision = rank_decide(sigma, cfg, dim=product.shape[0])
+    fact = svd(p.a, cfg, full_matrices=False)
+    rank_a = rank_decide(fact.sigma, cfg, dim=max(p.a.shape)).rank
+    sigma = np.linalg.svd(fact.v[:, :rank_a].conj().T @ range_t, compute_uv=False)
+    decision = rank_decide(sigma, cfg, dim=p.dim)
     notes = []
     smax = float(sigma[0]) if sigma.size else 0.0
     if decision.rank and smax > 0 and decision.sigma_kept_min / smax < cfg.warn_ratio:
@@ -369,10 +357,10 @@ def _complement_conditioning(p: QpProblem, p_range, cfg) -> list[Diagnostic]:
 def solve(p: QpProblem, method: Method = Method.AUTO) -> MinimizationResult:
     """Dispatch on the spectrum of `t` (or on an explicit method).
 
-    AUTO: strictly positive spectra go to the square-root route, with the
-    invariance shortcut attempted first and recorded in the diagnostics;
-    singular nonnegative spectra go to the kernel-complement route;
-    anything with genuinely negative eigenvalues is rejected.
+    AUTO factors `t` once: strictly positive spectra are reported as the
+    square-root route, with the invariance shortcut tried for a square `a`
+    and recorded in the diagnostics; singular nonnegative spectra go to the
+    kernel complement; genuinely negative eigenvalues are rejected.
     """
     if method is Method.POSDEF_DIAG:
         return minimize_posdef_diag(p)
@@ -382,15 +370,13 @@ def solve(p: QpProblem, method: Method = Method.AUTO) -> MinimizationResult:
         return minimize_psd_complement(p)
     if method is not Method.AUTO:
         raise ValueError(f"method {method} is not dispatchable")
-    cfg = p.tol
-    eig = eigh(p.t, cfg)
-    cls = classify_spectrum(eig.eigenvalues, cfg)
+    eig, cls = _spectrum(p)
     if cls is SpectrumClass.INDEFINITE:
         raise NotPositiveError("t has negative eigenvalues; no minimizer exists")
     if cls is SpectrumClass.PSD_SINGULAR:
-        return minimize_psd_complement(p)
-    result = minimize_posdef(p)
-    shortcut = try_cor1_shortcut(p)
+        return _factor_once(p, eig, Method.PSD_COMPLEMENT)
+    result = _factor_once(p, eig, Method.POSDEF)
+    shortcut = try_cor1_shortcut(p) if p.a.shape[0] == p.a.shape[1] else None
     if shortcut is None:
         note = Diagnostic(
             code="cor1_shortcut",

@@ -152,13 +152,6 @@ class EpDecomposition:
         core[: self.rank, : self.rank] = self.a1
         return self.u1 @ core @ self.u1.conj().T
 
-    def embed_core_inverse(self) -> np.ndarray:
-        """``inv(a1) ⊕ 0`` in the coordinates of `u1` (an n-by-n block)."""
-        n = self.u1.shape[0]
-        out = np.zeros((n, n), dtype=np.result_type(self.a1.dtype, np.float64))
-        out[: self.rank, : self.rank] = np.linalg.inv(self.a1)
-        return out
-
 
 def ep_decompose(t, cfg: ToleranceConfig = DEFAULT_TOL) -> EpDecomposition:
     """Split an EP matrix into its invertible core and kernel block.

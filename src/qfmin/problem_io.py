@@ -4,12 +4,13 @@ A problem file is a single JSON document with keys ``t``, ``a``, ``b``
 and an optional ``tol`` object.  Matrix entries are numbers or two
 element ``[re, im]`` pairs for complex values.  Output documents render
 every float with 17 significant digits so that round-trips are lossless
-and repeated runs are bitwise identical.
+and repeated runs are bitwise identical; nonfinite floats become ``null``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from numbers import Real
 
@@ -145,7 +146,7 @@ def _emit(value) -> str:
     if isinstance(value, (complex, np.complexfloating)):
         return _emit([float(value.real), float(value.imag)])
     if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
+        return format(float(value), ".17g") if math.isfinite(value) else "null"
     if isinstance(value, np.ndarray):
         return _emit(value.tolist())
     if isinstance(value, (list, tuple)):
@@ -157,5 +158,5 @@ def _emit(value) -> str:
 
 
 def emit_json(document: dict) -> str:
-    """Render a result document with 17-significant-digit floats."""
+    """Render a result document with 17-significant-digit floats, nonfinite as null."""
     return _emit(document)

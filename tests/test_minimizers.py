@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from qfmin import (
     DimensionMismatchError,
+    IllConditioningWarning,
     InfeasibleError,
     InfeasibleOnComplementError,
     Method,
@@ -23,6 +24,7 @@ from qfmin import (
     projector_range,
     quad_value,
     random_pd_problem,
+    random_psd_problem,
     solve,
     try_cor1_shortcut,
 )
@@ -64,6 +66,15 @@ class TestQpProblem:
     def test_dim(self):
         p = QpProblem(t=np.eye(3), a=np.ones((1, 3)), b=np.ones(1))
         assert p.dim == 3
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-170, 1e-200])
+    def test_hermitian_gate_at_extreme_scales(self, scale):
+        # ||t|| overflows (or underflows) when taken without rescaling
+        a, b = np.array([[1.0, 1.0]]), np.array([scale])
+        with pytest.raises(NotHermitianError):
+            QpProblem(t=scale * np.array([[2.0, 1], [0, 2]]), a=a, b=b)
+        p = QpProblem(t=scale * np.array([[2.0, 1], [1, 2]]), a=a, b=b)
+        assert_allclose(solve(p).xhat, [scale / 2, scale / 2], rtol=1e-12)
 
 
 class TestMinNormLs:
@@ -262,6 +273,21 @@ class TestPsdComplement:
         with pytest.raises(NotSingularError):
             minimize_psd_complement(p)
 
+    def test_conditioning_note_on_nearly_orthogonal_row_space(self):
+        # R(t) = span{e1, e2}; the row space of a holds e1 and a direction
+        # at cosine ~delta to R(t), so the kept cosines span ~delta
+        delta = 1e-9
+        t = np.diag([1.0, 1.0, 0.0])
+        a = np.array([[1.0, 0.0, 0.0], [0.0, delta, 1.0]])
+        p = QpProblem(t=t, a=a, b=a @ np.array([1.0, 1.0, 0.0]))
+        with pytest.warns(IllConditioningWarning):
+            r = minimize_psd_complement(p)
+        notes = [d for d in r.diagnostics if d.code == "psd_product_conditioning"]
+        assert len(notes) == 1
+        assert notes[0].value < p.tol.warn_ratio
+        assert notes[0].value == pytest.approx(delta, rel=1e-6)
+        assert_allclose(r.xhat, [1.0, 1.0, 0.0], atol=1e-9)
+
     def test_min_value_is_cor2_formula(self):
         p = QpProblem(t=EXAMPLE2_Q, a=EXAMPLE2_A, b=EXAMPLE2_B)
         r = minimize_psd_complement(p)
@@ -342,3 +368,35 @@ class TestResultInvariants:
             d = directions @ rng.standard_normal(directions.shape[1])
             value = quad_value(t, r.xhat + d)
             assert value >= r.min_value - 1e-10
+
+
+def count_linalg_calls(monkeypatch) -> dict:
+    """Count numpy.linalg factorization calls from here to the test's end."""
+    calls = {}
+    for name in ("eigh", "svd", "inv", "solve"):
+        calls[name] = 0
+
+        def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+class TestFactorizationCounts:
+    """numpy.linalg calls made by one AUTO solve: one eigh of t, one SVD of a W."""
+
+    def test_definite_rectangular_constraint(self, monkeypatch):
+        p = QpProblem(*random_pd_problem(12, 6, seed=5))
+        counts = count_linalg_calls(monkeypatch)
+        solve(p)
+        assert counts == {"eigh": 1, "svd": 1, "inv": 0, "solve": 0}
+
+    def test_semidefinite(self, monkeypatch):
+        p = QpProblem(*random_psd_problem(12, 6, rank=9, seed=5))
+        counts = count_linalg_calls(monkeypatch)
+        solve(p)
+        # the other two SVDs give the row space of a and its cosines to
+        # the range of t, for the psd_product_conditioning note
+        assert counts == {"eigh": 1, "svd": 3, "inv": 0, "solve": 0}

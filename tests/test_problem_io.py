@@ -140,6 +140,14 @@ class TestEmitJson:
         doc = {"a": np.pi, "b": [np.e, 1e-17]}
         assert emit_json(doc) == emit_json(doc)
 
+    def test_nonfinite_floats_emit_null(self):
+        text = emit_json({"v": float("inf"), "n": np.nan, "c": complex(1.0, -np.inf)})
+        assert json.loads(text, parse_constant=pytest.fail) == {
+            "v": None,
+            "n": None,
+            "c": [1.0, None],
+        }
+
     def test_rejects_unknown_types(self):
         with pytest.raises(TypeError):
             emit_json({"x": object()})
