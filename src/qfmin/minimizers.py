@@ -3,9 +3,12 @@
 One kernel computes ``x = W pinv(A W) b``, ``W = Q_r Λ_r^{-1/2}``, from one
 eigendecomposition of T (only its range for a singular semidefinite T, which
 minimizes over the orthogonal complement of the kernel) and one thin SVD of
-``A W``.  The square-root route ``inv(R) pinv(A inv(R)) b`` stays literal as
-an independent reference, a Lat-invariance shortcut collapses the solution
-to ``pinv(A) b``, and ``min_norm_ls`` is the unconstrained baseline.
+``A W``.  Those factors depend on ``(T, A)`` only, so the last operator's
+are kept and a further ``b`` needs no factorization, only O(n^2 + nm)
+work to recognise the operator and apply them.  The square-root route
+``inv(R) pinv(A inv(R)) b`` stays literal and uncached as an independent
+reference, a Lat-invariance shortcut collapses the solution to
+``pinv(A) b``, and ``min_norm_ls`` is the unconstrained baseline.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
-from .dense_core import EigResult, as_matrix, as_vector, eigh, fro_norm, svd
+from .dense_core import as_matrix, as_vector, eigh, fro_norm, svd
 from .errors import (
     Diagnostic,
     DimensionMismatchError,
@@ -33,11 +36,12 @@ from .pinv_ops import (
     pinv,
     pinv_with_rank,
     projector_rangestar,  # noqa: F401  kept bound: perfbench/tracing.py wraps it
-    range_basis,
-    rangestar_basis,
+    range_basis,  # noqa: F401  kept bound: perfbench/tracing.py wraps it
+    rangestar_basis,  # noqa: F401  kept bound: perfbench/tracing.py wraps it
     rank_decide,
     lat_invariant,
     sqrt_psd,
+    SubspaceBasis,
 )
 
 
@@ -139,8 +143,8 @@ def feasible(a, b, tol: float | None = None, cfg: ToleranceConfig = DEFAULT_TOL)
     vec = as_vector(b)
     if tol is None:
         tol = cfg.feas_tol
-    residual = np.linalg.norm(arr @ min_norm_ls(arr, vec, cfg) - vec)
-    return bool(residual <= tol * max(1.0, np.linalg.norm(vec)))
+    residual = fro_norm(arr @ min_norm_ls(arr, vec, cfg) - vec)
+    return bool(residual <= tol * max(1.0, fro_norm(vec)))
 
 
 def classify_spectrum(eigenvalues, cfg: ToleranceConfig = DEFAULT_TOL) -> SpectrumClass:
@@ -177,59 +181,156 @@ def _constraint_note(p: QpProblem, decision) -> Diagnostic:
     )
 
 
-def _spectrum(p: QpProblem) -> tuple[EigResult, SpectrumClass]:
-    eig = eigh(p.t, p.tol)
-    return eig, classify_spectrum(eig.eigenvalues, p.tol)
-
-
-def _require_pd(p: QpProblem) -> EigResult:
-    eig, cls = _spectrum(p)
+def _require_pd(cls: SpectrumClass) -> None:
     if cls is not SpectrumClass.POSITIVE_DEFINITE:
         raise NotPositiveDefiniteError(
             f"spectrum classified as {cls.value}; the definite routes need "
             "strictly positive eigenvalues"
         )
-    return eig
 
 
-def _factor_once(p: QpProblem, eig: EigResult, method: Method) -> MinimizationResult:
-    """``x = W pinv(a W) b``, ``W = Q_r Λ_r^{-1/2}``, minimum ``||pinv(a W) b||^2``.
+def _require_singular_psd(cls: SpectrumClass) -> None:
+    if cls is SpectrumClass.INDEFINITE:
+        raise NotPsdError("t has negative eigenvalues beyond tolerance")
+    if cls is SpectrumClass.POSITIVE_DEFINITE:
+        raise NotSingularError(
+            "t is invertible; use the positive definite routes instead"
+        )
 
-    `eig` factors `t`; r = n unless the route is the kernel complement, whose
-    range split is `ep_decompose`'s rank rule on ``|λ|`` (eigenvalues within
-    the negative tolerance count as kernel).  One thin SVD of ``a W`` gives
-    the rank, feasibility (`b` inside ``range(a W)``) and the minimizer.
+
+def _require_positive(cls: SpectrumClass) -> None:
+    if cls is SpectrumClass.INDEFINITE:
+        raise NotPositiveError("t has negative eigenvalues; no minimizer exists")
+
+
+@dataclass(eq=False)
+class _Factors:
+    """Everything a solve takes from ``(t, a, tol)`` alone.
+
+    `t` and `a` are private copies: with `tol` they are the memo's key.  `w`
+    and `q` are the kept eigenpairs of `t` (all of them for a definite `t`,
+    the range for a singular one), and `u`, `sigma`, `v` the kept thin SVD
+    factors of ``a W``, ``W = q Λ^{-1/2}``.  `spectra` lists the ``(sigma,
+    dim)`` of every rank decision in order, replayed on a hit so that it
+    warns as the miss did.
+    """
+
+    t: np.ndarray
+    a: np.ndarray
+    tol: ToleranceConfig
+    cls: SpectrumClass
+    w: np.ndarray
+    q: np.ndarray
+    u: np.ndarray
+    sigma: np.ndarray
+    v: np.ndarray
+    notes: tuple[Diagnostic, ...]
+    spectra: tuple[tuple[np.ndarray, int], ...]
+
+
+# The factors of the last operator solved.  One slot, so at most one
+# problem's factors stay alive; it is replaced by a single assignment, so
+# concurrent callers can at worst both miss.
+_memo: _Factors | None = None
+
+
+def _same(kept: np.ndarray, given: np.ndarray) -> bool:
+    return kept.shape == given.shape and kept.dtype == given.dtype and np.array_equal(kept, given)
+
+
+def _factors(p: QpProblem, gate) -> _Factors:
+    """The factor stage of `p`, reused while ``(t, a, tol)`` is unchanged.
+
+    `gate` raises the route's error for a spectrum class it does not solve;
+    it runs right after the class is known, on a hit as on a miss.  A miss
+    releases the previous factors first and stores the new ones only once
+    they are complete.
+    """
+    global _memo
+    entry = _memo
+    if entry is not None and entry.tol == p.tol and _same(entry.t, p.t) and _same(entry.a, p.a):
+        gate(entry.cls)
+        for sigma, dim in entry.spectra:
+            rank_decide(sigma, p.tol, dim=dim)
+        return entry
+    # Drop both references first, so the old factors are freed before the
+    # new ones are made and peak memory holds one problem's factors.
+    entry = _memo = None
+    _memo = _factorize(p, gate)
+    return _memo
+
+
+def _factorize(p: QpProblem, gate) -> _Factors:
+    """One guarded `eigh` of `t` and one thin guarded SVD of ``a W``.
+
+    For a singular `t` only the range is kept, split off by `ep_decompose`'s
+    rank rule on ``|λ|`` (eigenvalues within the negative tolerance count
+    as kernel), and the conditioning of that reduction is noted.
     """
     cfg = p.tol
+    eig = eigh(p.t, cfg)
+    cls = classify_spectrum(eig.eigenvalues, cfg)
+    gate(cls)
+    spectra = []
+
+    def decide(sigma, dim):
+        spectra.append((sigma, dim))
+        return rank_decide(sigma, cfg, dim=dim)
+
     w, q = eig.eigenvalues, eig.q
-    complement = method is Method.PSD_COMPLEMENT
-    if complement:
-        threshold = rank_decide(np.sort(np.abs(w))[::-1], cfg, dim=p.dim).threshold
-        keep = w > threshold
+    singular = cls is SpectrumClass.PSD_SINGULAR
+    if singular:
+        keep = w > decide(np.sort(np.abs(w))[::-1], p.dim).threshold
         w, q = w[keep], q[:, keep]
-    inv_root = q / np.sqrt(w)
-    fact = svd(p.a @ inv_root, cfg, full_matrices=False)
-    decision = rank_decide(fact.sigma, cfg, dim=max(p.a.shape))
+    fact = svd(p.a @ (q / np.sqrt(w)), cfg, full_matrices=False)
+    decision = decide(fact.sigma, max(p.a.shape))
+    notes = [_constraint_note(p, decision)]
+    if singular:
+        notes.extend(_complement_conditioning(p, q, decide))
     k = decision.rank
-    u = fact.u[:, :k]
-    coeff = u.conj().T @ p.b
-    if fro_norm(p.b - u @ coeff) > cfg.feas_tol * max(1.0, fro_norm(p.b)):
-        if complement:
+    return _Factors(
+        t=p.t.copy(),
+        a=p.a.copy(),
+        tol=cfg,
+        cls=cls,
+        w=w,
+        q=q,
+        u=fact.u[:, :k],
+        sigma=fact.sigma[:k],
+        v=fact.v[:, :k],
+        notes=tuple(notes),
+        spectra=tuple(spectra),
+    )
+
+
+def _range_coefficients(u: np.ndarray, b: np.ndarray, cfg: ToleranceConfig):
+    """``u* b`` for orthonormal `u`, or None when `b` lies outside ``range(u)``.
+
+    The test is ``||b - u u* b|| <= feas_tol * max(1, ||b||)``.
+    """
+    coeff = u.conj().T @ b
+    if fro_norm(b - u @ coeff) > cfg.feas_tol * max(1.0, fro_norm(b)):
+        return None
+    return coeff
+
+
+def _apply(p: QpProblem, f: _Factors, method: Method) -> MinimizationResult:
+    """``x = W pinv(a W) b`` and the minimum ``||pinv(a W) b||^2`` from `f`."""
+    coeff = _range_coefficients(f.u, p.b, p.tol)
+    if coeff is None:
+        if f.cls is SpectrumClass.PSD_SINGULAR:
             raise InfeasibleOnComplementError(
                 "no point of the kernel complement satisfies a x = b"
             )
         raise InfeasibleError("b is not in the range of a; the constraint set is empty")
-    y = fact.v[:, :k] @ (coeff / fact.sigma[:k])
-    xhat = inv_root @ y
-    diagnostics = [_constraint_note(p, decision)]
-    if complement:
-        diagnostics.extend(_complement_conditioning(p, q, cfg))
+    y = f.v @ (coeff / f.sigma)
+    xhat = f.q @ (y / np.sqrt(f.w))
     return MinimizationResult(
         xhat=xhat,
         min_value=float(np.real(np.vdot(y, y))),
         feasibility_residual=fro_norm(p.a @ xhat - p.b),
         method=method,
-        diagnostics=tuple(diagnostics),
+        diagnostics=f.notes,
     )
 
 
@@ -240,7 +341,7 @@ def minimize_posdef_diag(p: QpProblem) -> MinimizationResult:
     minimizer off the minimum-norm solution of the rescaled constraint:
     ``x = q Λ^{-1/2} pinv(a q Λ^{-1/2}) b``, attaining ``||pinv(.) b||^2``.
     """
-    return _factor_once(p, _require_pd(p), Method.POSDEF_DIAG)
+    return _apply(p, _factors(p, _require_pd), Method.POSDEF_DIAG)
 
 
 def minimize_posdef(p: QpProblem) -> MinimizationResult:
@@ -248,10 +349,11 @@ def minimize_posdef(p: QpProblem) -> MinimizationResult:
 
     With ``r = sqrt_psd(t)`` (invertible here), the minimizer is
     ``r^{-1} pinv(a r^{-1}) b`` and the minimum is ``||pinv(a r^{-1}) b||^2``,
-    built literally as the independent reference for the factor-once kernel.
+    built literally as the independent reference for the factor-once kernel,
+    and never from the memo of factors.
     """
     cfg = p.tol
-    _require_pd(p)
+    _require_pd(classify_spectrum(eigh(p.t, cfg).eigenvalues, cfg))
     if not feasible(p.a, p.b, cfg=cfg):
         raise InfeasibleError("b is not in the range of a; the constraint set is empty")
     root_inv = np.linalg.inv(sqrt_psd(p.t, cfg))
@@ -261,13 +363,13 @@ def minimize_posdef(p: QpProblem) -> MinimizationResult:
     return MinimizationResult(
         xhat=xhat,
         min_value=float(np.real(np.vdot(y, y))),
-        feasibility_residual=float(np.linalg.norm(p.a @ xhat - p.b)),
+        feasibility_residual=fro_norm(p.a @ xhat - p.b),
         method=Method.POSDEF,
         diagnostics=(_constraint_note(p, decision),),
     )
 
 
-def try_cor1_shortcut(p: QpProblem) -> MinimizationResult | None:
+def try_cor1_shortcut(p: QpProblem, *, _factored: _Factors | None = None) -> MinimizationResult | None:
     """Shortcut when the ranges of `a` and of its adjoint are invariant under `t`.
 
     Applies only to square constraints (range invariance is not well-typed
@@ -278,25 +380,29 @@ def try_cor1_shortcut(p: QpProblem) -> MinimizationResult | None:
     not sufficient (t = diag(1, 2), a = [[1, 1], [0, 0]] has an invariant
     column space yet ``pinv(a) b`` is not the minimizer), so the gate
     checks both.  When it fires the minimizer is exactly ``pinv(a) b`` and
-    the minimum ``||sqrt_psd(t) pinv(a) b||^2``; returns None when either
-    invariance condition fails.
+    the minimum ``sum_i λ_i |q_i* pinv(a) b|^2``; returns None when either
+    invariance condition fails.  Both bases and ``pinv(a) b`` come from one
+    SVD of `a`; the eigenpairs of `t` are the kernel's, handed over by
+    `solve` as `_factored` or looked up in the memo.
     """
     cfg = p.tol
-    _require_pd(p)
     if p.a.shape[0] != p.a.shape[1]:
+        _require_pd(classify_spectrum(eigh(p.t, cfg).eigenvalues, cfg))
         return None
-    if not lat_invariant(range_basis(p.a, cfg), p.t, cfg=cfg):
+    f = _factored if _factored is not None else _factors(p, _require_pd)
+    fact = svd(p.a, cfg)
+    rank = rank_decide(fact.sigma, cfg, dim=p.dim).rank
+    u, v = fact.u[:, :rank], fact.v[:, :rank]
+    if not all(lat_invariant(SubspaceBasis(s, p.dim), p.t, cfg=cfg) for s in (u, v)):
         return None
-    if not lat_invariant(rangestar_basis(p.a, cfg), p.t, cfg=cfg):
-        return None
-    if not feasible(p.a, p.b, cfg=cfg):
+    coeff = _range_coefficients(u, p.b, cfg)
+    if coeff is None:
         raise InfeasibleError("b is not in the range of a; the constraint set is empty")
-    xhat = min_norm_ls(p.a, p.b, cfg)
-    scaled = sqrt_psd(p.t, cfg) @ xhat
+    xhat = v @ (coeff / fact.sigma[:rank])
     return MinimizationResult(
         xhat=xhat,
-        min_value=float(np.real(np.vdot(scaled, scaled))),
-        feasibility_residual=float(np.linalg.norm(p.a @ xhat - p.b)),
+        min_value=float(np.sum(f.w * np.abs(f.q.conj().T @ xhat) ** 2)),
+        feasibility_residual=fro_norm(p.a @ xhat - p.b),
         method=Method.COR1_SHORTCUT,
         diagnostics=(
             Diagnostic(
@@ -317,30 +423,24 @@ def minimize_psd_complement(p: QpProblem) -> MinimizationResult:
     eigenvectors of the nonzero eigenvalues ``Λ_r``, the minimizer is
     ``x = W pinv(a W) b`` for ``W = Q_r Λ_r^{-1/2}``.
     """
-    eig, cls = _spectrum(p)
-    if cls is SpectrumClass.INDEFINITE:
-        raise NotPsdError("t has negative eigenvalues beyond tolerance")
-    if cls is SpectrumClass.POSITIVE_DEFINITE:
-        raise NotSingularError(
-            "t is invertible; use the positive definite routes instead"
-        )
-    return _factor_once(p, eig, Method.PSD_COMPLEMENT)
+    return _apply(p, _factors(p, _require_singular_psd), Method.PSD_COMPLEMENT)
 
 
-def _complement_conditioning(p: QpProblem, range_t, cfg) -> list[Diagnostic]:
+def _complement_conditioning(p: QpProblem, range_t, decide) -> list[Diagnostic]:
     """Conditioning of the reduction onto the kernel complement.
 
     The singular values of ``V_a* Q_r`` (orthonormal bases of the row space
     of `a` and of the column space of `t`) are the cosines of the principal
-    angles between them; tiny kept values signal a nearly-degenerate reduction.
+    angles between them; tiny kept values signal a nearly-degenerate
+    reduction.  `decide` makes and records each rank decision.
     """
-    fact = svd(p.a, cfg, full_matrices=False)
-    rank_a = rank_decide(fact.sigma, cfg, dim=max(p.a.shape)).rank
+    fact = svd(p.a, p.tol, full_matrices=False)
+    rank_a = decide(fact.sigma, max(p.a.shape)).rank
     sigma = np.linalg.svd(fact.v[:, :rank_a].conj().T @ range_t, compute_uv=False)
-    decision = rank_decide(sigma, cfg, dim=p.dim)
+    decision = decide(sigma, p.dim)
     notes = []
     smax = float(sigma[0]) if sigma.size else 0.0
-    if decision.rank and smax > 0 and decision.sigma_kept_min / smax < cfg.warn_ratio:
+    if decision.rank and smax > 0 and decision.sigma_kept_min / smax < p.tol.warn_ratio:
         notes.append(
             Diagnostic(
                 code="psd_product_conditioning",
@@ -360,7 +460,8 @@ def solve(p: QpProblem, method: Method = Method.AUTO) -> MinimizationResult:
     AUTO factors `t` once: strictly positive spectra are reported as the
     square-root route, with the invariance shortcut tried for a square `a`
     and recorded in the diagnostics; singular nonnegative spectra go to the
-    kernel complement; genuinely negative eigenvalues are rejected.
+    kernel complement; genuinely negative eigenvalues are rejected.  The
+    factors are reused while later problems keep the same ``(t, a, tol)``.
     """
     if method is Method.POSDEF_DIAG:
         return minimize_posdef_diag(p)
@@ -370,13 +471,11 @@ def solve(p: QpProblem, method: Method = Method.AUTO) -> MinimizationResult:
         return minimize_psd_complement(p)
     if method is not Method.AUTO:
         raise ValueError(f"method {method} is not dispatchable")
-    eig, cls = _spectrum(p)
-    if cls is SpectrumClass.INDEFINITE:
-        raise NotPositiveError("t has negative eigenvalues; no minimizer exists")
-    if cls is SpectrumClass.PSD_SINGULAR:
-        return _factor_once(p, eig, Method.PSD_COMPLEMENT)
-    result = _factor_once(p, eig, Method.POSDEF)
-    shortcut = try_cor1_shortcut(p) if p.a.shape[0] == p.a.shape[1] else None
+    f = _factors(p, _require_positive)
+    if f.cls is SpectrumClass.PSD_SINGULAR:
+        return _apply(p, f, Method.PSD_COMPLEMENT)
+    result = _apply(p, f, Method.POSDEF)
+    shortcut = try_cor1_shortcut(p, _factored=f) if p.a.shape[0] == p.a.shape[1] else None
     if shortcut is None:
         note = Diagnostic(
             code="cor1_shortcut",

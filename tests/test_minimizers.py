@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -28,6 +30,8 @@ from qfmin import (
     solve,
     try_cor1_shortcut,
 )
+from qfmin import minimizers
+from qfmin.config import ToleranceConfig
 from qfmin.l2_models import diag_operator, DiagonalSpec, harmonic_b, left_shift
 
 EXAMPLE2_Q = np.array([[14.0, 20, 28], [20, 83, 40], [28, 40, 56]])
@@ -184,6 +188,13 @@ class TestPosdef:
         t, a, b = random_pd_problem(10, 4, seed=5)
         r = minimize_posdef(QpProblem(t=t, a=a, b=b))
         assert r.feasibility_residual <= 1e-8 * max(1.0, np.linalg.norm(b))
+
+    def test_rejects_infeasible_at_huge_scale(self):
+        # ||a pinv(a) b - b|| overflows when taken without rescaling
+        s = 1e160
+        p = QpProblem(t=s * np.eye(2), a=np.array([[1.0, 0], [1, 0]]), b=s * np.array([1.0, 2.0]))
+        with pytest.raises(InfeasibleError):
+            minimize_posdef(p)
 
     def test_min_value_matches_quadratic(self):
         t, a, b = random_pd_problem(9, 2, seed=6)
@@ -384,6 +395,13 @@ def count_linalg_calls(monkeypatch) -> dict:
     return calls
 
 
+@pytest.fixture
+def cold_memo(monkeypatch):
+    """Start from an empty memo of factors, whatever ran before."""
+    monkeypatch.setattr(minimizers, "_memo", None)
+
+
+@pytest.mark.usefixtures("cold_memo")
 class TestFactorizationCounts:
     """numpy.linalg calls made by one AUTO solve: one eigh of t, one SVD of a W."""
 
@@ -400,3 +418,146 @@ class TestFactorizationCounts:
         # the other two SVDs give the row space of a and its cosines to
         # the range of t, for the psd_product_conditioning note
         assert counts == {"eigh": 1, "svd": 3, "inv": 0, "solve": 0}
+
+    def test_definite_square_constraint(self, monkeypatch):
+        p = QpProblem(*random_pd_problem(12, 12, seed=5))
+        counts = count_linalg_calls(monkeypatch)
+        r = solve(p)
+        # the shortcut's bases, feasibility and pinv(a) b share one SVD of a
+        assert counts == {"eigh": 1, "svd": 2, "inv": 0, "solve": 0}
+        assert r.diagnostics[-1].value is not None
+
+
+SHARED_OPERATORS = {
+    "pd": lambda: random_pd_problem(12, 6, seed=5),
+    "psd": lambda: random_psd_problem(12, 6, rank=9, seed=5),
+    "pd-square": lambda: random_pd_problem(12, 12, seed=5),
+}
+
+
+def fresh_rhs(t, a, seed):
+    """A feasible b for (t, a): the image of a point in the range of t."""
+    x = t @ np.random.default_rng(seed).standard_normal(t.shape[0])
+    return a @ x
+
+
+def assert_same_result(r, s):
+    assert np.array_equal(r.xhat, s.xhat)
+    assert r.min_value == s.min_value
+    assert r.feasibility_residual == s.feasibility_residual
+    assert r.method is s.method
+    assert r.diagnostics == s.diagnostics
+
+
+@pytest.mark.usefixtures("cold_memo")
+class TestFactorMemo:
+    """solve and the kernel routes reuse the last operator's factors."""
+
+    @pytest.mark.parametrize("case", sorted(SHARED_OPERATORS))
+    def test_second_rhs_factors_nothing(self, case, monkeypatch):
+        t, a, b = SHARED_OPERATORS[case]()
+        solve(QpProblem(t, a, b))
+        b2 = fresh_rhs(t, a, seed=1)
+        counts = count_linalg_calls(monkeypatch)
+        hit = solve(QpProblem(t, a, b2))
+        # a square a keeps the shortcut's one SVD of a on every solve
+        svds = 1 if case == "pd-square" else 0
+        assert counts == {"eigh": 0, "svd": svds, "inv": 0, "solve": 0}
+        monkeypatch.setattr(minimizers, "_memo", None)
+        assert_same_result(hit, solve(QpProblem(t, a, b2)))
+
+    def test_kernel_routes_share_the_memo(self, monkeypatch):
+        t, a, b = random_pd_problem(10, 4, seed=3)
+        auto = solve(QpProblem(t, a, b))
+        counts = count_linalg_calls(monkeypatch)
+        diag = minimize_posdef_diag(QpProblem(t, a, b))
+        assert counts["eigh"] == counts["svd"] == 0
+        assert np.array_equal(diag.xhat, auto.xhat)
+        assert diag.method is Method.POSDEF_DIAG
+        # the square-root reference never reads the memo
+        minimize_posdef(QpProblem(t, a, b))
+        assert counts["eigh"] == 2 and counts["inv"] == 1
+
+    @pytest.mark.parametrize(
+        "change",
+        ["mutate-t", "complex-t", "tol"],
+    )
+    def test_changed_operator_misses(self, change, monkeypatch):
+        t, a, b = random_pd_problem(10, 4, seed=4)
+        tol = ToleranceConfig()
+        first = solve(QpProblem(t, a, b, tol))
+        if change == "mutate-t":
+            t *= 2.0  # in place: QpProblem keeps the caller's array
+        elif change == "complex-t":
+            t = t.astype(np.complex128)
+        else:
+            tol = tol.with_overrides(rtol=1e-13)
+        counts = count_linalg_calls(monkeypatch)
+        again = solve(QpProblem(t, a, b, tol))
+        assert counts["eigh"] == 1
+        monkeypatch.setattr(minimizers, "_memo", None)
+        assert_same_result(again, solve(QpProblem(t, a, b, tol)))
+        if change == "mutate-t":
+            assert again.min_value == pytest.approx(2.0 * first.min_value, rel=1e-12)
+
+    def test_hit_still_rejects_infeasible_rhs(self):
+        t, a, b = random_pd_problem(6, 6, seed=7)
+        a[-1] = a[0]
+        solve(QpProblem(t, a, a @ np.ones(6)))
+        with pytest.raises(InfeasibleError):
+            solve(QpProblem(t, a, b))
+        t, a = np.diag([1.0, 0.0]), np.array([[0.0, 1.0]])
+        assert solve(QpProblem(t, a, np.zeros(1))).min_value == 0.0
+        with pytest.raises(InfeasibleOnComplementError):
+            solve(QpProblem(t, a, np.ones(1)))
+
+    def test_hit_warns_as_the_miss_did(self):
+        delta = 1e-9
+        t = np.diag([1.0, 1.0, 0.0])
+        a = np.array([[1.0, 0.0, 0.0], [0.0, delta, 1.0]])
+        messages = []
+        for b in (a @ np.array([1.0, 1.0, 0.0]), a @ np.array([2.0, -1.0, 0.0])):
+            with pytest.warns(IllConditioningWarning) as caught:
+                r = minimize_psd_complement(QpProblem(t, a, b))
+            assert [d.code for d in r.diagnostics][-1] == "psd_product_conditioning"
+            messages.append([str(w.message) for w in caught])
+        assert messages[0] == messages[1]
+
+    def test_square_constraint_warns_once_per_factorization(self):
+        # t = I makes a W = a: one warning for a W, one for the shortcut's a
+        t, a = np.eye(3), np.diag([1.0, 1e-10, 1.0])
+        for b in (np.ones(3), np.array([1.0, 2.0, 3.0])):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                solve(QpProblem(t, a, b))
+            assert [w.category for w in caught] == [IllConditioningWarning] * 2
+
+    def test_rectangular_shortcut_only_gates_the_class(self, monkeypatch):
+        p = QpProblem(*random_pd_problem(12, 6, seed=5))
+        counts = count_linalg_calls(monkeypatch)
+        assert try_cor1_shortcut(p) is None
+        assert counts == {"eigh": 1, "svd": 0, "inv": 0, "solve": 0}
+        assert minimizers._memo is None
+        with pytest.raises(NotPositiveDefiniteError):
+            try_cor1_shortcut(QpProblem(EXAMPLE2_Q, EXAMPLE2_A, EXAMPLE2_B))
+
+    def test_hit_keeps_the_route_class_errors(self):
+        p = QpProblem(t=EXAMPLE2_Q, a=EXAMPLE2_A, b=EXAMPLE2_B)
+        solve(p)
+        with pytest.raises(NotPositiveDefiniteError):
+            minimize_posdef_diag(p)
+        with pytest.raises(NotPositiveDefiniteError):
+            try_cor1_shortcut(p)
+        q = QpProblem(t=np.eye(3), a=EXAMPLE2_A, b=EXAMPLE2_B)
+        solve(q)
+        with pytest.raises(NotSingularError):
+            minimize_psd_complement(q)
+
+    def test_failed_factor_stage_releases_the_slot(self, monkeypatch):
+        t, a, b = random_pd_problem(8, 3, seed=9)
+        solve(QpProblem(t, a, b))
+        with pytest.raises(NotPositiveError):
+            solve(QpProblem(np.diag([1.0, -1.0]), np.ones((1, 2)), np.ones(1)))
+        counts = count_linalg_calls(monkeypatch)
+        solve(QpProblem(t, a, b))
+        assert counts["eigh"] == 1
