@@ -39,7 +39,7 @@ class ToleranceConfig:
         Definiteness gate: eigenvalues above it count as strictly positive.
         None derives the gate from ``rtol`` and the largest eigenvalue.
     feas_tol : float
-        Constraint-consistency check, ``||A A^+ b - b|| <= feas_tol * max(1, ||b||)``.
+        Constraint-consistency check, ``||A A^+ b - b|| <= feas_tol * ||b||``.
     lat_tol : float
         Invariant-subspace residual budget.
     commute_tol : float

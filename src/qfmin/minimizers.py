@@ -144,7 +144,7 @@ def feasible(a, b, tol: float | None = None, cfg: ToleranceConfig = DEFAULT_TOL)
     if tol is None:
         tol = cfg.feas_tol
     residual = fro_norm(arr @ min_norm_ls(arr, vec, cfg) - vec)
-    return bool(residual <= tol * max(1.0, fro_norm(vec)))
+    return bool(residual <= tol * fro_norm(vec))
 
 
 def classify_spectrum(eigenvalues, cfg: ToleranceConfig = DEFAULT_TOL) -> SpectrumClass:
@@ -306,10 +306,11 @@ def _factorize(p: QpProblem, gate) -> _Factors:
 def _range_coefficients(u: np.ndarray, b: np.ndarray, cfg: ToleranceConfig):
     """``u* b`` for orthonormal `u`, or None when `b` lies outside ``range(u)``.
 
-    The test is ``||b - u u* b|| <= feas_tol * max(1, ||b||)``.
+    The test is ``||b - u u* b|| <= feas_tol * ||b||``, so it is scale-free
+    and ``b = 0`` passes.
     """
     coeff = u.conj().T @ b
-    if fro_norm(b - u @ coeff) > cfg.feas_tol * max(1.0, fro_norm(b)):
+    if fro_norm(b - u @ coeff) > cfg.feas_tol * fro_norm(b):
         return None
     return coeff
 

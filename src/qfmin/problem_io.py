@@ -27,12 +27,15 @@ TOL_KEYS = ("rtol", "pd_tol", "neg_tol", "angle_warn")
 def _entry_to_scalar(entry, where: str):
     if isinstance(entry, bool):
         raise ProblemFileError(f"{where}: booleans are not numeric entries")
-    if isinstance(entry, Real):
-        return float(entry)
-    if isinstance(entry, list) and len(entry) == 2 and all(
-        isinstance(p, Real) and not isinstance(p, bool) for p in entry
-    ):
-        return complex(float(entry[0]), float(entry[1]))
+    try:
+        if isinstance(entry, Real):
+            return float(entry)
+        if isinstance(entry, list) and len(entry) == 2 and all(
+            isinstance(p, Real) and not isinstance(p, bool) for p in entry
+        ):
+            return complex(float(entry[0]), float(entry[1]))
+    except OverflowError:
+        raise ProblemFileError(f"{where}: integer entry outside the float64 range") from None
     raise ProblemFileError(
         f"{where}: entries must be numbers or [re, im] pairs, got {entry!r}"
     )
@@ -68,15 +71,52 @@ def vector_from_list(entries, name: str) -> np.ndarray:
     return np.array(parsed, dtype=np.float64)
 
 
+def _bulk_array(value, ndim: int):
+    """`value` as a `ndim`-d array in one numpy conversion, or None.
+
+    Accepts a nonempty rectangular block whose entries are all int or float
+    scalars, or all ``[re, im]`` pairs of them.  Anything else returns None
+    and is left to the per-entry parser, which writes the error messages.
+    Pairs become complex through a view of the float64 pairs, so signed
+    zeros and infinite parts come through as they do entry by entry.
+    """
+    try:
+        arr = np.array(value)
+    except ValueError:
+        return None
+    if arr.dtype.kind not in "if" or 0 in arr.shape:
+        return None
+    if arr.ndim == ndim:
+        return arr.astype(np.float64, copy=False)
+    if arr.ndim == ndim + 1 and arr.shape[-1] == 2:
+        return arr.astype(np.float64, copy=False).view(np.complex128).reshape(arr.shape[:-1])
+    return None
+
+
+def _tolerance(value, source: str) -> float:
+    """`value` as a float, if it is finite and positive."""
+    try:
+        v = float(value)
+    except OverflowError:
+        v = math.inf
+    if not 0 < v < math.inf:
+        raise ProblemFileError(f"{source} must be finite and positive, got {v!r}")
+    return v
+
+
 def load_problem_arrays(path):
     """Parse a problem file into raw arrays plus the file's tol overrides."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
+            text = handle.read()
+        doc = json.loads(text)
     except OSError as exc:
         raise ProblemFileError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ProblemFileError(f"{path} is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # Invalid UTF-8, integer literals past Python's digit limit, deep nesting.
+        raise ProblemFileError(f"{path} cannot be decoded: {exc}") from exc
     if not isinstance(doc, dict):
         raise ProblemFileError(f"{path}: top level must be a JSON object")
     missing = [k for k in ("t", "a", "b") if k not in doc]
@@ -85,9 +125,18 @@ def load_problem_arrays(path):
     unknown = [k for k in doc if k not in ("t", "a", "b", "tol")]
     if unknown:
         raise ProblemFileError(f"{path}: unknown keys {unknown}")
-    t = matrix_from_nested(doc["t"], "t")
-    a = matrix_from_nested(doc["a"], "a")
-    b = vector_from_list(doc["b"], "b")
+    # numpy reads a true among numbers as 1.0, so a document that spells a
+    # boolean anywhere goes to the per-entry parser, which rejects it.
+    bulk = "true" not in text and "false" not in text
+    arrays = []
+    for key, ndim, parse in (
+        ("t", 2, matrix_from_nested),
+        ("a", 2, matrix_from_nested),
+        ("b", 1, vector_from_list),
+    ):
+        arr = _bulk_array(doc[key], ndim) if bulk else None
+        arrays.append(parse(doc[key], key) if arr is None else arr)
+    t, a, b = arrays
     tol = doc.get("tol")
     if tol is not None:
         if not isinstance(tol, dict):
@@ -100,8 +149,7 @@ def load_problem_arrays(path):
         for key, value in tol.items():
             if isinstance(value, bool) or not isinstance(value, Real):
                 raise ProblemFileError(f"{path}: tol.{key} must be a number")
-            if float(value) <= 0:
-                raise ProblemFileError(f"{path}: tol.{key} must be positive")
+            _tolerance(value, f"{path}: tol.{key}")
     return t, a, b, tol
 
 
@@ -113,7 +161,8 @@ def resolve_tolerances(
     """Blend tolerance sources: flags beat file values beat the environment.
 
     Only ``QFMIN_RTOL`` is read from the environment, and only when
-    neither the flags nor the file set ``rtol``.
+    neither the flags nor the file set ``rtol``.  Every value, whatever
+    its source, must be finite and positive.
     """
     if env is None:
         env = os.environ
@@ -124,13 +173,12 @@ def resolve_tolerances(
             env_rtol = float(raw_env)
         except ValueError as exc:
             raise ProblemFileError(f"{ENV_RTOL}={raw_env!r} is not a number") from exc
-        if env_rtol <= 0:
-            raise ProblemFileError(f"{ENV_RTOL} must be positive, got {env_rtol}")
-        merged["rtol"] = env_rtol
-    if file_tol:
-        merged.update({k: float(v) for k, v in file_tol.items()})
-    if flag_overrides:
-        merged.update({k: float(v) for k, v in flag_overrides.items() if v is not None})
+        merged["rtol"] = _tolerance(env_rtol, ENV_RTOL)
+    for key, value in (file_tol or {}).items():
+        merged[key] = _tolerance(value, f"tol.{key}")
+    for key, value in (flag_overrides or {}).items():
+        if value is not None:
+            merged[key] = _tolerance(value, "--" + key.replace("_", "-"))
     return DEFAULT_TOL.with_overrides(**merged)
 
 

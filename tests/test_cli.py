@@ -108,6 +108,50 @@ class TestSolve:
         assert code == 1
         assert "QFMIN_RTOL" in err
 
+    @pytest.mark.parametrize("value", ["NaN", "1e999"])
+    def test_nonfinite_file_tol_exits_one(self, tmp_path, capsys, value):
+        # with a NaN or inf neg_tol the indefinite t used to pass as psd-complement
+        path = tmp_path / "tol.json"
+        path.write_text(
+            '{"t": [[1, 0], [0, -1]], "a": [[1, 0]], "b": [1], "tol": {"neg_tol": %s}}' % value
+        )
+        code, out, err = run(capsys, "solve", "--problem", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("qfmin: error:") and "tol.neg_tol" in err
+
+    @pytest.mark.parametrize("raw", ["nan", "inf"])
+    def test_nonfinite_env_rtol_exits_one(self, tmp_path, capsys, monkeypatch, raw):
+        monkeypatch.setenv("QFMIN_RTOL", raw)
+        path = write(tmp_path, {"t": [[2, 0], [0, 1]], "a": [[1, 1]], "b": [1]})
+        code, out, err = run(capsys, "solve", "--problem", path)
+        assert (code, out) == (1, "")
+        assert err.startswith("qfmin: error: QFMIN_RTOL")
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--rtol", "nan"), ("--rtol", "-1"), ("--pd-tol", "-5")]
+    )
+    def test_nonpositive_flag_exits_one(self, tmp_path, capsys, flag, value):
+        path = write(tmp_path, {"t": [[2, 0], [0, 1]], "a": [[1, 1]], "b": [1]})
+        code, out, err = run(capsys, "solve", "--problem", path, flag, value)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"qfmin: error: {flag}")
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b'{"t": [[1' + b"0" * 400 + b']], "a": [[1]], "b": [1]}',
+            b'{"t": [[1]], "a": [[1]], "b": [1], "tol": {"rtol": 1' + b"0" * 400 + b"}}",
+            b'{"t": [[1]], "a": [[1]], "b": [1], "\xff": 1}',
+        ],
+        ids=["huge-entry", "huge-tol", "invalid-utf8"],
+    )
+    def test_malformed_file_exits_one(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code, out, err = run(capsys, "solve", "--problem", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("qfmin: error:")
+
 
 class TestCheck:
     def test_singular_form_report(self, tmp_path, capsys):

@@ -168,6 +168,27 @@ class TestPosdefDiag:
             minimize_posdef_diag(p)
 
 
+class TestScaleFreeFeasibility:
+    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e160])
+    @pytest.mark.parametrize("route", [solve, minimize_posdef_diag, minimize_posdef])
+    def test_rejects_infeasible_at_every_scale(self, route, scale):
+        # an absolute bound below ||b|| = 1 used to accept b at 1e-200
+        p = QpProblem(
+            t=scale * np.eye(2),
+            a=np.array([[1.0, 0], [1, 0]]),
+            b=scale * np.array([1.0, 2.0]),
+        )
+        with pytest.raises(InfeasibleError):
+            route(p)
+
+    @pytest.mark.parametrize("route", [solve, minimize_posdef_diag, minimize_posdef])
+    def test_zero_rhs_stays_feasible(self, route):
+        p = QpProblem(t=np.eye(2), a=np.array([[1.0, 0], [1, 0]]), b=np.zeros(2))
+        r = route(p)
+        assert np.array_equal(r.xhat, np.zeros(2))
+        assert r.min_value == 0.0
+
+
 class TestPosdef:
     def test_scaled_identity(self):
         a = np.array([[1.0, 1, 0]])

@@ -1,11 +1,21 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from qfmin import DEFAULT_TOL, ProblemFileError, emit_json, load_problem_arrays
-from qfmin.problem_io import resolve_tolerances
+from qfmin import (
+    DEFAULT_TOL,
+    ProblemFileError,
+    emit_json,
+    load_problem_arrays,
+    random_pd_problem,
+)
+from qfmin import problem_io
+from qfmin.problem_io import matrix_from_nested, resolve_tolerances, vector_from_list
 
 
 def write_problem(tmp_path, doc, name="problem.json"):
@@ -77,6 +87,122 @@ class TestLoadProblem:
         with pytest.raises(ProblemFileError):
             load_problem_arrays(path)
 
+    def test_rejects_boolean_among_numbers(self, tmp_path):
+        # numpy alone would read this true as 1.0
+        path = write_problem(tmp_path, {"t": [[1.5, True], [0, 1]], "a": [[1, 0]], "b": [1]})
+        with pytest.raises(ProblemFileError, match="'t' row 0: booleans"):
+            load_problem_arrays(path)
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ('{"t": [[1%s]], "a": [[1]], "b": [1]}', "'t' row 0"),
+            ('{"t": [[1]], "a": [[1]], "b": [[1, 1%s]]}', "'b' entry 0"),
+            ('{"t": [[1]], "a": [[1]], "b": [1], "tol": {"rtol": 1%s}}', "tol.rtol"),
+        ],
+    )
+    def test_rejects_integer_beyond_float_range(self, tmp_path, text, where):
+        path = tmp_path / "huge.json"
+        path.write_text(text % ("0" * 400))
+        with pytest.raises(ProblemFileError, match=where):
+            load_problem_arrays(str(path))
+
+    def test_rejects_invalid_utf8(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"t": [[1]], "a": [[1]], "b": [1], "\xe9": 1}')
+        with pytest.raises(ProblemFileError, match="position 36"):
+            load_problem_arrays(str(path))
+
+
+def _nested(arr):
+    if np.iscomplexobj(arr):
+        return np.stack([arr.real, arr.imag], axis=-1).tolist()
+    return arr.tolist()
+
+
+REAL = st.one_of(
+    st.floats(),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.sampled_from([-0.0, 2**53 + 1, 2**63, -(2**63) - 1, 10**400]),
+)
+PAIR = st.lists(REAL, min_size=2, max_size=2)
+BAD = st.sampled_from([True, False, None, "x", [], [1, 2, 3], [[1, 2], 3], {}])
+ENTRIES = {
+    "float": st.floats(),
+    "int": st.integers(min_value=-(2**62), max_value=2**62),
+    "pair": PAIR,
+    "mixed": st.one_of(REAL, PAIR),
+    "malformed": st.one_of(REAL, PAIR, BAD),
+}
+
+
+@st.composite
+def documents(draw):
+    style = draw(st.sampled_from(sorted(ENTRIES)))
+    entry = ENTRIES[style]
+
+    def matrix():
+        cols = draw(st.integers(1, 4))
+        rows = [draw(st.lists(entry, min_size=cols, max_size=cols))
+                for _ in range(draw(st.integers(1, 4)))]
+        if style == "malformed" and draw(st.booleans()):
+            rows[-1] = rows[-1][:-1]
+        return rows
+
+    return {"t": matrix(), "a": matrix(), "b": draw(st.lists(entry, min_size=1, max_size=4))}
+
+
+def _per_entry(doc):
+    """The reference parse: every entry converted on its own."""
+    try:
+        return [
+            matrix_from_nested(doc["t"], "t"),
+            matrix_from_nested(doc["a"], "a"),
+            vector_from_list(doc["b"], "b"),
+        ]
+    except ProblemFileError as exc:
+        return str(exc)
+
+
+class TestBulkParse:
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(doc=documents())
+    def test_matches_per_entry_parser(self, tmp_path, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        expected = _per_entry(json.loads(path.read_text()))
+        try:
+            got = list(load_problem_arrays(str(path))[:3])
+        except ProblemFileError as exc:
+            got = str(exc)
+        if isinstance(expected, str) or isinstance(got, str):
+            assert got == expected
+            return
+        for g, e in zip(got, expected):
+            assert (g.dtype, g.shape, g.tobytes()) == (e.dtype, e.shape, e.tobytes())
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_well_formed_file_skips_per_entry_parser(self, tmp_path, monkeypatch, complex_entries):
+        # A silent fall back to the per-entry parser shows only here.
+        t, a, b = random_pd_problem(50, 25, seed=3, complex_entries=complex_entries)
+        path = write_problem(tmp_path, {"t": _nested(t), "a": _nested(a), "b": _nested(b)})
+        calls = []
+        real_entry = problem_io._entry_to_scalar
+
+        def counting(entry, where):
+            calls.append(where)
+            return real_entry(entry, where)
+
+        monkeypatch.setattr(problem_io, "_entry_to_scalar", counting)
+        got = load_problem_arrays(path)
+        assert calls == []
+        for g, e in zip(got, (t, a, b)):
+            assert g.dtype == e.dtype and np.array_equal(g, e)
+
 
 class TestResolveTolerances:
     def test_defaults(self):
@@ -104,6 +230,24 @@ class TestResolveTolerances:
             resolve_tolerances(None, {}, env={"QFMIN_RTOL": "abc"})
         with pytest.raises(ProblemFileError):
             resolve_tolerances(None, {}, env={"QFMIN_RTOL": "-1"})
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "0"])
+    def test_rejects_nonfinite_env(self, raw):
+        with pytest.raises(ProblemFileError, match="QFMIN_RTOL must be finite and positive"):
+            resolve_tolerances(None, {}, env={"QFMIN_RTOL": raw})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, 0.0])
+    def test_rejects_nonfinite_file_value(self, value):
+        with pytest.raises(ProblemFileError, match="tol.neg_tol must be finite and positive"):
+            resolve_tolerances({"neg_tol": value}, {}, env={})
+
+    @pytest.mark.parametrize(
+        "flags, name",
+        [({"rtol": math.nan}, "--rtol"), ({"rtol": -1.0}, "--rtol"), ({"pd_tol": -5.0}, "--pd-tol")],
+    )
+    def test_rejects_nonfinite_flag(self, flags, name):
+        with pytest.raises(ProblemFileError, match=f"{name} must be finite and positive"):
+            resolve_tolerances(None, flags, env={})
 
 
 class TestEmitJson:
