@@ -14,7 +14,6 @@ import warnings
 
 import numpy as np
 
-from .config import ToleranceConfig
 from .dense_core import as_matrix, eigh
 from .errors import (
     IllConditioningWarning,
@@ -31,21 +30,22 @@ from .minimizers import (
     MinimizationResult,
     QpProblem,
     SpectrumClass,
+    _range_eigenpairs,
     classify_spectrum,
-    minimize_posdef,
-    minimize_posdef_diag,
-    minimize_psd_complement,
+    minimize_posdef,  # noqa: F401  kept bound: perfbench/tracing.py wraps it
+    minimize_posdef_diag,  # noqa: F401  kept bound: perfbench/tracing.py wraps it
+    minimize_psd_complement,  # noqa: F401  kept bound: perfbench/tracing.py wraps it
     solve,
 )
 from .oracle import kkt_solve, reduced_solve
 from .l2_models import example1_convergence
 from .pinv_ops import (
     is_ep,
-    pinv,
+    pinv,  # noqa: F401  kept bound: perfbench/tracing.py wraps it
     principal_angle_diag,
     rank_decide,
     reverse_order_holds,
-    sqrt_psd,
+    sqrt_psd,  # noqa: F401  kept bound: perfbench/tracing.py wraps it
 )
 from .problem_io import emit_json, load_problem_arrays, resolve_tolerances
 
@@ -151,15 +151,7 @@ def cmd_solve(args) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         problem = QpProblem(t=t, a=a, b=b, tol=cfg)
-        method = Method(args.method)
-        if method is Method.AUTO:
-            result = solve(problem)
-        elif method is Method.POSDEF:
-            result = minimize_posdef(problem)
-        elif method is Method.POSDEF_DIAG:
-            result = minimize_posdef_diag(problem)
-        else:
-            result = minimize_psd_complement(problem)
+        result = solve(problem, Method(args.method))
         document = _result_document(result, _warning_diagnostics(caught))
     if args.verify:
         if result.method is Method.PSD_COMPLEMENT:
@@ -172,39 +164,35 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _positivity_class(t, cfg: ToleranceConfig) -> str:
-    try:
-        eig = eigh(t, cfg)
-    except NotHermitianError:
-        return "non-hermitian"
-    return classify_spectrum(eig.eigenvalues, cfg).value
-
-
 def cmd_check(args) -> int:
     t, a, _, file_tol = load_problem_arrays(args.problem)
     cfg = resolve_tolerances(file_tol, {})
     t = as_matrix(t)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        sigma = np.linalg.svd(t, compute_uv=False)
-        rank = rank_decide(sigma, cfg, dim=t.shape[0]).rank
+        try:
+            eig = eigh(t, cfg)
+        except NotHermitianError:
+            eig = None
+        if eig is None:
+            sigma, label = np.linalg.svd(t, compute_uv=False), "non-hermitian"
+        else:
+            # the |λ| of a Hermitian t are its singular values, and it is EP
+            sigma = np.sort(np.abs(eig.eigenvalues))[::-1]
+            cls = classify_spectrum(eig.eigenvalues, cfg)
+            label = cls.value
+        decision = rank_decide(sigma, cfg, dim=t.shape[0])
         report = {
-            "ep": is_ep(t, cfg=cfg),
-            "rank": rank,
+            "ep": eig is not None or is_ep(t, cfg=cfg),
+            "rank": decision.rank,
             "reverse_order": None,
             "principal_angle": None,
+            "positivity_class": label,
         }
-        label = _positivity_class(t, cfg)
-        report["positivity_class"] = label
-        if label in (
-            SpectrumClass.POSITIVE_DEFINITE.value,
-            SpectrumClass.PSD_SINGULAR.value,
-        ):
-            root = sqrt_psd(t, cfg)
-            if label == SpectrumClass.POSITIVE_DEFINITE.value:
-                partner = np.linalg.inv(root)
-            else:
-                partner = pinv(root, cfg)
+        if eig is not None and cls is not SpectrumClass.INDEFINITE:
+            # T^{+1/2} on the range the solver keeps, from the same eigenpairs
+            w, q = _range_eigenpairs(eig, cls, lambda *_: decision)
+            partner = (q / np.sqrt(w)) @ q.conj().T
             verdict = reverse_order_holds(a, partner, cfg=cfg)
             report["reverse_order"] = {
                 "holds": verdict.holds,

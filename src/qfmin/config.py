@@ -28,8 +28,6 @@ class ToleranceConfig:
         Hermitian pre-check, ``||a - a*|| <= htol * ||a||``.
     ktol : float
         Factorization reconstruction guard (SVD and eigendecomposition).
-    ptol : float
-        Penrose-equation residual budget for pseudoinverses.
     ep_tol : float
         Projector-commutation budget for the EP test.
     neg_tol : float
@@ -55,7 +53,6 @@ class ToleranceConfig:
     abs_floor: float = 1e-300
     htol: float = 1e-10
     ktol: float = 1e-10
-    ptol: float = 1e-10
     ep_tol: float = 1e-10
     neg_tol: float = 1e-10
     pd_tol: float | None = None

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
-from .dense_core import as_matrix, as_vector, eigh, fro_norm, svd
+from .dense_core import EigResult, as_matrix, as_vector, eigh, fro_norm, svd
 from .errors import (
     Diagnostic,
     DimensionMismatchError,
@@ -260,12 +260,26 @@ def _factors(p: QpProblem, gate) -> _Factors:
     return _memo
 
 
+def _range_eigenpairs(eig: EigResult, cls: SpectrumClass, decide):
+    """The eigenpairs ``(Λ_r, Q_r)`` that ``W = Q_r Λ_r^{-1/2}`` is built from.
+
+    All of them for a definite `t`; for a singular one only ``λ`` above the
+    rank threshold that ``decide(sigma, dim)`` sets on ``|λ|`` (the singular
+    values of `t`) with ``dim = n``, so eigenvalues within the negative
+    tolerance count as kernel.  `qfmin check` keeps the same range.
+    """
+    w, q = eig.eigenvalues, eig.q
+    if cls is not SpectrumClass.PSD_SINGULAR:
+        return w, q
+    keep = w > decide(np.sort(np.abs(w))[::-1], w.size).threshold
+    return w[keep], q[:, keep]
+
+
 def _factorize(p: QpProblem, gate) -> _Factors:
     """One guarded `eigh` of `t` and one thin guarded SVD of ``a W``.
 
-    For a singular `t` only the range is kept, split off by `ep_decompose`'s
-    rank rule on ``|λ|`` (eigenvalues within the negative tolerance count
-    as kernel), and the conditioning of that reduction is noted.
+    For a singular `t` only the range is kept (`_range_eigenpairs`), and
+    the conditioning of that reduction is noted.
     """
     cfg = p.tol
     eig = eigh(p.t, cfg)
@@ -277,15 +291,11 @@ def _factorize(p: QpProblem, gate) -> _Factors:
         spectra.append((sigma, dim))
         return rank_decide(sigma, cfg, dim=dim)
 
-    w, q = eig.eigenvalues, eig.q
-    singular = cls is SpectrumClass.PSD_SINGULAR
-    if singular:
-        keep = w > decide(np.sort(np.abs(w))[::-1], p.dim).threshold
-        w, q = w[keep], q[:, keep]
+    w, q = _range_eigenpairs(eig, cls, decide)
     fact = svd(p.a @ (q / np.sqrt(w)), cfg, full_matrices=False)
     decision = decide(fact.sigma, max(p.a.shape))
     notes = [_constraint_note(p, decision)]
-    if singular:
+    if cls is SpectrumClass.PSD_SINGULAR:
         notes.extend(_complement_conditioning(p, q, decide))
     k = decision.rank
     return _Factors(

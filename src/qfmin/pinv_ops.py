@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
-from .dense_core import as_matrix, eigh, svd
+from .dense_core import as_matrix, eigh, fro_norm, svd
 from .errors import (
     DimensionMismatchError,
     IllConditioningWarning,
@@ -23,9 +23,11 @@ from .errors import (
     NotPositiveError,
 )
 
-# Cosines within 4 eps of 1 are treated as an exact subspace intersection;
-# that resolves angles down to ~4e-8 rad, below any warning threshold.
-_INTERSECTION_TOL = 4 * float(np.finfo(np.float64).eps)
+# Cosines within n eps of 1 (n the ambient dimension, as in the default
+# rank rule) mark an exact subspace intersection, whose cosines carry SVD
+# roundoff of that order.  That resolves angles down to sqrt(2 n eps) rad,
+# under the default angle_warn up to n ~ 2000.
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -98,8 +100,8 @@ def pinv(a, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Moore-Penrose pseudoinverse via SVD with thresholded inversion.
 
     Singular values at or below the rank threshold are treated as zero and
-    the rest are inverted; the result satisfies the four defining equations
-    to within ``ptol`` relative residual on well-scaled inputs.
+    the rest are inverted; on well-scaled inputs the result satisfies the
+    four defining (Penrose) equations to roundoff.
     """
     p, _ = pinv_with_rank(a, cfg)
     return p
@@ -274,7 +276,7 @@ def principal_angle_diag(a, b, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
     u_m, s_m, _ = np.linalg.svd(overlap, full_matrices=True)
     cosines = np.zeros(na.dim)
     cosines[: s_m.size] = np.clip(s_m, 0.0, 1.0)
-    keep = cosines < 1.0 - _INTERSECTION_TOL
+    keep = cosines < 1.0 - arr_a.shape[1] * _EPS
     if not np.any(keep):
         return math.pi / 2
     h = na.basis @ u_m[:, keep]
@@ -366,5 +368,5 @@ def lat_invariant(
     if tol is None:
         tol = cfg.lat_tol
     p = subspace.projector()
-    leak = np.linalg.norm((np.eye(arr.shape[0]) - p) @ arr @ p)
-    return bool(leak <= tol * max(np.linalg.norm(arr), 1e-300))
+    leak = fro_norm((np.eye(arr.shape[0]) - p) @ arr @ p)
+    return bool(leak <= tol * fro_norm(arr))

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from qfmin import principal_angle_diag, random_pd_problem, random_psd_problem, reverse_order_holds
 from qfmin.cli import main
 
 SINGULAR_FORM = {
@@ -16,6 +17,13 @@ def write(tmp_path, doc, name="problem.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def nested(arr):
+    """A matrix or vector as problem-file JSON: complex entries as [re, im]."""
+    if np.iscomplexobj(arr):
+        return np.stack([arr.real, arr.imag], axis=-1).tolist()
+    return arr.tolist()
 
 
 def run(capsys, *argv):
@@ -179,6 +187,7 @@ class TestCheck:
         assert code == 0
         doc = json.loads(out)
         assert doc["ep"] is False
+        assert doc["rank"] == 1
         assert doc["positivity_class"] == "non-hermitian"
         assert doc["reverse_order"] is None
 
@@ -187,6 +196,52 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "--problem", path)
         assert code == 0
         assert json.loads(out)["positivity_class"] == "indefinite"
+
+    def test_report_concerns_the_exact_partner(self, tmp_path, capsys):
+        # T = Q_r Λ Q_r* of rank 45 in dimension 60; the report is about
+        # (A, P) for the exact P = T^{+1/2} = Q_r Λ^{-1/2} Q_r*
+        rng = np.random.default_rng(12)
+        q, _ = np.linalg.qr(rng.standard_normal((60, 60)))
+        q_r, lam = q[:, :45], np.linspace(1.0, 4.0, 45)
+        t = (q_r * lam) @ q_r.T
+        a = rng.standard_normal((30, 60))
+        doc = {"t": t.tolist(), "a": a.tolist(), "b": rng.standard_normal(30).tolist()}
+        code, out, _ = run(capsys, "check", "--problem", write(tmp_path, doc))
+        assert code == 0
+        report = json.loads(out)
+        assert (report["rank"], report["positivity_class"]) == (45, "psd-singular")
+        partner = (q_r / np.sqrt(lam)) @ q_r.T
+        verdict = reverse_order_holds(a, partner)
+        got = report["reverse_order"]
+        assert got["rangestar_commutator"] == pytest.approx(verdict.rangestar_commutator, rel=1e-8)
+        assert got["range_commutator"] == pytest.approx(verdict.range_commutator, rel=1e-8)
+        assert report["principal_angle"] == pytest.approx(principal_angle_diag(a, partner), rel=1e-8)
+        assert [d for d in report["diagnostics"] if d["code"] == "ill_conditioning"] == []
+
+    @pytest.mark.parametrize(
+        "problem, svd_calls",
+        [
+            (lambda: random_pd_problem(50, 25, seed=7), 6),
+            (lambda: random_psd_problem(50, 25, rank=37, seed=7, complex_entries=True), 7),
+        ],
+        ids=["pd", "psd-complex"],
+    )
+    def test_factors_t_once(self, tmp_path, capsys, monkeypatch, problem, svd_calls):
+        t, a, b = problem()
+        doc = {"t": nested(t), "a": nested(a), "b": nested(b)}
+        path = write(tmp_path, doc)
+        calls = {"eigh": 0, "svd": 0, "inv": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        code, _, _ = run(capsys, "check", "--problem", path)
+        assert code == 0
+        # the reverse-order test makes 3 SVDs; the angle 3, and one more
+        # when N(A) is not inside R(T^{+1/2}), as for a singular T
+        assert calls == {"eigh": 1, "svd": svd_calls, "inv": 0}
 
 
 class TestL2Demo:

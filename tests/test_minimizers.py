@@ -256,6 +256,17 @@ class TestCor1Shortcut:
         assert_allclose(full.xhat, [2.0, 1.0], atol=1e-12)
         assert np.linalg.norm(min_norm_ls(p.a, p.b) - full.xhat) > 0.5
 
+    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e160])
+    def test_invariance_gate_is_scale_free(self, scale):
+        # the row space span{(1,1,0), e3} is not invariant under diag(1,2,3),
+        # and pinv(a) b = (1.5, 1.5, 3) is not the minimizer (2, 1, 3)
+        a = np.array([[1.0, 1, 0], [1, 1, 0], [0, 0, 1]])
+        p = QpProblem(t=scale * np.diag([1.0, 2, 3]), a=a, b=a @ np.array([1.0, 2, 3]))
+        assert try_cor1_shortcut(p) is None
+        r = solve(p)
+        assert_allclose(r.xhat, [2.0, 1.0, 3.0], rtol=1e-12)
+        assert r.diagnostics[-1].value is None
+
     def test_fires_on_commuting_singular_pair(self):
         rng = np.random.default_rng(3)
         q, _ = np.linalg.qr(rng.standard_normal((5, 5)))

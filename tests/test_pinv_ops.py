@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from qfmin import (
     principal_angle_diag,
     projector_range,
     projector_rangestar,
+    random_pd_problem,
     range_basis,
     rank_decide,
     reverse_order_holds,
@@ -276,6 +279,17 @@ class TestPrincipalAngle:
     def test_contained_kernel_collapses_to_right_angle(self):
         a = np.diag([0.0, 1.0])
         assert principal_angle_diag(a, np.eye(2)) == pytest.approx(np.pi / 2)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_roundoff_of_an_intersection_is_not_an_angle(self, seed):
+        # R(T^{-1/2}) is the whole space, so N(a) lies inside it; the
+        # cosines of that intersection carry errors of order n eps
+        t, a, _ = random_pd_problem(200, 100, seed=seed)
+        w, q = np.linalg.eigh(t)
+        partner = (q / np.sqrt(w)) @ q.T
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", NarrowAngleWarning)
+            assert principal_angle_diag(a, partner) == np.pi / 2
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
