@@ -40,7 +40,9 @@ from .minimizers import (
 from .oracle import kkt_solve, reduced_solve
 from .l2_models import example1_convergence
 from .pinv_ops import (
-    is_ep,
+    _ep_holds,
+    _kept_svd,
+    is_ep,  # noqa: F401  kept bound: perfbench/tracing.py wraps it
     pinv,  # noqa: F401  kept bound: perfbench/tracing.py wraps it
     principal_angle_diag,
     rank_decide,
@@ -175,15 +177,17 @@ def cmd_check(args) -> int:
         except NotHermitianError:
             eig = None
         if eig is None:
-            sigma, label = np.linalg.svd(t, compute_uv=False), "non-hermitian"
+            # one SVD gives the rank and the EP verdict
+            fact, decision = _kept_svd(t, cfg)
+            ep, label = _ep_holds(fact, decision.rank, cfg), "non-hermitian"
         else:
             # the |λ| of a Hermitian t are its singular values, and it is EP
             sigma = np.sort(np.abs(eig.eigenvalues))[::-1]
+            decision = rank_decide(sigma, cfg, dim=t.shape[0])
             cls = classify_spectrum(eig.eigenvalues, cfg)
-            label = cls.value
-        decision = rank_decide(sigma, cfg, dim=t.shape[0])
+            ep, label = True, cls.value
         report = {
-            "ep": eig is not None or is_ep(t, cfg=cfg),
+            "ep": ep,
             "rank": decision.rank,
             "reverse_order": None,
             "principal_angle": None,

@@ -47,17 +47,6 @@ def fro_norm(a) -> float:
     return scale * float(np.linalg.norm(arr / scale)) if 0 < scale < np.inf else scale
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit inner-dimension check."""
-    am = as_matrix(a)
-    bm = as_matrix(b)
-    if am.shape[1] != bm.shape[0]:
-        raise DimensionMismatchError(
-            f"cannot multiply {am.shape[0]}x{am.shape[1]} by {bm.shape[0]}x{bm.shape[1]}"
-        )
-    return am @ bm
-
-
 def adjoint(a) -> np.ndarray:
     """Conjugate transpose."""
     return np.conjugate(as_matrix(a)).T

@@ -32,6 +32,7 @@ from .errors import (
     NotSingularError,
 )
 from .pinv_ops import (
+    _kept_svd,
     ep_decompose,  # noqa: F401  kept bound: perfbench/tracing.py wraps it
     pinv,
     pinv_with_rank,
@@ -53,7 +54,6 @@ class Method(enum.Enum):
     POSDEF = "posdef"
     COR1_SHORTCUT = "cor1-shortcut"
     PSD_COMPLEMENT = "psd-complement"
-    MIN_NORM_LS = "min-norm-ls"
 
 
 class SpectrumClass(enum.Enum):
@@ -137,14 +137,12 @@ def min_norm_ls(a, b, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     return pinv(arr, cfg) @ vec
 
 
-def feasible(a, b, tol: float | None = None, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
+def feasible(a, b, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Whether `b` lies in the range of `a` (so ``a x = b`` is consistent)."""
     arr = as_matrix(a)
     vec = as_vector(b)
-    if tol is None:
-        tol = cfg.feas_tol
     residual = fro_norm(arr @ min_norm_ls(arr, vec, cfg) - vec)
-    return bool(residual <= tol * fro_norm(vec))
+    return bool(residual <= cfg.feas_tol * fro_norm(vec))
 
 
 def classify_spectrum(eigenvalues, cfg: ToleranceConfig = DEFAULT_TOL) -> SpectrumClass:
@@ -401,8 +399,8 @@ def try_cor1_shortcut(p: QpProblem, *, _factored: _Factors | None = None) -> Min
         _require_pd(classify_spectrum(eigh(p.t, cfg).eigenvalues, cfg))
         return None
     f = _factored if _factored is not None else _factors(p, _require_pd)
-    fact = svd(p.a, cfg)
-    rank = rank_decide(fact.sigma, cfg, dim=p.dim).rank
+    fact, decision = _kept_svd(p.a, cfg)
+    rank = decision.rank
     u, v = fact.u[:, :rank], fact.v[:, :rank]
     if not all(lat_invariant(SubspaceBasis(s, p.dim), p.t, cfg=cfg) for s in (u, v)):
         return None

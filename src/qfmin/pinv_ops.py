@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
-from .dense_core import as_matrix, eigh, fro_norm, svd
+from .dense_core import SvdResult, as_matrix, eigh, fro_norm, svd
 from .errors import (
     DimensionMismatchError,
     IllConditioningWarning,
@@ -82,18 +82,25 @@ def rank_decide(
     )
 
 
+def _kept_svd(a, cfg: ToleranceConfig) -> tuple[SvdResult, RankDecision]:
+    """The guarded full SVD of `a` and its one rank decision.
+
+    Every pseudoinverse, projector, basis and EP test here reads its kept
+    factors ``fact.u[:, :r]``, ``fact.sigma[:r]``, ``fact.v[:, :r]`` from
+    this pair, so each operand is factored and thresholded once.
+    """
+    arr = as_matrix(a)
+    fact = svd(arr, cfg)
+    return fact, rank_decide(fact.sigma, cfg, dim=max(arr.shape))
+
+
 def pinv_with_rank(
     a, cfg: ToleranceConfig = DEFAULT_TOL
 ) -> tuple[np.ndarray, RankDecision]:
     """Pseudoinverse together with the rank decision that produced it."""
-    arr = as_matrix(a)
-    fact = svd(arr, cfg)
-    decision = rank_decide(fact.sigma, cfg, dim=max(arr.shape) if arr.size else 0)
+    fact, decision = _kept_svd(a, cfg)
     r = decision.rank
-    if r == 0:
-        return np.zeros((arr.shape[1], arr.shape[0]), dtype=arr.dtype), decision
-    p = (fact.v[:, :r] / fact.sigma[:r]) @ fact.u[:, :r].conj().T
-    return p, decision
+    return (fact.v[:, :r] / fact.sigma[:r]) @ fact.u[:, :r].conj().T, decision
 
 
 def pinv(a, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -108,18 +115,26 @@ def pinv(a, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 
 
 def projector_range(a, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Orthogonal projector onto the column space, ``a @ pinv(a)``."""
-    arr = as_matrix(a)
-    return arr @ pinv(arr, cfg)
+    """Orthogonal projector onto the column space, ``a @ pinv(a) = U_r U_r*``."""
+    return range_basis(a, cfg).projector()
 
 
 def projector_rangestar(a, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Orthogonal projector onto the row space, ``pinv(a) @ a``."""
-    arr = as_matrix(a)
-    return pinv(arr, cfg) @ arr
+    """Orthogonal projector onto the row space, ``pinv(a) @ a = V_r V_r*``."""
+    return rangestar_basis(a, cfg).projector()
 
 
-def is_ep(t, tol: float | None = None, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
+def _ep_holds(fact: SvdResult, r: int, cfg: ToleranceConfig) -> bool:
+    """Whether the rank-`r` column and row spaces of the SVD `fact` agree.
+
+    ``U_r U_r* - V_r V_r*`` is ``t pinv(t) - pinv(t) t``, a difference of
+    projectors, so the gate ``<= ep_tol`` holds at every scale of `t`.
+    """
+    u, v = fact.u[:, :r], fact.v[:, :r]
+    return bool(fro_norm(u @ u.conj().T - v @ v.conj().T) <= cfg.ep_tol)
+
+
+def is_ep(t, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Whether `t` commutes with its pseudoinverse (range equals row space).
 
     True for every Hermitian, normal or invertible matrix; false exactly
@@ -128,11 +143,8 @@ def is_ep(t, tol: float | None = None, cfg: ToleranceConfig = DEFAULT_TOL) -> bo
     arr = as_matrix(t)
     if arr.shape[0] != arr.shape[1]:
         raise DimensionMismatchError("the EP test needs a square matrix")
-    if tol is None:
-        tol = cfg.ep_tol
-    p = pinv(arr, cfg)
-    gap = np.linalg.norm(arr @ p - p @ arr)
-    return bool(gap <= tol * max(1.0, np.linalg.norm(arr)))
+    fact, decision = _kept_svd(arr, cfg)
+    return _ep_holds(fact, decision.rank, cfg)
 
 
 @dataclass(frozen=True)
@@ -160,22 +172,20 @@ def ep_decompose(t, cfg: ToleranceConfig = DEFAULT_TOL) -> EpDecomposition:
 
     The unitary is assembled from the SVD of `t`: kept left singular
     vectors first (column space), then the remaining ones, which span the
-    kernel precisely because `t` is EP.  Raises NotEpError otherwise.
+    kernel precisely because `t` is EP.  The EP test reads the same SVD.
+    Raises NotEpError otherwise.
     """
     arr = as_matrix(t)
     if arr.shape[0] != arr.shape[1]:
         raise DimensionMismatchError("EP decomposition needs a square matrix")
-    if not is_ep(arr, cfg=cfg):
-        raise NotEpError("matrix does not commute with its pseudoinverse")
-    fact = svd(arr, cfg)
-    decision = rank_decide(fact.sigma, cfg, dim=arr.shape[0])
+    fact, decision = _kept_svd(arr, cfg)
     r = decision.rank
+    if not _ep_holds(fact, r, cfg):
+        raise NotEpError("matrix does not commute with its pseudoinverse")
     u1 = fact.u
-    a1 = u1[:, :r].conj().T @ arr @ u1[:, :r]
-    decomp = EpDecomposition(u1=u1, a1=a1, rank=r)
-    norm = np.linalg.norm(arr)
-    residual = np.linalg.norm(decomp.reconstruct() - arr)
-    if residual > 10 * cfg.ep_tol * max(1.0, norm):
+    decomp = EpDecomposition(u1=u1, a1=u1[:, :r].conj().T @ arr @ u1[:, :r], rank=r)
+    residual = fro_norm(decomp.reconstruct() - arr)
+    if residual > 10 * cfg.ep_tol * fro_norm(arr):
         raise NotEpError(
             f"canonical-form residual {residual:.3e} too large; "
             "matrix is at best borderline EP"
@@ -213,48 +223,26 @@ class SubspaceBasis:
     def dim(self) -> int:
         return self.basis.shape[1]
 
-    @classmethod
-    def from_orthonormal(cls, basis, tol: float = 1e-10) -> "SubspaceBasis":
-        arr = as_matrix(basis)
-        gram = arr.conj().T @ arr
-        if np.linalg.norm(gram - np.eye(arr.shape[1])) > tol * max(1, arr.shape[1]):
-            raise ValueError("columns are not orthonormal")
-        return cls(basis=arr, ambient_dim=arr.shape[0])
-
-    @classmethod
-    def from_span(cls, columns, cfg: ToleranceConfig = DEFAULT_TOL) -> "SubspaceBasis":
-        """Orthonormalize the span of the given columns."""
-        arr = as_matrix(columns)
-        fact = svd(arr, cfg)
-        r = rank_decide(fact.sigma, cfg, dim=max(arr.shape)).rank
-        return cls(basis=fact.u[:, :r], ambient_dim=arr.shape[0])
-
     def projector(self) -> np.ndarray:
         return self.basis @ self.basis.conj().T
 
 
 def range_basis(a, cfg: ToleranceConfig = DEFAULT_TOL) -> SubspaceBasis:
     """Orthonormal basis of the column space of `a`."""
-    arr = as_matrix(a)
-    fact = svd(arr, cfg)
-    r = rank_decide(fact.sigma, cfg, dim=max(arr.shape)).rank
-    return SubspaceBasis(basis=fact.u[:, :r], ambient_dim=arr.shape[0])
+    fact, decision = _kept_svd(a, cfg)
+    return SubspaceBasis(basis=fact.u[:, : decision.rank], ambient_dim=fact.u.shape[0])
 
 
 def rangestar_basis(a, cfg: ToleranceConfig = DEFAULT_TOL) -> SubspaceBasis:
     """Orthonormal basis of the row space of `a` (kernel complement)."""
-    arr = as_matrix(a)
-    fact = svd(arr, cfg)
-    r = rank_decide(fact.sigma, cfg, dim=max(arr.shape)).rank
-    return SubspaceBasis(basis=fact.v[:, :r], ambient_dim=arr.shape[1])
+    fact, decision = _kept_svd(a, cfg)
+    return SubspaceBasis(basis=fact.v[:, : decision.rank], ambient_dim=fact.v.shape[0])
 
 
 def null_basis(a, cfg: ToleranceConfig = DEFAULT_TOL) -> SubspaceBasis:
     """Orthonormal basis of the kernel of `a`."""
-    arr = as_matrix(a)
-    fact = svd(arr, cfg)
-    r = rank_decide(fact.sigma, cfg, dim=max(arr.shape)).rank
-    return SubspaceBasis(basis=fact.v[:, r:], ambient_dim=arr.shape[1])
+    fact, decision = _kept_svd(a, cfg)
+    return SubspaceBasis(basis=fact.v[:, decision.rank :], ambient_dim=fact.v.shape[0])
 
 
 def principal_angle_diag(a, b, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
@@ -302,7 +290,8 @@ class ReverseOrderReport:
 
     `rangestar_commutator` is ``||[pinv(a) a, b b*]||`` and
     `range_commutator` is ``||[b pinv(b), a* a]||``; both must vanish (to
-    tolerance) for ``pinv(a @ b) == pinv(b) @ pinv(a)`` to hold.
+    tolerance) for ``pinv(a @ b) == pinv(b) @ pinv(a)`` to hold.  They are
+    ``inf`` when that value is past the float64 range.
     `ab_rank` reports the conditioning of the product itself.
     """
 
@@ -315,47 +304,42 @@ class ReverseOrderReport:
         return self.holds
 
 
-def reverse_order_holds(
-    a, b, tol: float | None = None, cfg: ToleranceConfig = DEFAULT_TOL
-) -> ReverseOrderReport:
+def _gram_commutator(p: np.ndarray, m: np.ndarray) -> tuple[float, float]:
+    """``||[p, m m*]||`` for `m` divided by ``||m||``, and ``||m||``."""
+    norm = fro_norm(m)
+    unit = m / norm if norm > 0 else m
+    gram = unit @ unit.conj().T
+    return fro_norm(p @ gram - gram @ p), norm
+
+
+def reverse_order_holds(a, b, cfg: ToleranceConfig = DEFAULT_TOL) -> ReverseOrderReport:
     """Test the two commutation conditions behind the reverse order law.
 
-    The closed-range condition on the product is automatic here (finite
-    dimensions); its conditioning is surfaced through `ab_rank` instead of
-    being gated on.
+    Each commutator is taken on its operand divided by its norm and gated
+    against ``commute_tol``, so the verdict does not depend on the scale of
+    `a` or `b`.  The closed-range condition on the product is automatic
+    here (finite dimensions); its conditioning is surfaced through
+    `ab_rank` instead of being gated on.
     """
     arr_a = as_matrix(a)
     arr_b = as_matrix(b)
     if arr_a.shape[1] != arr_b.shape[0]:
         raise DimensionMismatchError("inner dimensions of a and b must agree")
-    if tol is None:
-        tol = cfg.commute_tol
-    pa = pinv(arr_a, cfg) @ arr_a
-    bbs = arr_b @ arr_b.conj().T
-    pb = arr_b @ pinv(arr_b, cfg)
-    asa = arr_a.conj().T @ arr_a
-    c1 = float(np.linalg.norm(pa @ bbs - bbs @ pa))
-    c2 = float(np.linalg.norm(pb @ asa - asa @ pb))
-    scale_b = max(1.0, float(np.linalg.norm(arr_b)) ** 2)
-    scale_a = max(1.0, float(np.linalg.norm(arr_a)) ** 2)
+    c1, norm_b = _gram_commutator(projector_rangestar(arr_a, cfg), arr_b)
+    c2, norm_a = _gram_commutator(projector_range(arr_b, cfg), arr_a.conj().T)
     product = arr_a @ arr_b
     sigma = np.linalg.svd(product, compute_uv=False)
     decision = rank_decide(sigma, cfg, dim=max(product.shape))
-    holds = c1 <= tol * scale_b and c2 <= tol * scale_a
     return ReverseOrderReport(
-        holds=holds,
-        rangestar_commutator=c1,
-        range_commutator=c2,
+        holds=c1 <= cfg.commute_tol and c2 <= cfg.commute_tol,
+        # float products overflow to inf, where ** would raise
+        rangestar_commutator=c1 * norm_b * norm_b,
+        range_commutator=c2 * norm_a * norm_a,
         ab_rank=decision,
     )
 
 
-def lat_invariant(
-    subspace: SubspaceBasis,
-    t,
-    tol: float | None = None,
-    cfg: ToleranceConfig = DEFAULT_TOL,
-) -> bool:
+def lat_invariant(subspace: SubspaceBasis, t, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Whether `t` maps the subspace into itself: ``(I - P) t P ≈ 0``."""
     arr = as_matrix(t)
     if arr.shape[0] != arr.shape[1]:
@@ -365,8 +349,6 @@ def lat_invariant(
             f"subspace lives in dimension {subspace.ambient_dim}, "
             f"matrix acts on dimension {arr.shape[0]}"
         )
-    if tol is None:
-        tol = cfg.lat_tol
     p = subspace.projector()
     leak = fro_norm((np.eye(arr.shape[0]) - p) @ arr @ p)
-    return bool(leak <= tol * fro_norm(arr))
+    return bool(leak <= cfg.lat_tol * fro_norm(arr))

@@ -26,6 +26,18 @@ def nested(arr):
     return arr.tolist()
 
 
+def count_linalg(monkeypatch):
+    """Count the numpy.linalg factorizations made while the test runs."""
+    calls = {"eigh": 0, "svd": 0, "inv": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -230,18 +242,38 @@ class TestCheck:
         t, a, b = problem()
         doc = {"t": nested(t), "a": nested(a), "b": nested(b)}
         path = write(tmp_path, doc)
-        calls = {"eigh": 0, "svd": 0, "inv": 0}
-        for name in calls:
-            def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
-                calls[_name] += 1
-                return _fn(*args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counted)
+        calls = count_linalg(monkeypatch)
         code, _, _ = run(capsys, "check", "--problem", path)
         assert code == 0
         # the reverse-order test makes 3 SVDs; the angle 3, and one more
         # when N(A) is not inside R(T^{+1/2}), as for a singular T
         assert calls == {"eigh": 1, "svd": svd_calls, "inv": 0}
+
+    def test_non_hermitian_factors_once(self, tmp_path, capsys, monkeypatch):
+        path = write(tmp_path, {"t": [[1, 1e-9], [0, 1e-12]], "a": [[1, 0]], "b": [1]})
+        calls = count_linalg(monkeypatch)
+        code, out, _ = run(capsys, "check", "--problem", path)
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["ep"], doc["rank"], doc["positivity_class"]) == (True, 2, "non-hermitian")
+        assert [d["code"] for d in doc["diagnostics"]] == ["ill_conditioning"]
+        assert calls == {"eigh": 0, "svd": 1, "inv": 0}
+
+    def test_non_ep_at_large_scale(self, tmp_path, capsys):
+        path = write(tmp_path, {"t": [[0, 1e11], [0, 0]], "a": [[1, 0]], "b": [1]})
+        code, out, _ = run(capsys, "check", "--problem", path)
+        assert code == 0
+        assert json.loads(out)["ep"] is False
+
+    def test_reverse_order_verdict_is_scale_free(self, tmp_path, capsys):
+        t, a, b = random_pd_problem(6, 3, seed=2)
+        verdicts = []
+        for scale in (1.0, 1e16):
+            doc = {"t": (scale * t).tolist(), "a": a.tolist(), "b": b.tolist()}
+            code, out, _ = run(capsys, "check", "--problem", write(tmp_path, doc))
+            assert code == 0
+            verdicts.append(json.loads(out)["reverse_order"]["holds"])
+        assert verdicts == [False, False]
 
 
 class TestL2Demo:

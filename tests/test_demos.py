@@ -1,0 +1,35 @@
+"""Each demo script runs to completion and prints its walkthrough.
+
+The demos call the pseudoinverse toolkit (`ep_decompose`, `is_ep`, `pinv`,
+the bases, `sqrt_psd`, `lat_invariant`) the way a reader would, so a
+change that breaks one of those calls shows here.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def test_demos_found():
+    assert DEMOS
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=lambda path: path.stem)
+def test_demo_runs(script):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(script)],
+        cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip()

@@ -9,7 +9,6 @@ from qfmin import (
     as_matrix,
     as_vector,
     eigh,
-    matmul,
     svd,
 )
 
@@ -43,31 +42,6 @@ class TestCoercion:
     def test_as_vector_rejects_nan(self):
         with pytest.raises(ValueError):
             as_vector([np.nan, 1.0])
-
-
-class TestMatmul:
-    def test_identity(self):
-        m = np.arange(9.0).reshape(3, 3)
-        assert_allclose(matmul(np.eye(3), m), m)
-
-    def test_diagonal(self):
-        assert_allclose(matmul(np.diag([1.0, 2]), np.diag([3.0, 4])), np.diag([3.0, 8]))
-
-    def test_against_triple_loop(self):
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((4, 3))
-        b = rng.standard_normal((3, 2))
-        naive = np.zeros((4, 2))
-        for i in range(4):
-            for j in range(2):
-                for k in range(3):
-                    naive[i, j] += a[i, k] * b[k, j]
-        got = matmul(a, b)
-        assert np.linalg.norm(got - naive) <= 1e-13 * max(1.0, np.linalg.norm(naive))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            matmul(np.eye(3), np.eye(2))
 
 
 class TestAdjoint:

@@ -369,7 +369,7 @@ class TestSolveDispatch:
         t, a, b = random_pd_problem(4, 2, seed=9)
         p = QpProblem(t=t, a=a, b=b)
         with pytest.raises(ValueError):
-            solve(p, Method.MIN_NORM_LS)
+            solve(p, Method.COR1_SHORTCUT)
 
 
 class TestClassifySpectrum:

@@ -31,6 +31,8 @@ from qfmin import (
 )
 
 EXAMPLE2_Q = np.array([[14.0, 20, 28], [20, 83, 40], [28, 40, 56]])
+NILPOTENT = np.array([[0.0, 1], [0, 0]])
+EP_SCALES = [1e-200, 1.0, 1e11, 1e150]
 
 
 def penrose_residuals(a, p):
@@ -180,6 +182,11 @@ class TestIsEp:
         )
         assert is_ep(t) == same_kernels
 
+    @pytest.mark.parametrize("scale", EP_SCALES)
+    def test_verdict_is_scale_free(self, scale):
+        assert not is_ep(scale * NILPOTENT)
+        assert is_ep(scale * np.diag([1.0, 0.0]))
+
 
 class TestEpDecompose:
     def test_reordering_diagonal(self):
@@ -217,6 +224,30 @@ class TestEpDecompose:
     def test_unitarity(self):
         dec = ep_decompose(EXAMPLE2_Q)
         assert np.linalg.norm(adjoint(dec.u1) @ dec.u1 - np.eye(3)) <= 1e-12
+
+    @pytest.mark.parametrize("scale", EP_SCALES)
+    def test_verdict_is_scale_free(self, scale):
+        with pytest.raises(NotEpError):
+            ep_decompose(scale * NILPOTENT)
+        dec = ep_decompose(scale * np.diag([1.0, 0.0]))
+        assert dec.rank == 1
+        assert_allclose(dec.a1, [[scale]], rtol=1e-14)
+
+    def test_factors_once_and_warns_once(self, monkeypatch):
+        calls = []
+        real_svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real_svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            dec = ep_decompose(np.diag([1.0, 1e-12, 0.0]))
+        assert dec.rank == 2
+        assert calls == [(3, 3)]
+        assert [w.category for w in caught] == [IllConditioningWarning]
 
 
 class TestSqrtPsd:
@@ -339,6 +370,33 @@ class TestReverseOrder:
                 gap = np.linalg.norm(pinv(a @ b) - pinv(b) @ pinv(a))
                 assert gap <= 1e-8 * max(1.0, np.linalg.norm(pinv(a @ b)))
 
+    @pytest.mark.parametrize("scale", [1e-200, 1e-8, 1.0, 1e8, 1e160])
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_verdict_is_scale_free(self, scale, side):
+        # in each generic pair one commutator vanishes (its projector is
+        # the identity) and the other, of degree 2 in the scaled operand, fails
+        rng = np.random.default_rng(13)
+        wide, square, tall = (rng.standard_normal(shape) for shape in ((3, 5), (5, 5), (5, 3)))
+        commuting = (np.eye(5)[:3], np.diag(np.arange(1.0, 6.0)))
+        pairs = (((wide, square), False), ((square, tall), False), (commuting, True))
+        for (a, b), holds in pairs:
+            if side == "a":
+                a = scale * a
+            else:
+                b = scale * b
+            assert reverse_order_holds(a, b).holds is holds
+
+    def test_commutators_keep_their_scale(self):
+        # the report is ||[pinv(a) a, b b*]||, of degree 2 in b, and reads
+        # inf once that is past the float64 range
+        rng = np.random.default_rng(14)
+        a, b = rng.standard_normal((3, 5)), rng.standard_normal((5, 5))
+        base = reverse_order_holds(a, b).rangestar_commutator
+        for scale in (1e-8, 1e8, 1e160):
+            got = reverse_order_holds(a, scale * b).rangestar_commutator
+            assert got == pytest.approx(base * scale * scale, rel=1e-10)
+        assert reverse_order_holds(a, 1e160 * b).rangestar_commutator == np.inf
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             reverse_order_holds(np.eye(2), np.eye(3))
@@ -346,20 +404,20 @@ class TestReverseOrder:
 
 class TestLatInvariant:
     def test_identity_always(self):
-        sub = SubspaceBasis.from_span(np.array([[1.0], [1.0]]))
+        sub = range_basis(np.array([[1.0], [1.0]]))
         assert lat_invariant(sub, np.eye(2))
 
     def test_eigenvector_line(self):
         t = np.diag([1.0, 2.0])
-        e1 = SubspaceBasis.from_span(np.array([[1.0], [0.0]]))
-        tilted = SubspaceBasis.from_span(np.array([[1.0], [1.0]]))
+        e1 = range_basis(np.array([[1.0], [0.0]]))
+        tilted = range_basis(np.array([[1.0], [1.0]]))
         assert lat_invariant(e1, t)
         assert not lat_invariant(tilted, t)
 
     def test_full_space(self):
         rng = np.random.default_rng(11)
         t = rng.standard_normal((4, 4))
-        sub = SubspaceBasis.from_orthonormal(np.eye(4))
+        sub = SubspaceBasis(np.eye(4), 4)
         assert lat_invariant(sub, t)
 
     def test_range_of_constraint(self):
@@ -368,7 +426,7 @@ class TestLatInvariant:
         assert lat_invariant(range_basis(shift), t)
 
     def test_dimension_mismatch(self):
-        sub = SubspaceBasis.from_orthonormal(np.eye(2))
+        sub = SubspaceBasis(np.eye(2), 2)
         with pytest.raises(DimensionMismatchError):
             lat_invariant(sub, np.eye(3))
 
@@ -376,7 +434,7 @@ class TestLatInvariant:
 class TestSubspaceBasis:
     def test_from_span_orthonormalizes(self):
         raw = np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 0.0]])
-        sub = SubspaceBasis.from_span(raw)
+        sub = range_basis(raw)
         assert sub.dim == 1
         assert sub.ambient_dim == 3
         assert np.linalg.norm(adjoint(sub.basis) @ sub.basis - np.eye(1)) <= 1e-12
