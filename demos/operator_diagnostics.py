@@ -27,6 +27,7 @@ from qfmin import (
     rank_decide,
     sqrt_psd,
 )
+from qfmin.config import WARN_RATIO
 
 PROBLEM = pathlib.Path(__file__).parent / "problems" / "singular_form.json"
 
@@ -69,19 +70,17 @@ def main():
     print("  (the pinv(A) b shortcut for definite forms requires both)")
 
     print("\n== rank decisions near the threshold ==")
-    sigma = np.array([1.0, 3e-3, 2e-7, 5e-16])
-    decision = rank_decide(sigma, ToleranceConfig(rtol=1e-12))
-    print(f"  spectrum {sigma.tolist()} at rtol 1e-12 "
-          f"-> rank {decision.rank}, threshold {decision.threshold:.1e}")
+    sigma = np.array([1.0, 3e-3, 2e-9, 5e-16])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        rank_decide(sigma, ToleranceConfig(rtol=1e-12, warn_ratio=1e-6))
+        decision = rank_decide(sigma, ToleranceConfig(rtol=1e-12))
+    print(f"  spectrum {sigma.tolist()} at rtol 1e-12 "
+          f"-> rank {decision.rank}, threshold {decision.threshold:.1e}")
     conditioning = [w for w in caught if issubclass(w.category, IllConditioningWarning)]
-    print(f"  raising warn_ratio to 1e-6 flags the 2e-7 value as suspicious: "
-          f"{len(conditioning)} warning(s)")
+    print(f"  the kept 2e-9 value spans a ratio below the fixed WARN_RATIO "
+          f"{WARN_RATIO:.0e}: {len(conditioning)} warning(s)")
     if conditioning:
         print(f"  message: {conditioning[0].message}")
-
 
 if __name__ == "__main__":
     main()

@@ -159,7 +159,7 @@ def cmd_solve(args) -> int:
         if result.method is Method.PSD_COMPLEMENT:
             oracle = reduced_solve(t, a, b, cfg)
         else:
-            oracle = kkt_solve(t, a, b, cfg)
+            oracle = kkt_solve(t, a, b)
         gap = abs(result.min_value - oracle.min_value) / max(1.0, abs(oracle.min_value))
         document["verify"] = {"oracle_min": oracle.min_value, "oracle_gap": gap}
     print(emit_json(document))
@@ -173,13 +173,13 @@ def cmd_check(args) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            eig = eigh(t, cfg)
+            eig = eigh(t)
         except NotHermitianError:
             eig = None
         if eig is None:
             # one SVD gives the rank and the EP verdict
             fact, decision = _kept_svd(t, cfg)
-            ep, label = _ep_holds(fact, decision.rank, cfg), "non-hermitian"
+            ep, label = _ep_holds(fact, decision.rank), "non-hermitian"
         else:
             # the |λ| of a Hermitian t are its singular values, and it is EP
             sigma = np.sort(np.abs(eig.eigenvalues))[::-1]

@@ -1,4 +1,4 @@
-"""Tolerance knobs shared by factorizations, rank decisions and solvers."""
+"""Tolerances: the four a caller may set, in `ToleranceConfig`, and fixed constants."""
 
 from __future__ import annotations
 
@@ -6,61 +6,54 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+# HTOL and KTOL are defined with the factorization guards they set, so
+# that dense_core, the bottom layer, does not depend on this module.
+from .dense_core import HTOL, KTOL  # noqa: F401
+
 _EPS = float(np.finfo(np.float64).eps)
+
+# Absolute floor under the rank threshold, so an exactly-zero spectrum
+# still yields rank 0.
+ABS_FLOOR = 1e-300
+# Projector-commutation budget for the EP test.
+EP_TOL = 1e-10
+# Constraint-consistency check, ``||A A^+ b - b|| <= FEAS_TOL * ||b||``.
+FEAS_TOL = 1e-8
+# Invariant-subspace residual budget.
+LAT_TOL = 1e-10
+# Commutator budget for the reverse-order-law predicate.
+COMMUTE_TOL = 1e-10
+# Kept-singular-value ratio below which an ill-conditioning warning is raised.
+WARN_RATIO = 1e-8
 
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Bundle of numerical tolerances.
+    """The settable numerical tolerances.
 
     Relative tolerances are taken against the norm (or largest singular
-    value / eigenvalue) of the operator they apply to.
+    value / eigenvalue) of the operator they apply to.  The fields are
+    exactly the keys a problem file's ``tol`` block accepts.
 
     Attributes
     ----------
     rtol : float or None
         Relative rank threshold for singular values.  None means
         ``max(rows, cols) * machine_eps``, the standard numerical-rank rule.
-    abs_floor : float
-        Absolute floor under the rank threshold, so an exactly-zero
-        spectrum still yields rank 0.
-    htol : float
-        Hermitian pre-check, ``||a - a*|| <= htol * ||a||``.
-    ktol : float
-        Factorization reconstruction guard (SVD and eigendecomposition).
-    ep_tol : float
-        Projector-commutation budget for the EP test.
-    neg_tol : float
-        Eigenvalues in ``[-neg_tol * ||t||, 0)`` are clamped to zero by the
-        positive square root; anything below is an error.
     pd_tol : float or None
         Definiteness gate: eigenvalues above it count as strictly positive.
         None derives the gate from ``rtol`` and the largest eigenvalue.
-    feas_tol : float
-        Constraint-consistency check, ``||A A^+ b - b|| <= feas_tol * ||b||``.
-    lat_tol : float
-        Invariant-subspace residual budget.
-    commute_tol : float
-        Commutator budget for the reverse-order-law predicate.
+    neg_tol : float
+        Eigenvalues in ``[-neg_tol * ||t||, 0)`` are clamped to zero by the
+        positive square root; anything below is an error.
     angle_warn : float
         Principal angles below this (radians) raise a narrow-angle warning.
-    warn_ratio : float
-        Kept-singular-value ratio below which an ill-conditioning warning
-        is raised.
     """
 
     rtol: float | None = None
-    abs_floor: float = 1e-300
-    htol: float = 1e-10
-    ktol: float = 1e-10
-    ep_tol: float = 1e-10
-    neg_tol: float = 1e-10
     pd_tol: float | None = None
-    feas_tol: float = 1e-8
-    lat_tol: float = 1e-10
-    commute_tol: float = 1e-10
+    neg_tol: float = 1e-10
     angle_warn: float = 1e-6
-    warn_ratio: float = 1e-8
 
     def effective_rtol(self, dim: int) -> float:
         """Rank threshold factor for a problem of leading dimension `dim`."""

@@ -11,8 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import DimensionMismatchError, FactorizationError, NotHermitianError
+
+# Hermitian pre-check, ``||a - a*|| <= HTOL * ||a||``.
+HTOL = 1e-10
+# Factorization reconstruction guard (SVD and eigendecomposition).
+KTOL = 1e-10
 
 
 def as_matrix(a) -> np.ndarray:
@@ -88,11 +92,11 @@ class EigResult:
         return (self.q * self.eigenvalues) @ self.q.conj().T
 
 
-def svd(a, cfg: ToleranceConfig = DEFAULT_TOL, full_matrices: bool = True) -> SvdResult:
+def svd(a, *, full_matrices: bool = True) -> SvdResult:
     """SVD with a reconstruction guard; thin factors if not ``full_matrices``.
 
     Raises FactorizationError if the backend fails to converge or the
-    factors do not reproduce the input within ``ktol * ||a||``.
+    factors do not reproduce the input within ``KTOL * ||a||``.
     """
     arr = as_matrix(a)
     try:
@@ -103,18 +107,17 @@ def svd(a, cfg: ToleranceConfig = DEFAULT_TOL, full_matrices: bool = True) -> Sv
     norm = fro_norm(arr)
     if norm > 0:
         residual = fro_norm(result.reconstruct() - arr)
-        if residual > cfg.ktol * norm:
+        if residual > KTOL * norm:
             raise FactorizationError(
-                f"SVD reconstruction residual {residual:.3e} exceeds "
-                f"{cfg.ktol:.1e} * ||a||"
+                f"SVD reconstruction residual {residual:.3e} exceeds {KTOL:.1e} * ||a||"
             )
     return result
 
 
-def eigh(a, cfg: ToleranceConfig = DEFAULT_TOL) -> EigResult:
+def eigh(a) -> EigResult:
     """Hermitian eigendecomposition with ascending eigenvalues.
 
-    The input must be Hermitian within ``htol * ||a||``; it is symmetrized
+    The input must be Hermitian within ``HTOL * ||a||``; it is symmetrized
     before factorization so the returned factors are exactly consistent.
     """
     arr = as_matrix(a)
@@ -122,10 +125,8 @@ def eigh(a, cfg: ToleranceConfig = DEFAULT_TOL) -> EigResult:
         raise DimensionMismatchError(f"eigh needs a square matrix, got {arr.shape}")
     norm = fro_norm(arr)
     herm_residual = fro_norm(arr - arr.conj().T)
-    if herm_residual > cfg.htol * norm:
-        raise NotHermitianError(
-            f"||a - a*|| = {herm_residual:.3e} exceeds {cfg.htol:.1e} * ||a||"
-        )
+    if herm_residual > HTOL * norm:
+        raise NotHermitianError(f"||a - a*|| = {herm_residual:.3e} exceeds {HTOL:.1e} * ||a||")
     sym = (arr + arr.conj().T) / 2
     try:
         w, q = np.linalg.eigh(sym)
@@ -134,7 +135,7 @@ def eigh(a, cfg: ToleranceConfig = DEFAULT_TOL) -> EigResult:
     result = EigResult(q=q, eigenvalues=w)
     if norm > 0:
         residual = fro_norm(result.reconstruct() - arr)
-        if residual > (cfg.ktol + cfg.htol) * norm:
+        if residual > (KTOL + HTOL) * norm:
             raise FactorizationError(
                 f"eigendecomposition residual {residual:.3e} exceeds tolerance"
             )

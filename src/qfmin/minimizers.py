@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import DEFAULT_TOL, ToleranceConfig
+from .config import DEFAULT_TOL, FEAS_TOL, HTOL, WARN_RATIO, ToleranceConfig
 from .dense_core import EigResult, as_matrix, as_vector, eigh, fro_norm, svd
 from .errors import (
     Diagnostic,
@@ -66,7 +66,7 @@ class SpectrumClass(enum.Enum):
 class QpProblem:
     """A quadratic form `t`, constraint matrix `a` and right-hand side `b`.
 
-    `t` must be Hermitian within ``htol``; `a` may be rectangular.
+    `t` must be Hermitian within ``HTOL``; `a` may be rectangular.
     """
 
     t: np.ndarray
@@ -90,7 +90,7 @@ class QpProblem:
             )
         norm = fro_norm(t)
         herm = fro_norm(t - t.conj().T)
-        if herm > self.tol.htol * norm:
+        if herm > HTOL * norm:
             raise NotHermitianError(
                 f"t deviates from its adjoint by {herm:.3e} (norm {norm:.3e})"
             )
@@ -142,7 +142,7 @@ def feasible(a, b, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
     arr = as_matrix(a)
     vec = as_vector(b)
     residual = fro_norm(arr @ min_norm_ls(arr, vec, cfg) - vec)
-    return bool(residual <= cfg.feas_tol * fro_norm(vec))
+    return bool(residual <= FEAS_TOL * fro_norm(vec))
 
 
 def classify_spectrum(eigenvalues, cfg: ToleranceConfig = DEFAULT_TOL) -> SpectrumClass:
@@ -280,7 +280,7 @@ def _factorize(p: QpProblem, gate) -> _Factors:
     the conditioning of that reduction is noted.
     """
     cfg = p.tol
-    eig = eigh(p.t, cfg)
+    eig = eigh(p.t)
     cls = classify_spectrum(eig.eigenvalues, cfg)
     gate(cls)
     spectra = []
@@ -290,7 +290,7 @@ def _factorize(p: QpProblem, gate) -> _Factors:
         return rank_decide(sigma, cfg, dim=dim)
 
     w, q = _range_eigenpairs(eig, cls, decide)
-    fact = svd(p.a @ (q / np.sqrt(w)), cfg, full_matrices=False)
+    fact = svd(p.a @ (q / np.sqrt(w)), full_matrices=False)
     decision = decide(fact.sigma, max(p.a.shape))
     notes = [_constraint_note(p, decision)]
     if cls is SpectrumClass.PSD_SINGULAR:
@@ -311,21 +311,21 @@ def _factorize(p: QpProblem, gate) -> _Factors:
     )
 
 
-def _range_coefficients(u: np.ndarray, b: np.ndarray, cfg: ToleranceConfig):
+def _range_coefficients(u: np.ndarray, b: np.ndarray):
     """``u* b`` for orthonormal `u`, or None when `b` lies outside ``range(u)``.
 
-    The test is ``||b - u u* b|| <= feas_tol * ||b||``, so it is scale-free
+    The test is ``||b - u u* b|| <= FEAS_TOL * ||b||``, so it is scale-free
     and ``b = 0`` passes.
     """
     coeff = u.conj().T @ b
-    if fro_norm(b - u @ coeff) > cfg.feas_tol * fro_norm(b):
+    if fro_norm(b - u @ coeff) > FEAS_TOL * fro_norm(b):
         return None
     return coeff
 
 
 def _apply(p: QpProblem, f: _Factors, method: Method) -> MinimizationResult:
     """``x = W pinv(a W) b`` and the minimum ``||pinv(a W) b||^2`` from `f`."""
-    coeff = _range_coefficients(f.u, p.b, p.tol)
+    coeff = _range_coefficients(f.u, p.b)
     if coeff is None:
         if f.cls is SpectrumClass.PSD_SINGULAR:
             raise InfeasibleOnComplementError(
@@ -362,7 +362,7 @@ def minimize_posdef(p: QpProblem) -> MinimizationResult:
     and never from the memo of factors.
     """
     cfg = p.tol
-    _require_pd(classify_spectrum(eigh(p.t, cfg).eigenvalues, cfg))
+    _require_pd(classify_spectrum(eigh(p.t).eigenvalues, cfg))
     if not feasible(p.a, p.b, cfg=cfg):
         raise InfeasibleError("b is not in the range of a; the constraint set is empty")
     root_inv = np.linalg.inv(sqrt_psd(p.t, cfg))
@@ -396,15 +396,15 @@ def try_cor1_shortcut(p: QpProblem, *, _factored: _Factors | None = None) -> Min
     """
     cfg = p.tol
     if p.a.shape[0] != p.a.shape[1]:
-        _require_pd(classify_spectrum(eigh(p.t, cfg).eigenvalues, cfg))
+        _require_pd(classify_spectrum(eigh(p.t).eigenvalues, cfg))
         return None
     f = _factored if _factored is not None else _factors(p, _require_pd)
     fact, decision = _kept_svd(p.a, cfg)
     rank = decision.rank
     u, v = fact.u[:, :rank], fact.v[:, :rank]
-    if not all(lat_invariant(SubspaceBasis(s, p.dim), p.t, cfg=cfg) for s in (u, v)):
+    if not all(lat_invariant(SubspaceBasis(s, p.dim), p.t) for s in (u, v)):
         return None
-    coeff = _range_coefficients(u, p.b, cfg)
+    coeff = _range_coefficients(u, p.b)
     if coeff is None:
         raise InfeasibleError("b is not in the range of a; the constraint set is empty")
     xhat = v @ (coeff / fact.sigma[:rank])
@@ -443,13 +443,13 @@ def _complement_conditioning(p: QpProblem, range_t, decide) -> list[Diagnostic]:
     angles between them; tiny kept values signal a nearly-degenerate
     reduction.  `decide` makes and records each rank decision.
     """
-    fact = svd(p.a, p.tol, full_matrices=False)
+    fact = svd(p.a, full_matrices=False)
     rank_a = decide(fact.sigma, max(p.a.shape)).rank
     sigma = np.linalg.svd(fact.v[:, :rank_a].conj().T @ range_t, compute_uv=False)
     decision = decide(sigma, p.dim)
     notes = []
     smax = float(sigma[0]) if sigma.size else 0.0
-    if decision.rank and smax > 0 and decision.sigma_kept_min / smax < p.tol.warn_ratio:
+    if decision.rank and smax > 0 and decision.sigma_kept_min / smax < WARN_RATIO:
         notes.append(
             Diagnostic(
                 code="psd_product_conditioning",
@@ -491,7 +491,7 @@ def solve(p: QpProblem, method: Method = Method.AUTO) -> MinimizationResult:
             message="range-invariance shortcut not applicable",
         )
     else:
-        gap = float(np.linalg.norm(shortcut.xhat - result.xhat))
+        gap = fro_norm(shortcut.xhat - result.xhat)
         note = Diagnostic(
             code="cor1_shortcut",
             message="range-invariance shortcut fired; gap to the full route recorded",

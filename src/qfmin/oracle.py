@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOL, ToleranceConfig
+from .config import DEFAULT_TOL, FEAS_TOL, ToleranceConfig
 from .dense_core import adjoint, as_matrix, as_vector
 from .errors import InfeasibleOnComplementError, OracleError
 from .minimizers import quad_value
@@ -39,7 +39,7 @@ def _block_kkt(t, a):
     return np.block([[2.0 * t, adjoint(a)], [a, zero]])
 
 
-def kkt_solve(t, a, b, cfg: ToleranceConfig = DEFAULT_TOL) -> OracleResult:
+def kkt_solve(t, a, b) -> OracleResult:
     """Solve the Lagrange-multiplier system of the constrained minimum.
 
     Stacks ``[2t, a*; a, 0] [x; lam] = [0; b]`` and applies a minimum-norm
@@ -81,11 +81,11 @@ def reduced_solve(t, a, b, cfg: ToleranceConfig = DEFAULT_TOL) -> OracleResult:
     a_red = am @ basis
     t_red = adjoint(basis) @ tm @ basis
     gram = a_red @ np.linalg.pinv(a_red)
-    if np.linalg.norm(gram @ bv - bv) > cfg.feas_tol * max(1.0, np.linalg.norm(bv)):
+    if np.linalg.norm(gram @ bv - bv) > FEAS_TOL * max(1.0, np.linalg.norm(bv)):
         raise InfeasibleOnComplementError(
             "b is not reachable from the kernel complement of t"
         )
-    reduced = kkt_solve(t_red, a_red, bv, cfg)
+    reduced = kkt_solve(t_red, a_red, bv)
     x = basis @ reduced.x
     return OracleResult(
         x=x, min_value=quad_value(tm, x), kkt_residual=reduced.kkt_residual
@@ -137,7 +137,7 @@ def grid_refute(
     bv = as_vector(b)
     xc = as_vector(x_candidate)
     gap = float(np.linalg.norm(am @ xc - bv))
-    if gap > cfg.feas_tol * max(1.0, float(np.linalg.norm(bv))):
+    if gap > FEAS_TOL * max(1.0, float(np.linalg.norm(bv))):
         raise OracleError(f"candidate violates the constraint by {gap:.3e}")
     if restrict == "auto":
         sigma = np.linalg.svd(tm, compute_uv=False)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ABS_FLOOR, COMMUTE_TOL, EP_TOL, LAT_TOL, WARN_RATIO
 from .config import DEFAULT_TOL, ToleranceConfig
 from .dense_core import SvdResult, as_matrix, eigh, fro_norm, svd
 from .errors import (
@@ -49,10 +50,10 @@ def rank_decide(
 ) -> RankDecision:
     """Decide the numerical rank of a descending, nonnegative spectrum.
 
-    The threshold is ``rtol * max(sigma)`` floored at ``abs_floor``; `dim`
+    The threshold is ``rtol * max(sigma)`` floored at ``ABS_FLOOR``; `dim`
     feeds the default rtol (``dim * eps``) and should be the larger matrix
     dimension when known.  Warns with IllConditioningWarning when the kept
-    values span more than ``1 / warn_ratio``.
+    values span more than ``1 / WARN_RATIO``.
     """
     sig = np.asarray(sigma, dtype=np.float64)
     if sig.ndim != 1:
@@ -61,15 +62,15 @@ def rank_decide(
         raise ValueError("sigma must be nonnegative and descending")
     smax = float(sig[0]) if sig.size else 0.0
     rtol = cfg.effective_rtol(dim if dim is not None else sig.size)
-    threshold = max(rtol * smax, cfg.abs_floor)
+    threshold = max(rtol * smax, ABS_FLOOR)
     rank = int(np.count_nonzero(sig > threshold))
     kept_min = float(sig[rank - 1]) if rank else math.inf
     dropped_max = float(sig[rank]) if rank < sig.size else 0.0
-    if rank and smax > 0 and kept_min / smax < cfg.warn_ratio:
+    if rank and smax > 0 and kept_min / smax < WARN_RATIO:
         warnings.warn(
             IllConditioningWarning(
                 f"kept singular values span ratio {kept_min / smax:.3e}, "
-                f"below warn_ratio {cfg.warn_ratio:.1e}",
+                f"below warn_ratio {WARN_RATIO:.1e}",
                 value=kept_min / smax,
             ),
             stacklevel=2,
@@ -90,7 +91,7 @@ def _kept_svd(a, cfg: ToleranceConfig) -> tuple[SvdResult, RankDecision]:
     this pair, so each operand is factored and thresholded once.
     """
     arr = as_matrix(a)
-    fact = svd(arr, cfg)
+    fact = svd(arr)
     return fact, rank_decide(fact.sigma, cfg, dim=max(arr.shape))
 
 
@@ -124,14 +125,14 @@ def projector_rangestar(a, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     return rangestar_basis(a, cfg).projector()
 
 
-def _ep_holds(fact: SvdResult, r: int, cfg: ToleranceConfig) -> bool:
+def _ep_holds(fact: SvdResult, r: int) -> bool:
     """Whether the rank-`r` column and row spaces of the SVD `fact` agree.
 
     ``U_r U_r* - V_r V_r*`` is ``t pinv(t) - pinv(t) t``, a difference of
-    projectors, so the gate ``<= ep_tol`` holds at every scale of `t`.
+    projectors, so the gate ``<= EP_TOL`` holds at every scale of `t`.
     """
     u, v = fact.u[:, :r], fact.v[:, :r]
-    return bool(fro_norm(u @ u.conj().T - v @ v.conj().T) <= cfg.ep_tol)
+    return bool(fro_norm(u @ u.conj().T - v @ v.conj().T) <= EP_TOL)
 
 
 def is_ep(t, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -144,7 +145,7 @@ def is_ep(t, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
     if arr.shape[0] != arr.shape[1]:
         raise DimensionMismatchError("the EP test needs a square matrix")
     fact, decision = _kept_svd(arr, cfg)
-    return _ep_holds(fact, decision.rank, cfg)
+    return _ep_holds(fact, decision.rank)
 
 
 @dataclass(frozen=True)
@@ -180,12 +181,12 @@ def ep_decompose(t, cfg: ToleranceConfig = DEFAULT_TOL) -> EpDecomposition:
         raise DimensionMismatchError("EP decomposition needs a square matrix")
     fact, decision = _kept_svd(arr, cfg)
     r = decision.rank
-    if not _ep_holds(fact, r, cfg):
+    if not _ep_holds(fact, r):
         raise NotEpError("matrix does not commute with its pseudoinverse")
     u1 = fact.u
     decomp = EpDecomposition(u1=u1, a1=u1[:, :r].conj().T @ arr @ u1[:, :r], rank=r)
     residual = fro_norm(decomp.reconstruct() - arr)
-    if residual > 10 * cfg.ep_tol * fro_norm(arr):
+    if residual > 10 * EP_TOL * fro_norm(arr):
         raise NotEpError(
             f"canonical-form residual {residual:.3e} too large; "
             "matrix is at best borderline EP"
@@ -199,7 +200,7 @@ def sqrt_psd(t, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     Eigenvalues in ``[-neg_tol * ||t||, 0)`` are clamped to zero (roundoff
     on genuinely PSD inputs); anything below raises NotPositiveError.
     """
-    fact = eigh(t, cfg)
+    fact = eigh(t)
     w = fact.eigenvalues
     scale = float(np.max(np.abs(w))) if w.size else 0.0
     lower = -cfg.neg_tol * scale
@@ -304,42 +305,44 @@ class ReverseOrderReport:
         return self.holds
 
 
-def _gram_commutator(p: np.ndarray, m: np.ndarray) -> tuple[float, float]:
-    """``||[p, m m*]||`` for `m` divided by ``||m||``, and ``||m||``."""
-    norm = fro_norm(m)
-    unit = m / norm if norm > 0 else m
+def _gram_commutator(p: np.ndarray, m: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """``||[p, u u*]||`` for ``u = m / ||m||``, then `u` and ``||m||`` (1 if zero)."""
+    norm = fro_norm(m) or 1.0
+    unit = m / norm
     gram = unit @ unit.conj().T
-    return fro_norm(p @ gram - gram @ p), norm
+    return fro_norm(p @ gram - gram @ p), unit, norm
 
 
 def reverse_order_holds(a, b, cfg: ToleranceConfig = DEFAULT_TOL) -> ReverseOrderReport:
     """Test the two commutation conditions behind the reverse order law.
 
     Each commutator is taken on its operand divided by its norm and gated
-    against ``commute_tol``, so the verdict does not depend on the scale of
+    against ``COMMUTE_TOL``, so the verdict does not depend on the scale of
     `a` or `b`.  The closed-range condition on the product is automatic
     here (finite dimensions); its conditioning is surfaced through
-    `ab_rank` instead of being gated on.
+    `ab_rank` instead of being gated on.  That rank is decided on the
+    product of the divided operands, so it is scale-free too; its
+    threshold and singular values are reported at the scale of ``a @ b``.
     """
     arr_a = as_matrix(a)
     arr_b = as_matrix(b)
     if arr_a.shape[1] != arr_b.shape[0]:
         raise DimensionMismatchError("inner dimensions of a and b must agree")
-    c1, norm_b = _gram_commutator(projector_rangestar(arr_a, cfg), arr_b)
-    c2, norm_a = _gram_commutator(projector_range(arr_b, cfg), arr_a.conj().T)
-    product = arr_a @ arr_b
-    sigma = np.linalg.svd(product, compute_uv=False)
-    decision = rank_decide(sigma, cfg, dim=max(product.shape))
+    c1, unit_b, norm_b = _gram_commutator(projector_rangestar(arr_a, cfg), arr_b)
+    c2, unit_ah, norm_a = _gram_commutator(projector_range(arr_b, cfg), arr_a.conj().T)
+    product = unit_ah.conj().T @ unit_b
+    unit = rank_decide(np.linalg.svd(product, compute_uv=False), cfg, dim=max(product.shape))
+    values = (unit.threshold, unit.sigma_kept_min, unit.sigma_dropped_max)
     return ReverseOrderReport(
-        holds=c1 <= cfg.commute_tol and c2 <= cfg.commute_tol,
+        holds=c1 <= COMMUTE_TOL and c2 <= COMMUTE_TOL,
         # float products overflow to inf, where ** would raise
         rangestar_commutator=c1 * norm_b * norm_b,
         range_commutator=c2 * norm_a * norm_a,
-        ab_rank=decision,
+        ab_rank=RankDecision(unit.rank, *(v * norm_a * norm_b for v in values)),
     )
 
 
-def lat_invariant(subspace: SubspaceBasis, t, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
+def lat_invariant(subspace: SubspaceBasis, t) -> bool:
     """Whether `t` maps the subspace into itself: ``(I - P) t P ≈ 0``."""
     arr = as_matrix(t)
     if arr.shape[0] != arr.shape[1]:
@@ -351,4 +354,4 @@ def lat_invariant(subspace: SubspaceBasis, t, cfg: ToleranceConfig = DEFAULT_TOL
         )
     p = subspace.projector()
     leak = fro_norm((np.eye(arr.shape[0]) - p) @ arr @ p)
-    return bool(leak <= cfg.lat_tol * fro_norm(arr))
+    return bool(leak <= LAT_TOL * fro_norm(arr))

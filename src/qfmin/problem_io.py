@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from dataclasses import fields
 from numbers import Real
 
 import numpy as np
@@ -21,7 +22,7 @@ from .errors import ProblemFileError
 
 ENV_RTOL = "QFMIN_RTOL"
 
-TOL_KEYS = ("rtol", "pd_tol", "neg_tol", "angle_warn")
+TOL_KEYS = tuple(f.name for f in fields(ToleranceConfig))
 
 
 def _entry_to_scalar(entry, where: str):

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qfmin import (
+    DEFAULT_TOL,
     DimensionMismatchError,
     NotHermitianError,
     adjoint,
@@ -89,6 +90,13 @@ class TestSvd:
         assert np.all(np.diff(res.sigma) <= 0)
         assert np.all(res.sigma >= 0)
         assert np.linalg.norm(res.reconstruct() - a) <= 1e-12 * np.linalg.norm(a)
+
+
+    @pytest.mark.parametrize("factor", [svd, eigh])
+    def test_tolerance_config_is_not_a_parameter(self, factor):
+        # a positional config would otherwise land in svd's full_matrices
+        with pytest.raises(TypeError):
+            factor(np.eye(2), DEFAULT_TOL)
 
 
 class TestEigh:

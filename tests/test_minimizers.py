@@ -31,7 +31,8 @@ from qfmin import (
     try_cor1_shortcut,
 )
 from qfmin import minimizers
-from qfmin.config import ToleranceConfig
+from qfmin.config import WARN_RATIO, ToleranceConfig
+from qfmin.dense_core import fro_norm
 from qfmin.l2_models import diag_operator, DiagonalSpec, harmonic_b, left_shift
 
 EXAMPLE2_Q = np.array([[14.0, 20, 28], [20, 83, 40], [28, 40, 56]])
@@ -285,6 +286,23 @@ class TestCor1Shortcut:
         with pytest.raises(NotPositiveDefiniteError):
             try_cor1_shortcut(p)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e200])
+    def test_auto_gap_does_not_overflow(self, scale):
+        # the true gap is roundoff of x, about 1e-15 ||x||, at every scale of b
+        rng = np.random.default_rng(3)
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        t = q @ np.diag([1.0, 2.0, 3.0, 4.0]) @ q.T
+        a = q @ np.diag([2.0, -1.0, 0.5, 3.0]) @ q.T
+        p = QpProblem(t=(t + t.T) / 2, a=a, b=scale * rng.standard_normal(4))
+        with warnings.catch_warnings():
+            # at 1e200 the minimum itself is past the float64 range
+            warnings.simplefilter("ignore", RuntimeWarning)
+            r = solve(p)
+        note = r.diagnostics[-1]
+        assert note.message.startswith("range-invariance shortcut fired")
+        assert np.isfinite(note.value)
+        assert note.value <= 1e-12 * fro_norm(r.xhat)
+
 
 class TestPsdComplement:
     def test_restricted_minimum(self):
@@ -327,7 +345,7 @@ class TestPsdComplement:
             r = minimize_psd_complement(p)
         notes = [d for d in r.diagnostics if d.code == "psd_product_conditioning"]
         assert len(notes) == 1
-        assert notes[0].value < p.tol.warn_ratio
+        assert notes[0].value < WARN_RATIO
         assert notes[0].value == pytest.approx(delta, rel=1e-6)
         assert_allclose(r.xhat, [1.0, 1.0, 0.0], atol=1e-9)
 

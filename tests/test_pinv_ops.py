@@ -397,6 +397,20 @@ class TestReverseOrder:
             assert got == pytest.approx(base * scale * scale, rel=1e-10)
         assert reverse_order_holds(a, 1e160 * b).rangestar_commutator == np.inf
 
+    def test_product_rank_is_scale_free(self):
+        # the product of the scaled operands overflows at 1e160 and
+        # underflows at 1e-160; the rank is decided without forming it
+        rng = np.random.default_rng(14)
+        a, b = rng.standard_normal((3, 5)), rng.standard_normal((5, 5))
+        direct = rank_decide(np.linalg.svd(a @ b, compute_uv=False), dim=3)
+        for scale in (1e-160, 1.0, 1e160):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                report = reverse_order_holds(scale * a, scale * b)
+            assert report.ab_rank.rank == 3
+            if scale == 1.0:
+                assert report.ab_rank.threshold == pytest.approx(direct.threshold, rel=1e-12)
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             reverse_order_holds(np.eye(2), np.eye(3))

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -240,6 +241,18 @@ class TestResolveTolerances:
     def test_rejects_nonfinite_file_value(self, value):
         with pytest.raises(ProblemFileError, match="tol.neg_tol must be finite and positive"):
             resolve_tolerances({"neg_tol": value}, {}, env={})
+
+    @pytest.mark.parametrize("key", ["rtol", "pd_tol", "neg_tol", "angle_warn"])
+    def test_each_file_key_reaches_config(self, tmp_path, key):
+        path = write_problem(tmp_path, {"t": [[1]], "a": [[1]], "b": [1], "tol": {key: 3e-7}})
+        cfg = resolve_tolerances(load_problem_arrays(path)[3], {}, env={})
+        assert cfg == DEFAULT_TOL.with_overrides(**{key: 3e-7})
+
+    def test_file_keys_are_the_config_fields(self, tmp_path):
+        path = write_problem(tmp_path, {"t": [[1]], "a": [[1]], "b": [1], "tol": {"ktol": 1.0}})
+        allowed = "allowed: ['rtol', 'pd_tol', 'neg_tol', 'angle_warn']"
+        with pytest.raises(ProblemFileError, match=re.escape(allowed)):
+            load_problem_arrays(path)
 
     @pytest.mark.parametrize(
         "flags, name",
