@@ -37,7 +37,7 @@ from .pinv_ops import (
     pinv,
     pinv_with_rank,
     projector_rangestar,  # noqa: F401  kept bound: perfbench/tracing.py wraps it
-    range_basis,  # noqa: F401  kept bound: perfbench/tracing.py wraps it
+    range_basis,
     rangestar_basis,  # noqa: F401  kept bound: perfbench/tracing.py wraps it
     rank_decide,
     lat_invariant,
@@ -138,11 +138,12 @@ def min_norm_ls(a, b, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 
 
 def feasible(a, b, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """Whether `b` lies in the range of `a` (so ``a x = b`` is consistent)."""
+    """Whether `b` lies in the range of `a`, by the kernel's `_range_coefficients` test."""
     arr = as_matrix(a)
     vec = as_vector(b)
-    residual = fro_norm(arr @ min_norm_ls(arr, vec, cfg) - vec)
-    return bool(residual <= FEAS_TOL * fro_norm(vec))
+    if vec.shape[0] != arr.shape[0]:
+        raise DimensionMismatchError("b length must match the rows of a")
+    return _range_coefficients(range_basis(arr, cfg).basis, vec) is not None
 
 
 def classify_spectrum(eigenvalues, cfg: ToleranceConfig = DEFAULT_TOL) -> SpectrumClass:
@@ -378,7 +379,26 @@ def minimize_posdef(p: QpProblem) -> MinimizationResult:
     )
 
 
-def try_cor1_shortcut(p: QpProblem, *, _factored: _Factors | None = None) -> MinimizationResult | None:
+def _cor1_xhat(p: QpProblem) -> np.ndarray | None:
+    """``pinv(a) b`` for a square `a` with both ranges invariant under `t`, else None.
+
+    Both bases, the feasibility test (InfeasibleError when it fails) and
+    ``pinv(a) b`` come from one SVD of `a`.
+    """
+    if p.a.shape[0] != p.a.shape[1]:
+        return None
+    fact, decision = _kept_svd(p.a, p.tol)
+    rank = decision.rank
+    u, v = fact.u[:, :rank], fact.v[:, :rank]
+    if not all(lat_invariant(SubspaceBasis(s, p.dim), p.t) for s in (u, v)):
+        return None
+    coeff = _range_coefficients(u, p.b)
+    if coeff is None:
+        raise InfeasibleError("b is not in the range of a; the constraint set is empty")
+    return v @ (coeff / fact.sigma[:rank])
+
+
+def try_cor1_shortcut(p: QpProblem) -> MinimizationResult | None:
     """Shortcut when the ranges of `a` and of its adjoint are invariant under `t`.
 
     Applies only to square constraints (range invariance is not well-typed
@@ -388,29 +408,17 @@ def try_cor1_shortcut(p: QpProblem, *, _factored: _Factors | None = None) -> Min
     Penrose identity that can fail here.  Column-space invariance alone is
     not sufficient (t = diag(1, 2), a = [[1, 1], [0, 0]] has an invariant
     column space yet ``pinv(a) b`` is not the minimizer), so the gate
-    checks both.  When it fires the minimizer is exactly ``pinv(a) b`` and
-    the minimum ``sum_i λ_i |q_i* pinv(a) b|^2``; returns None when either
-    invariance condition fails.  Both bases and ``pinv(a) b`` come from one
-    SVD of `a`; the eigenpairs of `t` are the kernel's, handed over by
-    `solve` as `_factored` or looked up in the memo.
+    checks both.  When it fires the minimizer is exactly ``pinv(a) b``
+    (`_cor1_xhat`) and the minimum its `quad_value`; returns None when
+    either invariance condition fails.  `t` must be positive definite.
     """
-    cfg = p.tol
-    if p.a.shape[0] != p.a.shape[1]:
-        _require_pd(classify_spectrum(eigh(p.t).eigenvalues, cfg))
+    _require_pd(classify_spectrum(eigh(p.t).eigenvalues, p.tol))
+    xhat = _cor1_xhat(p)
+    if xhat is None:
         return None
-    f = _factored if _factored is not None else _factors(p, _require_pd)
-    fact, decision = _kept_svd(p.a, cfg)
-    rank = decision.rank
-    u, v = fact.u[:, :rank], fact.v[:, :rank]
-    if not all(lat_invariant(SubspaceBasis(s, p.dim), p.t) for s in (u, v)):
-        return None
-    coeff = _range_coefficients(u, p.b)
-    if coeff is None:
-        raise InfeasibleError("b is not in the range of a; the constraint set is empty")
-    xhat = v @ (coeff / fact.sigma[:rank])
     return MinimizationResult(
         xhat=xhat,
-        min_value=float(np.sum(f.w * np.abs(f.q.conj().T @ xhat) ** 2)),
+        min_value=quad_value(p.t, xhat),
         feasibility_residual=fro_norm(p.a @ xhat - p.b),
         method=Method.COR1_SHORTCUT,
         diagnostics=(
@@ -484,17 +492,16 @@ def solve(p: QpProblem, method: Method = Method.AUTO) -> MinimizationResult:
     if f.cls is SpectrumClass.PSD_SINGULAR:
         return _apply(p, f, Method.PSD_COMPLEMENT)
     result = _apply(p, f, Method.POSDEF)
-    shortcut = try_cor1_shortcut(p, _factored=f) if p.a.shape[0] == p.a.shape[1] else None
+    shortcut = _cor1_xhat(p)
     if shortcut is None:
         note = Diagnostic(
             code="cor1_shortcut",
             message="range-invariance shortcut not applicable",
         )
     else:
-        gap = fro_norm(shortcut.xhat - result.xhat)
         note = Diagnostic(
             code="cor1_shortcut",
             message="range-invariance shortcut fired; gap to the full route recorded",
-            value=gap,
+            value=fro_norm(shortcut - result.xhat),
         )
     return result.with_extra_diagnostics([note])

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOL, FEAS_TOL, ToleranceConfig
-from .dense_core import adjoint, as_matrix, as_vector
+from .dense_core import adjoint, as_matrix, as_vector, fro_norm
 from .errors import InfeasibleOnComplementError, OracleError
 from .minimizers import quad_value
 from .pinv_ops import null_basis, range_basis
@@ -42,9 +42,11 @@ def _block_kkt(t, a):
 def kkt_solve(t, a, b) -> OracleResult:
     """Solve the Lagrange-multiplier system of the constrained minimum.
 
-    Stacks ``[2t, a*; a, 0] [x; lam] = [0; b]`` and applies a minimum-norm
-    least-squares solve.  The returned residual is the norm of the block
-    system evaluated at the solution, relative to ``max(1, ||b||)``.
+    Stacks ``[2t/τ, a*; a, 0] [x; lam] = [0; b]``, ``τ`` the largest entry
+    of ``|t|`` (which keeps the argmin and puts both blocks on one scale),
+    and applies a minimum-norm least-squares solve; the minimum is taken on
+    the original `t`.  The returned residual is the norm of the block
+    system evaluated at the solution, relative to ``||b||``.
 
     Raises
     ------
@@ -55,10 +57,11 @@ def kkt_solve(t, a, b) -> OracleResult:
     tm = as_matrix(t)
     am = as_matrix(a)
     bv = as_vector(b)
-    kkt = _block_kkt(tm, am)
+    tau = float(np.max(np.abs(tm), initial=0.0)) or 1.0
+    kkt = _block_kkt(tm / tau, am)
     rhs = np.concatenate([np.zeros(tm.shape[0], dtype=kkt.dtype), bv.astype(kkt.dtype)])
     sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-    residual = float(np.linalg.norm(kkt @ sol - rhs)) / max(1.0, float(np.linalg.norm(bv)))
+    residual = fro_norm(kkt @ sol - rhs) / (fro_norm(bv) or 1.0)
     if residual > KKT_TOL:
         raise OracleError(
             f"stationarity system unsatisfied: residual {residual:.3e} exceeds {KKT_TOL}"
@@ -81,7 +84,7 @@ def reduced_solve(t, a, b, cfg: ToleranceConfig = DEFAULT_TOL) -> OracleResult:
     a_red = am @ basis
     t_red = adjoint(basis) @ tm @ basis
     gram = a_red @ np.linalg.pinv(a_red)
-    if np.linalg.norm(gram @ bv - bv) > FEAS_TOL * max(1.0, np.linalg.norm(bv)):
+    if fro_norm(gram @ bv - bv) > FEAS_TOL * fro_norm(bv):
         raise InfeasibleOnComplementError(
             "b is not reachable from the kernel complement of t"
         )
@@ -92,23 +95,16 @@ def reduced_solve(t, a, b, cfg: ToleranceConfig = DEFAULT_TOL) -> OracleResult:
     )
 
 
-def _feasible_directions(t, a, restrict: bool, cfg: ToleranceConfig) -> np.ndarray:
-    null_a = null_basis(a, cfg)
-    if null_a.dim == 0 or not restrict:
-        return null_a.basis
-    # N(a) intersect R(t), parametrized through coordinates on R(t): the
-    # directions are range_t @ z with (a @ range_t) z = 0.  Intersecting
-    # via projector complements instead would put roundoff-scale singular
-    # values right at the rank threshold; here every factored matrix is
-    # well scaled.  range_t and the coefficient basis are orthonormal, so
-    # the product is orthonormal too.
+def _feasible_directions(t, a, cfg: ToleranceConfig) -> np.ndarray:
+    # N(a) ∩ R(t) (N(a) for a definite t) through coordinates on R(t): the
+    # directions are range_t @ z with (a @ range_t) z = 0.  Intersecting via
+    # projector complements instead would put roundoff-scale singular values
+    # right at the rank threshold; here every factored matrix is well scaled,
+    # and the product of the two orthonormal bases is orthonormal too.
     range_t = range_basis(t, cfg)
     if range_t.dim == 0:
         return np.zeros((t.shape[0], 0), dtype=t.dtype)
-    coeffs = null_basis(a @ range_t.basis, cfg)
-    if coeffs.dim == 0:
-        return np.zeros((t.shape[0], 0), dtype=t.dtype)
-    return range_t.basis @ coeffs.basis
+    return range_t.basis @ null_basis(a @ range_t.basis, cfg).basis
 
 
 def grid_refute(
@@ -118,32 +114,27 @@ def grid_refute(
     x_candidate,
     n_samples: int = 10_000,
     seed: int = 0,
-    restrict: bool | str = "auto",
     cfg: ToleranceConfig = DEFAULT_TOL,
 ) -> bool:
     """Try to beat a candidate minimizer by sampling feasible points.
 
     Draws random perturbations of the candidate inside the null space of
-    `a` (intersected with the column space of `t` when `restrict` applies)
-    at log-spaced step sizes and evaluates the quadratic form on each.
-    Returns True when no sample attains less than the candidate value
-    minus ``1e-10``, i.e. the candidate survives the refutation attempt.
-
-    With ``restrict="auto"`` the samples stay inside the column space of
-    `t` exactly when `t` is singular.
+    `a` intersected with the column space of `t` (the whole null space for
+    a definite `t`, the kernel complement the solver minimizes over for a
+    singular one) at log-spaced step sizes and evaluates the quadratic form
+    on each.  Returns True when no sample attains less than the candidate
+    value minus ``1e-10``, i.e. the candidate survives the refutation
+    attempt.  A candidate off ``a x = b`` by more than ``FEAS_TOL * ||b||``
+    raises OracleError.
     """
     tm = as_matrix(t)
     am = as_matrix(a)
     bv = as_vector(b)
     xc = as_vector(x_candidate)
-    gap = float(np.linalg.norm(am @ xc - bv))
-    if gap > FEAS_TOL * max(1.0, float(np.linalg.norm(bv))):
+    gap = fro_norm(am @ xc - bv)
+    if gap > FEAS_TOL * fro_norm(bv):
         raise OracleError(f"candidate violates the constraint by {gap:.3e}")
-    if restrict == "auto":
-        sigma = np.linalg.svd(tm, compute_uv=False)
-        full = sigma.size and sigma[-1] > cfg.effective_rtol(tm.shape[0]) * sigma[0]
-        restrict = not full
-    directions = _feasible_directions(tm, am, bool(restrict), cfg)
+    directions = _feasible_directions(tm, am, cfg)
     if directions.shape[1] == 0:
         return True
     rng = np.random.default_rng(seed)

@@ -250,8 +250,10 @@ def principal_angle_diag(a, b, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
     """Minimal principal angle between ``N(a) ⊖ R(b)`` and ``R(b)``.
 
     A small angle means the product ``a @ b`` is close to losing rank; in
-    that case a NarrowAngleWarning fires (threshold ``angle_warn``).  When
-    either subspace is trivial the angle is pi/2 by convention.
+    that case a NarrowAngleWarning fires (threshold ``angle_warn``).  It is
+    the arccos of the largest singular value of ``N_a* R_b`` below ``1 - n
+    eps`` (those above are the intersection), or pi/2 by convention when
+    there is none or either subspace is trivial.
     """
     arr_a = as_matrix(a)
     arr_b = as_matrix(b)
@@ -261,17 +263,11 @@ def principal_angle_diag(a, b, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
     rb = range_basis(arr_b, cfg)
     if na.dim == 0 or rb.dim == 0:
         return math.pi / 2
-    overlap = na.basis.conj().T @ rb.basis
-    u_m, s_m, _ = np.linalg.svd(overlap, full_matrices=True)
-    cosines = np.zeros(na.dim)
-    cosines[: s_m.size] = np.clip(s_m, 0.0, 1.0)
-    keep = cosines < 1.0 - arr_a.shape[1] * _EPS
-    if not np.any(keep):
+    cosines = np.linalg.svd(na.basis.conj().T @ rb.basis, compute_uv=False)
+    below = cosines[cosines < 1.0 - arr_a.shape[1] * _EPS]
+    if not below.size:
         return math.pi / 2
-    h = na.basis @ u_m[:, keep]
-    rest = np.linalg.svd(h.conj().T @ rb.basis, compute_uv=False)
-    cos_max = float(np.clip(rest[0], 0.0, 1.0)) if rest.size else 0.0
-    angle = float(np.arccos(cos_max))
+    angle = float(np.arccos(np.clip(below[0], 0.0, 1.0)))
     if angle < cfg.angle_warn:
         warnings.warn(
             NarrowAngleWarning(

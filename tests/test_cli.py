@@ -66,6 +66,22 @@ class TestSolve:
         doc = json.loads(out)
         assert doc["verify"]["oracle_gap"] <= 1e-8
 
+    @pytest.mark.parametrize("scale", [1e-100, 1e-8, 1e8, 1e100])
+    @pytest.mark.parametrize(
+        "problem",
+        [lambda: random_pd_problem(30, 12, seed=0), lambda: random_psd_problem(30, 12, 20, seed=0)],
+        ids=["pd", "psd"],
+    )
+    def test_verify_at_every_scale_of_t(self, tmp_path, capsys, problem, scale):
+        t, a, b = problem()
+        path = write(tmp_path, {"t": (scale * t).tolist(), "a": a.tolist(), "b": b.tolist()})
+        code, out, err = run(capsys, "solve", "--problem", path, "--verify")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["verify"]["oracle_gap"] <= 1e-12
+        # oracle_gap is absolute below a minimum of 1, so also compare relatively
+        assert doc["verify"]["oracle_min"] == pytest.approx(doc["min_value"], rel=1e-10, abs=0)
+
     def test_auto_dispatch_matches_direct(self, tmp_path, capsys):
         path = write(tmp_path, SINGULAR_FORM)
         _, auto_out, _ = run(capsys, "solve", "--problem", path)
@@ -234,7 +250,7 @@ class TestCheck:
         "problem, svd_calls",
         [
             (lambda: random_pd_problem(50, 25, seed=7), 6),
-            (lambda: random_psd_problem(50, 25, rank=37, seed=7, complex_entries=True), 7),
+            (lambda: random_psd_problem(50, 25, rank=37, seed=7, complex_entries=True), 6),
         ],
         ids=["pd", "psd-complex"],
     )
@@ -245,8 +261,8 @@ class TestCheck:
         calls = count_linalg(monkeypatch)
         code, _, _ = run(capsys, "check", "--problem", path)
         assert code == 0
-        # the reverse-order test makes 3 SVDs; the angle 3, and one more
-        # when N(A) is not inside R(T^{+1/2}), as for a singular T
+        # the reverse-order test makes 3 SVDs and the angle 3, whether or
+        # not N(A) is inside R(T^{+1/2})
         assert calls == {"eigh": 1, "svd": svd_calls, "inv": 0}
 
     def test_non_hermitian_factors_once(self, tmp_path, capsys, monkeypatch):

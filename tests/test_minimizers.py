@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qfmin import (
@@ -122,6 +124,10 @@ class TestFeasible:
 
     def test_surjective_row(self):
         assert feasible(EXAMPLE2_A, EXAMPLE2_B)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            feasible(EXAMPLE2_A, np.ones(2))
 
 
 class TestPosdefDiag:
@@ -296,7 +302,7 @@ class TestCor1Shortcut:
         p = QpProblem(t=(t + t.T) / 2, a=a, b=scale * rng.standard_normal(4))
         with warnings.catch_warnings():
             # at 1e200 the minimum itself is past the float64 range
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error", RuntimeWarning)
             r = solve(p)
         note = r.diagnostics[-1]
         assert note.message.startswith("range-invariance shortcut fired")
@@ -477,6 +483,15 @@ class TestFactorizationCounts:
         assert counts == {"eigh": 1, "svd": 2, "inv": 0, "solve": 0}
         assert r.diagnostics[-1].value is not None
 
+    def test_square_shortcut_leaves_the_memo_alone(self, monkeypatch):
+        # the class gate needs the eigenvalues of t and the shortcut one SVD
+        # of a; the kernel's factors are neither made nor stored
+        p = truncated_problem(8)
+        counts = count_linalg_calls(monkeypatch)
+        assert try_cor1_shortcut(p) is not None
+        assert counts == {"eigh": 1, "svd": 1, "inv": 0, "solve": 0}
+        assert minimizers._memo is None
+
 
 SHARED_OPERATORS = {
     "pd": lambda: random_pd_problem(12, 6, seed=5),
@@ -611,3 +626,73 @@ class TestFactorMemo:
         counts = count_linalg_calls(monkeypatch)
         solve(QpProblem(t, a, b))
         assert counts["eigh"] == 1
+
+
+def _random_unitary(rng, n, complex_entries):
+    g = rng.standard_normal((n, n))
+    if complex_entries:
+        g = g + 1j * rng.standard_normal((n, n))
+    return np.linalg.qr(g)[0]
+
+
+def _invariance_case(seed, n, m, psd, complex_entries):
+    """A feasible problem whose `t` has its nonzero spectrum in [1, 100].
+
+    A singular `t` has rank between 1 and n - 1.  Rounding ``c t`` or
+    ``u* t u`` perturbs `t` by an ulp, which moves `x` by about eps times
+    the condition number of `t` on its range; bounding that number at 100
+    keeps the comparison about the invariance, not about the conditioning.
+    """
+    rng = np.random.default_rng(seed)
+    rank = 1 + seed % (n - 1) if psd else n
+    q = _random_unitary(rng, n, complex_entries)
+    lam = np.zeros(n)
+    lam[:rank] = 10.0 ** rng.uniform(0.0, 2.0, rank)
+    t = (q * lam) @ q.conj().T
+    a = rng.standard_normal((m, n))
+    z = rng.standard_normal(rank)
+    if complex_entries:
+        a = a + 1j * rng.standard_normal((m, n))
+        z = z + 1j * rng.standard_normal(rank)
+    return (t + t.conj().T) / 2, a, a @ (q[:, :rank] @ z)
+
+
+def _relative_gap(x, ref):
+    return fro_norm(x - ref) / fro_norm(ref)
+
+
+invariance_cases = st.builds(
+    lambda seed, n, frac, psd, cplx: (seed, n, max(1, round(frac * n)), psd, cplx),
+    st.integers(0, 2**31 - 1),
+    st.integers(2, 30),
+    st.floats(0.0, 1.0),
+    st.booleans(),
+    st.booleans(),
+)
+
+
+class TestInvariance:
+    """The argmin of AUTO against the unscaled solve, not against an oracle.
+
+    The examples are drawn from a fixed seed: the constraint restricted to
+    the range of `t` is a random matrix, whose rare near-singular draws
+    would make a 1e-10 bound fail now and then for reasons of conditioning.
+    """
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=invariance_cases, exponent=st.floats(-150.0, 150.0))
+    def test_scaling_t(self, case, exponent):
+        t, a, b = _invariance_case(*case)
+        ref = solve(QpProblem(t, a, b)).xhat
+        x = solve(QpProblem(10.0**exponent * t, a, b)).xhat
+        assert _relative_gap(x, ref) <= 1e-10
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=invariance_cases)
+    def test_unitary_change_of_variables(self, case):
+        t, a, b = _invariance_case(*case)
+        u = _random_unitary(np.random.default_rng(case[0] + 1), t.shape[0], np.iscomplexobj(t))
+        ref = solve(QpProblem(t, a, b)).xhat
+        # t -> u* t u, a -> a u maps the minimizer x to u* x
+        x = solve(QpProblem(u.conj().T @ t @ u, a @ u, b)).xhat
+        assert _relative_gap(u @ x, ref) <= 1e-10

@@ -11,6 +11,7 @@ from qfmin import (
     minimize_posdef,
     minimize_psd_complement,
     null_basis,
+    quad_value,
     random_pd_problem,
     random_psd_problem,
     reduced_solve,
@@ -49,6 +50,14 @@ class TestKktSolve:
         r = kkt_solve(t, a, b)
         assert r.kkt_residual <= 1e-10
 
+    @pytest.mark.parametrize("c", [1e-100, 1e-8, 1e4, 1e8, 1e100])
+    def test_argmin_does_not_depend_on_the_scale_of_t(self, c):
+        t, a, b = random_pd_problem(30, 12, seed=0)
+        x = kkt_solve(t, a, b).x
+        r = kkt_solve(c * t, a, b)
+        assert np.linalg.norm(r.x - x) <= 1e-10 * np.linalg.norm(x)
+        assert r.min_value == pytest.approx(c * quad_value(t, x), rel=1e-10, abs=0)
+
     def test_reports_unsatisfiable_system(self):
         # b outside R(A) leaves the block system inconsistent
         a = np.array([[1.0, 0.0], [1.0, 0.0]])
@@ -71,6 +80,11 @@ class TestReducedSolve:
     def test_detects_unreachable_rhs(self):
         with pytest.raises(InfeasibleOnComplementError):
             reduced_solve(np.diag([1.0, 0.0]), np.array([[0.0, 1.0]]), np.array([1.0]))
+
+    @pytest.mark.parametrize("s", [1e-200, 1.0, 1e160])
+    def test_detects_unreachable_rhs_at_every_scale(self, s):
+        with pytest.raises(InfeasibleOnComplementError):
+            reduced_solve(np.diag([1.0, 0.0]), np.array([[0.0, 1.0]]), s * np.array([1.0]))
 
     def test_matches_solver_on_random_instance(self):
         t, a, b = random_psd_problem(9, 3, rank=6, seed=4)
@@ -118,6 +132,12 @@ class TestGridRefute:
     def test_rejects_infeasible_candidate(self):
         with pytest.raises(OracleError):
             grid_refute(np.eye(2), np.eye(2), np.ones(2), np.zeros(2), n_samples=10)
+
+    @pytest.mark.parametrize("s", [1e-200, 1.0, 1e160])
+    def test_rejects_infeasible_candidate_at_every_scale(self, s):
+        a = np.array([[1.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(OracleError):
+            grid_refute(np.eye(2), a, s * np.array([1.0, 2.0]), s * np.array([1.5, 0.0]), n_samples=10)
 
     def test_deterministic_given_seed(self):
         t, a, b = random_pd_problem(6, 2, seed=7)

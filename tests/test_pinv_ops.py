@@ -326,6 +326,35 @@ class TestPrincipalAngle:
         with pytest.raises(DimensionMismatchError):
             principal_angle_diag(np.eye(2), np.eye(3))
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_two_svd_construction(self, seed):
+        # reference: rotate N(a) onto its principal vectors, drop those in
+        # R(b), and take the largest cosine of the rest by a second SVD
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 13))
+        m, k = int(rng.integers(1, n)), int(rng.integers(1, n + 1))
+        a, b = rng.standard_normal((m, n)), rng.standard_normal((n, k))
+        if seed % 2:
+            a, b = a + 1j * rng.standard_normal((m, n)), b + 1j * rng.standard_normal((n, k))
+        if seed % 3 == 0:
+            # force a line of R(b) into N(a)
+            shared = b[:, 0] / np.linalg.norm(b[:, 0])
+            a = a - np.outer(a @ shared, shared.conj())
+        na, rb = null_basis(a), range_basis(b)
+        u_m, s_m, _ = np.linalg.svd(na.basis.conj().T @ rb.basis, full_matrices=True)
+        cosines = np.zeros(na.dim)
+        cosines[: s_m.size] = np.clip(s_m, 0.0, 1.0)
+        keep = cosines < 1.0 - n * np.finfo(float).eps
+        expected = np.pi / 2
+        if np.any(keep):
+            h = na.basis @ u_m[:, keep]
+            rest = np.linalg.svd(h.conj().T @ rb.basis, compute_uv=False)
+            expected = float(np.arccos(np.clip(rest[0], 0.0, 1.0)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NarrowAngleWarning)
+            angle = principal_angle_diag(a, b)
+        assert angle == pytest.approx(expected, abs=1e-12)
+
 
 class TestReverseOrder:
     def test_diagonal_pair(self):
