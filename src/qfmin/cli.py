@@ -160,7 +160,8 @@ def cmd_solve(args) -> int:
             oracle = reduced_solve(t, a, b, cfg)
         else:
             oracle = kkt_solve(t, a, b)
-        gap = abs(result.min_value - oracle.min_value) / max(1.0, abs(oracle.min_value))
+        scale = max(abs(result.min_value), abs(oracle.min_value))
+        gap = abs(result.min_value - oracle.min_value) / scale if scale else 0.0
         document["verify"] = {"oracle_min": oracle.min_value, "oracle_gap": gap}
     print(emit_json(document))
     return 0

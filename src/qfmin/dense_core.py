@@ -132,6 +132,7 @@ def eigh(a) -> EigResult:
         w, q = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(f"eigh did not converge: {exc}") from exc
+    del sym  # freed before the guard builds its n-by-n temporaries
     result = EigResult(q=q, eigenvalues=w)
     if norm > 0:
         residual = fro_norm(result.reconstruct() - arr)

@@ -2,13 +2,14 @@
 
 One kernel computes ``x = W pinv(A W) b``, ``W = Q_r Λ_r^{-1/2}``, from one
 eigendecomposition of T (only its range for a singular semidefinite T, which
-minimizes over the orthogonal complement of the kernel) and one thin SVD of
-``A W``.  Those factors depend on ``(T, A)`` only, so the last operator's
-are kept and a further ``b`` needs no factorization, only O(n^2 + nm)
-work to recognise the operator and apply them.  The square-root route
-``inv(R) pinv(A inv(R)) b`` stays literal and uncached as an independent
-reference, a Lat-invariance shortcut collapses the solution to
-``pinv(A) b``, and ``min_norm_ls`` is the unconstrained baseline.
+minimizes over the orthogonal complement of the kernel) and one QR
+``(A W)* = Q R``: ``pinv(A W) = Q R^{-*}`` when ``A W`` has full row rank,
+otherwise an SVD of the small R.  Those factors depend on ``(T, A)`` only,
+so the last operator's are kept and a further ``b`` needs no factorization,
+only O(n^2 + nm) work to recognise the operator and apply them.  The
+square-root route ``inv(R) pinv(A inv(R)) b`` stays literal and uncached as
+an independent reference, a Lat-invariance shortcut collapses the solution
+to ``pinv(A) b``, and ``min_norm_ls`` is the unconstrained baseline.
 """
 
 from __future__ import annotations
@@ -18,11 +19,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import DEFAULT_TOL, FEAS_TOL, HTOL, WARN_RATIO, ToleranceConfig
+from .config import DEFAULT_TOL, FEAS_TOL, HTOL, KTOL, WARN_RATIO, ToleranceConfig
 from .dense_core import EigResult, as_matrix, as_vector, eigh, fro_norm, svd
 from .errors import (
     Diagnostic,
     DimensionMismatchError,
+    FactorizationError,
     InfeasibleError,
     InfeasibleOnComplementError,
     NotHermitianError,
@@ -32,7 +34,6 @@ from .errors import (
     NotSingularError,
 )
 from .pinv_ops import (
-    _kept_svd,
     ep_decompose,  # noqa: F401  kept bound: perfbench/tracing.py wraps it
     pinv,
     pinv_with_rank,
@@ -138,12 +139,12 @@ def min_norm_ls(a, b, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 
 
 def feasible(a, b, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """Whether `b` lies in the range of `a`, by the kernel's `_range_coefficients` test."""
+    """Whether `b` lies in the range of `a`, by the kernel's `_in_range` test."""
     arr = as_matrix(a)
     vec = as_vector(b)
     if vec.shape[0] != arr.shape[0]:
         raise DimensionMismatchError("b length must match the rows of a")
-    return _range_coefficients(range_basis(arr, cfg).basis, vec) is not None
+    return _in_range(range_basis(arr, cfg).basis, vec)
 
 
 def classify_spectrum(eigenvalues, cfg: ToleranceConfig = DEFAULT_TOL) -> SpectrumClass:
@@ -164,9 +165,9 @@ def classify_spectrum(eigenvalues, cfg: ToleranceConfig = DEFAULT_TOL) -> Spectr
     return SpectrumClass.PSD_SINGULAR
 
 
-def _constraint_note(p: QpProblem, decision) -> Diagnostic:
+def _constraint_note(p: QpProblem, rank: int) -> Diagnostic:
     """Rank of the rescaled constraint ``a W``; full rank of a square `a` is trivial."""
-    if p.a.shape[0] == p.a.shape[1] == decision.rank:
+    if p.a.shape[0] == p.a.shape[1] == rank:
         return Diagnostic(
             code="trivial_constraint",
             message=(
@@ -176,7 +177,7 @@ def _constraint_note(p: QpProblem, decision) -> Diagnostic:
     return Diagnostic(
         code="reduced_rank",
         message="numerical rank of the rescaled constraint matrix",
-        value=float(decision.rank),
+        value=float(rank),
     )
 
 
@@ -206,23 +207,22 @@ def _require_positive(cls: SpectrumClass) -> None:
 class _Factors:
     """Everything a solve takes from ``(t, a, tol)`` alone.
 
-    `t` and `a` are private copies: with `tol` they are the memo's key.  `w`
-    and `q` are the kept eigenpairs of `t` (all of them for a definite `t`,
-    the range for a singular one), and `u`, `sigma`, `v` the kept thin SVD
-    factors of ``a W``, ``W = q Λ^{-1/2}``.  `spectra` lists the ``(sigma,
-    dim)`` of every rank decision in order, replayed on a hit so that it
-    warns as the miss did.
+    `t` and `a` are private copies: with `tol` they are the memo's key.
+    `root` is ``W = q Λ^{-1/2}`` from the kept eigenpairs of `t` (all of them
+    for a definite `t`, the range for a singular one), and `u`, `v`, `g` are
+    the `_row_factors` of ``a W``.  `spectra` lists the ``(sigma, dim)`` of
+    every rank decision in order, replayed on a hit so that it warns as the
+    miss did.
     """
 
     t: np.ndarray
     a: np.ndarray
     tol: ToleranceConfig
     cls: SpectrumClass
-    w: np.ndarray
-    q: np.ndarray
-    u: np.ndarray
-    sigma: np.ndarray
+    root: np.ndarray
+    u: np.ndarray | None
     v: np.ndarray
+    g: np.ndarray
     notes: tuple[Diagnostic, ...]
     spectra: tuple[tuple[np.ndarray, int], ...]
 
@@ -274,8 +274,32 @@ def _range_eigenpairs(eig: EigResult, cls: SpectrumClass, decide):
     return w[keep], q[:, keep]
 
 
+def _row_factors(x: np.ndarray, decide, inverse: bool = False):
+    """``(rank, u, v, g)`` with ``pinv(x) = v @ g``; `b` is in range iff `u` admits it.
+
+    A guarded QR ``x* = Q R`` and the singular values of `R` (those of `x`)
+    make the one rank decision.  Full row rank gives ``u = None`` (every
+    `b` is in range), ``v = Q`` and ``g = R^{-*}``; otherwise the guarded
+    SVD ``R = U_R Σ V_R*`` gives ``u = V_R``, ``v = Q U_R``, ``g = Σ^{-1} u*``.
+    `g` is None unless `inverse`.
+    """
+    xh = as_matrix(x).conj().T
+    q, r = np.linalg.qr(xh)
+    residual = q @ r
+    residual -= xh
+    if not fro_norm(residual) <= KTOL * fro_norm(xh):
+        raise FactorizationError(f"QR reconstruction residual exceeds {KTOL:.1e} * ||x||")
+    del residual
+    k = decide(np.linalg.svd(r, compute_uv=False), max(x.shape)).rank
+    if k == x.shape[0]:
+        return k, None, q, np.linalg.inv(r.conj().T) if inverse else None
+    fact = svd(r, full_matrices=False)
+    u = fact.v[:, :k]
+    return k, u, q @ fact.u[:, :k], (u / fact.sigma[:k]).conj().T if inverse else None
+
+
 def _factorize(p: QpProblem, gate) -> _Factors:
-    """One guarded `eigh` of `t` and one thin guarded SVD of ``a W``.
+    """One guarded `eigh` of `t` and the `_row_factors` of ``a W``.
 
     For a singular `t` only the range is kept (`_range_eigenpairs`), and
     the conditioning of that reduction is noted.
@@ -291,50 +315,42 @@ def _factorize(p: QpProblem, gate) -> _Factors:
         return rank_decide(sigma, cfg, dim=dim)
 
     w, q = _range_eigenpairs(eig, cls, decide)
-    fact = svd(p.a @ (q / np.sqrt(w)), full_matrices=False)
-    decision = decide(fact.sigma, max(p.a.shape))
-    notes = [_constraint_note(p, decision)]
+    root = q / np.sqrt(w)
+    rank, u, v, g = _row_factors(p.a @ root, decide, inverse=True)
+    notes = [_constraint_note(p, rank)]
     if cls is SpectrumClass.PSD_SINGULAR:
         notes.extend(_complement_conditioning(p, q, decide))
-    k = decision.rank
     return _Factors(
         t=p.t.copy(),
         a=p.a.copy(),
         tol=cfg,
         cls=cls,
-        w=w,
-        q=q,
-        u=fact.u[:, :k],
-        sigma=fact.sigma[:k],
-        v=fact.v[:, :k],
+        root=root,
+        u=u,
+        v=v,
+        g=g,
         notes=tuple(notes),
         spectra=tuple(spectra),
     )
 
 
-def _range_coefficients(u: np.ndarray, b: np.ndarray):
-    """``u* b`` for orthonormal `u`, or None when `b` lies outside ``range(u)``.
+def _in_range(u: np.ndarray, b: np.ndarray) -> bool:
+    """Whether `b` lies in ``range(u)`` for orthonormal `u`.
 
     The test is ``||b - u u* b|| <= FEAS_TOL * ||b||``, so it is scale-free
     and ``b = 0`` passes.
     """
-    coeff = u.conj().T @ b
-    if fro_norm(b - u @ coeff) > FEAS_TOL * fro_norm(b):
-        return None
-    return coeff
+    return fro_norm(b - u @ (u.conj().T @ b)) <= FEAS_TOL * fro_norm(b)
 
 
 def _apply(p: QpProblem, f: _Factors, method: Method) -> MinimizationResult:
     """``x = W pinv(a W) b`` and the minimum ``||pinv(a W) b||^2`` from `f`."""
-    coeff = _range_coefficients(f.u, p.b)
-    if coeff is None:
+    if f.u is not None and not _in_range(f.u, p.b):
         if f.cls is SpectrumClass.PSD_SINGULAR:
-            raise InfeasibleOnComplementError(
-                "no point of the kernel complement satisfies a x = b"
-            )
+            raise InfeasibleOnComplementError("no point of the kernel complement satisfies a x = b")
         raise InfeasibleError("b is not in the range of a; the constraint set is empty")
-    y = f.v @ (coeff / f.sigma)
-    xhat = f.q @ (y / np.sqrt(f.w))
+    y = f.v @ (f.g @ p.b)
+    xhat = f.root @ y
     return MinimizationResult(
         xhat=xhat,
         min_value=float(np.real(np.vdot(y, y))),
@@ -375,7 +391,7 @@ def minimize_posdef(p: QpProblem) -> MinimizationResult:
         min_value=float(np.real(np.vdot(y, y))),
         feasibility_residual=fro_norm(p.a @ xhat - p.b),
         method=Method.POSDEF,
-        diagnostics=(_constraint_note(p, decision),),
+        diagnostics=(_constraint_note(p, decision.rank),),
     )
 
 
@@ -383,19 +399,16 @@ def _cor1_xhat(p: QpProblem) -> np.ndarray | None:
     """``pinv(a) b`` for a square `a` with both ranges invariant under `t`, else None.
 
     Both bases, the feasibility test (InfeasibleError when it fails) and
-    ``pinv(a) b`` come from one SVD of `a`.
+    ``pinv(a) b`` come from `_row_factors`; an invertible `a` passes both.
     """
     if p.a.shape[0] != p.a.shape[1]:
         return None
-    fact, decision = _kept_svd(p.a, p.tol)
-    rank = decision.rank
-    u, v = fact.u[:, :rank], fact.v[:, :rank]
-    if not all(lat_invariant(SubspaceBasis(s, p.dim), p.t) for s in (u, v)):
+    _, u, v, g = _row_factors(p.a, lambda s, d: rank_decide(s, p.tol, dim=d), inverse=True)
+    if u is not None and not all(lat_invariant(SubspaceBasis(s, p.dim), p.t) for s in (u, v)):
         return None
-    coeff = _range_coefficients(u, p.b)
-    if coeff is None:
+    if u is not None and not _in_range(u, p.b):
         raise InfeasibleError("b is not in the range of a; the constraint set is empty")
-    return v @ (coeff / fact.sigma[:rank])
+    return v @ (g @ p.b)
 
 
 def try_cor1_shortcut(p: QpProblem) -> MinimizationResult | None:
@@ -451,9 +464,8 @@ def _complement_conditioning(p: QpProblem, range_t, decide) -> list[Diagnostic]:
     angles between them; tiny kept values signal a nearly-degenerate
     reduction.  `decide` makes and records each rank decision.
     """
-    fact = svd(p.a, full_matrices=False)
-    rank_a = decide(fact.sigma, max(p.a.shape)).rank
-    sigma = np.linalg.svd(fact.v[:, :rank_a].conj().T @ range_t, compute_uv=False)
+    row_a = _row_factors(p.a, decide)[2]
+    sigma = np.linalg.svd(row_a.conj().T @ range_t, compute_uv=False)
     decision = decide(sigma, p.dim)
     notes = []
     smax = float(sigma[0]) if sigma.size else 0.0

@@ -122,9 +122,9 @@ def grid_refute(
     `a` intersected with the column space of `t` (the whole null space for
     a definite `t`, the kernel complement the solver minimizes over for a
     singular one) at log-spaced step sizes and evaluates the quadratic form
-    on each.  Returns True when no sample attains less than the candidate
-    value minus ``1e-10``, i.e. the candidate survives the refutation
-    attempt.  A candidate off ``a x = b`` by more than ``FEAS_TOL * ||b||``
+    on each.  Returns True when no sample falls below the candidate value by
+    more than ``1e-10`` of its magnitude, i.e. the candidate survives the
+    refutation attempt.  A candidate off ``a x = b`` by more than ``FEAS_TOL * ||b||``
     raises OracleError.
     """
     tm = as_matrix(t)
@@ -149,7 +149,8 @@ def grid_refute(
     coeffs = coeffs / norms * steps * scale
     samples = xc[None, :] + coeffs @ directions.T
     values = np.einsum("ij,jk,ik->i", samples.conj(), tm, samples).real
-    return not bool(np.any(values < quad_value(tm, xc) - REFUTE_MARGIN))
+    value = quad_value(tm, xc)
+    return not bool(np.any(values < value - REFUTE_MARGIN * abs(value)))
 
 
 def random_pd_problem(

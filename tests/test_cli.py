@@ -3,7 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from qfmin import principal_angle_diag, random_pd_problem, random_psd_problem, reverse_order_holds
+from qfmin import (
+    OracleResult,
+    kkt_solve,
+    principal_angle_diag,
+    random_pd_problem,
+    random_psd_problem,
+    reverse_order_holds,
+)
+from qfmin import cli
 from qfmin.cli import main
 
 SINGULAR_FORM = {
@@ -24,18 +32,6 @@ def nested(arr):
     if np.iscomplexobj(arr):
         return np.stack([arr.real, arr.imag], axis=-1).tolist()
     return arr.tolist()
-
-
-def count_linalg(monkeypatch):
-    """Count the numpy.linalg factorizations made while the test runs."""
-    calls = {"eigh": 0, "svd": 0, "inv": 0}
-    for name in calls:
-        def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
-            calls[_name] += 1
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
-    return calls
 
 
 def run(capsys, *argv):
@@ -79,8 +75,30 @@ class TestSolve:
         assert (code, err) == (0, "")
         doc = json.loads(out)
         assert doc["verify"]["oracle_gap"] <= 1e-12
-        # oracle_gap is absolute below a minimum of 1, so also compare relatively
         assert doc["verify"]["oracle_min"] == pytest.approx(doc["min_value"], rel=1e-10, abs=0)
+
+    def test_verify_gap_is_relative(self, tmp_path, capsys, monkeypatch):
+        # at T·1e-100 the minimum is about 1e-98; an oracle off by a factor
+        # of 2 must read as a gap of 1/2, not as 1e-98
+        t, a, b = random_pd_problem(30, 12, seed=0)
+        path = write(tmp_path, {"t": (1e-100 * t).tolist(), "a": a.tolist(), "b": b.tolist()})
+        _, out, _ = run(capsys, "solve", "--problem", path, "--verify")
+        verify = json.loads(out)["verify"]
+        assert 0 < verify["oracle_min"] < 1e-97 and verify["oracle_gap"] <= 1e-12
+
+        def doubled(*args):
+            right = kkt_solve(*args)
+            return OracleResult(right.x, 2.0 * right.min_value, right.kkt_residual)
+
+        monkeypatch.setattr(cli, "kkt_solve", doubled)
+        _, out, _ = run(capsys, "solve", "--problem", path, "--verify")
+        assert json.loads(out)["verify"]["oracle_gap"] == pytest.approx(0.5, rel=1e-12)
+
+    def test_verify_gap_is_zero_at_zero_minimum(self, tmp_path, capsys):
+        t, a, _ = random_pd_problem(6, 2, seed=1)
+        path = write(tmp_path, {"t": t.tolist(), "a": a.tolist(), "b": [0.0, 0.0]})
+        _, out, _ = run(capsys, "solve", "--problem", path, "--verify")
+        assert json.loads(out)["verify"] == {"oracle_min": 0.0, "oracle_gap": 0.0}
 
     def test_auto_dispatch_matches_direct(self, tmp_path, capsys):
         path = write(tmp_path, SINGULAR_FORM)
@@ -254,26 +272,26 @@ class TestCheck:
         ],
         ids=["pd", "psd-complex"],
     )
-    def test_factors_t_once(self, tmp_path, capsys, monkeypatch, problem, svd_calls):
+    def test_factors_t_once(self, tmp_path, capsys, count_linalg, problem, svd_calls):
         t, a, b = problem()
         doc = {"t": nested(t), "a": nested(a), "b": nested(b)}
         path = write(tmp_path, doc)
-        calls = count_linalg(monkeypatch)
+        calls = count_linalg()
         code, _, _ = run(capsys, "check", "--problem", path)
         assert code == 0
         # the reverse-order test makes 3 SVDs and the angle 3, whether or
         # not N(A) is inside R(T^{+1/2})
-        assert calls == {"eigh": 1, "svd": svd_calls, "inv": 0}
+        assert calls == {"eigh": 1, "svd": svd_calls, "qr": 0, "inv": 0, "solve": 0}
 
-    def test_non_hermitian_factors_once(self, tmp_path, capsys, monkeypatch):
+    def test_non_hermitian_factors_once(self, tmp_path, capsys, count_linalg):
         path = write(tmp_path, {"t": [[1, 1e-9], [0, 1e-12]], "a": [[1, 0]], "b": [1]})
-        calls = count_linalg(monkeypatch)
+        calls = count_linalg()
         code, out, _ = run(capsys, "check", "--problem", path)
         assert code == 0
         doc = json.loads(out)
         assert (doc["ep"], doc["rank"], doc["positivity_class"]) == (True, 2, "non-hermitian")
         assert [d["code"] for d in doc["diagnostics"]] == ["ill_conditioning"]
-        assert calls == {"eigh": 0, "svd": 1, "inv": 0}
+        assert calls == {"eigh": 0, "svd": 1, "qr": 0, "inv": 0, "solve": 0}
 
     def test_non_ep_at_large_scale(self, tmp_path, capsys):
         path = write(tmp_path, {"t": [[0, 1e11], [0, 0]], "a": [[1, 0]], "b": [1]})

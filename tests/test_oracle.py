@@ -124,6 +124,15 @@ class TestGridRefute:
         d = null_basis(a).basis[:, 0]
         assert not grid_refute(t, a, b, xhat + 0.1 * d, n_samples=5_000)
 
+    @pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
+    def test_refutes_at_every_scale_of_t(self, scale):
+        # the margin is relative to the candidate's value, which scales with t
+        t, a, b = random_pd_problem(8, 3, seed=6)
+        xhat = minimize_posdef(QpProblem(t=t, a=a, b=b)).xhat
+        d = null_basis(a).basis[:, 0]
+        assert not grid_refute(scale * t, a, b, xhat + 0.1 * d, n_samples=5_000)
+        assert grid_refute(scale * t, a, b, xhat, n_samples=5_000)
+
     def test_invertible_constraint_trivially_stands(self):
         a = np.eye(3)
         b = np.ones(3)
