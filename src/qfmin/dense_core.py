@@ -43,12 +43,29 @@ def as_vector(b) -> np.ndarray:
     return arr
 
 
+# Band in which the plain norm is trusted: its square lies in (1e-300, 1e300),
+# so no partial sum overflowed, and squares lost to underflow moved it by at
+# most ``size * 2**-1074``, negligible next to 1e-300.
+_PLAIN_NORM_BAND = (1e-150, 1e150)
+
+
 def fro_norm(a) -> float:
-    """Frobenius norm taken after dividing by the max-abs entry, so it cannot
-    overflow or underflow at any float64 scale."""
+    """Frobenius norm, correct at any float64 scale.
+
+    One BLAS pass when the plain norm lies in `_PLAIN_NORM_BAND`; outside
+    it (which includes an exactly zero `a`) the norm is taken after dividing
+    the moduli by the largest, so it cannot overflow or underflow.  The
+    moduli are real: a complex array divided by a subnormal scale would
+    overflow inside the complex division.
+    """
     arr = np.asarray(a)
-    scale = float(np.max(np.abs(arr))) if arr.size else 0.0
-    return scale * float(np.linalg.norm(arr / scale)) if 0 < scale < np.inf else scale
+    with np.errstate(over="ignore", under="ignore"):
+        plain = float(np.linalg.norm(arr))
+    if _PLAIN_NORM_BAND[0] < plain < _PLAIN_NORM_BAND[1]:
+        return plain
+    mag = np.abs(arr)
+    scale = float(np.max(mag)) if arr.size else 0.0
+    return scale * float(np.linalg.norm(mag / scale)) if 0 < scale < np.inf else scale
 
 
 def adjoint(a) -> np.ndarray:

@@ -89,12 +89,16 @@ class QpProblem:
             raise DimensionMismatchError(
                 f"b has length {b.shape[0]} but a has {a.shape[0]} rows"
             )
-        norm = fro_norm(t)
-        herm = fro_norm(t - t.conj().T)
-        if herm > HTOL * norm:
-            raise NotHermitianError(
-                f"t deviates from its adjoint by {herm:.3e} (norm {norm:.3e})"
-            )
+        # The memo's `t` is a copy of an array that passed this same gate
+        # in `eigh`, and the verdict depends on the entries alone.
+        entry = _memo
+        if entry is None or not _same(entry.t, t):
+            norm = fro_norm(t)
+            herm = fro_norm(t - t.conj().T)
+            if herm > HTOL * norm:
+                raise NotHermitianError(
+                    f"t deviates from its adjoint by {herm:.3e} (norm {norm:.3e})"
+                )
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -207,7 +211,9 @@ def _require_positive(cls: SpectrumClass) -> None:
 class _Factors:
     """Everything a solve takes from ``(t, a, tol)`` alone.
 
-    `t` and `a` are private copies: with `tol` they are the memo's key.
+    `t` and `a` are private copies: with `tol` they are the memo's key.  `t`
+    is copied from the array that `eigh` gated, in the same `_factorize`
+    call, so an equal `t` needs no second Hermitian gate in `QpProblem`.
     `root` is ``W = q Λ^{-1/2}`` from the kept eigenpairs of `t` (all of them
     for a definite `t`, the range for a singular one), and `u`, `v`, `g` are
     the `_row_factors` of ``a W``.  `spectra` lists the ``(sigma, dim)`` of
@@ -321,6 +327,8 @@ def _factorize(p: QpProblem, gate) -> _Factors:
     if cls is SpectrumClass.PSD_SINGULAR:
         notes.extend(_complement_conditioning(p, q, decide))
     return _Factors(
+        # copied last, once the factorizations have freed their workspace,
+        # so that the copy does not raise the peak memory of a miss
         t=p.t.copy(),
         a=p.a.copy(),
         tol=cfg,

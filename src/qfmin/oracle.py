@@ -75,7 +75,11 @@ def reduced_solve(t, a, b, cfg: ToleranceConfig = DEFAULT_TOL) -> OracleResult:
 
     Parametrizes ``x = basis @ z`` over an orthonormal basis of the column
     space of `t`, which turns the restricted problem into an ordinary
-    positive definite one in `z`, then defers to `kkt_solve`.
+    positive definite one in `z`, then defers to `kkt_solve`.  Only the
+    constraint rows that the SVD of ``a_red = a @ basis`` keeps go to
+    `kkt_solve` (``rows* a_red z = rows* b``, `rows` the kept left singular
+    vectors), so more constraints than rank(`t`) do not leave it a
+    dependent block system.
     """
     tm = as_matrix(t)
     am = as_matrix(a)
@@ -83,12 +87,14 @@ def reduced_solve(t, a, b, cfg: ToleranceConfig = DEFAULT_TOL) -> OracleResult:
     basis = range_basis(tm, cfg).basis
     a_red = am @ basis
     t_red = adjoint(basis) @ tm @ basis
-    gram = a_red @ np.linalg.pinv(a_red)
-    if fro_norm(gram @ bv - bv) > FEAS_TOL * fro_norm(bv):
+    rows = range_basis(a_red, cfg).basis
+    rows_h = adjoint(rows)
+    kept_b = rows_h @ bv
+    if fro_norm(rows @ kept_b - bv) > FEAS_TOL * fro_norm(bv):
         raise InfeasibleOnComplementError(
             "b is not reachable from the kernel complement of t"
         )
-    reduced = kkt_solve(t_red, a_red, bv)
+    reduced = kkt_solve(t_red, rows_h @ a_red, kept_b)
     x = basis @ reduced.x
     return OracleResult(
         x=x, min_value=quad_value(tm, x), kkt_residual=reduced.kkt_residual

@@ -26,3 +26,23 @@ def count_linalg(monkeypatch):
         return calls
 
     return start
+
+
+@pytest.fixture
+def more_rows_than_rank():
+    """Draws a feasible singular problem with 8 constraints on a `t` of rank 5.
+
+    The nonzero spectrum of `t` is ``logspace(0, 8, 5)`` and ``b = a Q_r z``;
+    the value is the function of the seed.
+    """
+
+    def draw(seed):
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((12, 12)))
+        lam = np.zeros(12)
+        lam[:5] = np.logspace(0, 8, 5)
+        t = (q * lam) @ q.T
+        a = rng.standard_normal((8, 12))
+        return (t + t.T) / 2, a, a @ (q[:, :5] @ rng.standard_normal(5))
+
+    return draw

@@ -77,6 +77,15 @@ class TestSolve:
         assert doc["verify"]["oracle_gap"] <= 1e-12
         assert doc["verify"]["oracle_min"] == pytest.approx(doc["min_value"], rel=1e-10, abs=0)
 
+    def test_verify_more_constraints_than_rank(self, tmp_path, capsys, more_rows_than_rank):
+        # a t of rank 5 leaves 3 of the 8 rows of a Q_r dependent, and a
+        # block system that keeps them is unsatisfiable to 1e-10
+        t, a, b = more_rows_than_rank(0)
+        path = write(tmp_path, {"t": t.tolist(), "a": a.tolist(), "b": b.tolist()})
+        code, out, _ = run(capsys, "solve", "--problem", path, "--verify")
+        assert code == 0
+        assert json.loads(out)["verify"]["oracle_gap"] <= 1e-6
+
     def test_verify_gap_is_relative(self, tmp_path, capsys, monkeypatch):
         # at T·1e-100 the minimum is about 1e-98; an oracle off by a factor
         # of 2 must read as a gap of 1/2, not as 1e-98

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qfmin import (
@@ -12,6 +16,7 @@ from qfmin import (
     eigh,
     svd,
 )
+from qfmin.dense_core import fro_norm
 
 EXAMPLE2_Q = np.array([[14.0, 20, 28], [20, 83, 40], [28, 40, 56]])
 
@@ -43,6 +48,67 @@ class TestCoercion:
     def test_as_vector_rejects_nan(self):
         with pytest.raises(ValueError):
             as_vector([np.nan, 1.0])
+
+
+_EPS = float(np.finfo(np.float64).eps)
+
+
+@st.composite
+def extreme_arrays(draw):
+    """Real or complex vectors and matrices at scales from 1e-300 to 1e300.
+
+    Besides entries of one scale: all zeros, subnormals only, and one huge
+    entry among tiny ones.
+    """
+    shape = draw(
+        st.one_of(
+            st.tuples(st.integers(1, 40)),
+            st.tuples(st.integers(1, 8), st.integers(1, 8)),
+        )
+    )
+    size = int(np.prod(shape))
+    kind = draw(st.sampled_from(["scaled", "zero", "subnormal", "huge-among-tiny"]))
+
+    def entries():
+        if kind == "zero":
+            return np.zeros(size)
+        if kind == "subnormal":
+            # integer multiples of the smallest subnormal, below the smallest normal
+            ints = draw(st.lists(st.integers(-(2**52) + 1, 2**52 - 1), min_size=size, max_size=size))
+            return np.array(ints, dtype=np.float64) * 5e-324
+        mantissas = st.floats(-1.0, 1.0, allow_nan=False)
+        x = np.array(draw(st.lists(mantissas, min_size=size, max_size=size)))
+        return x * 10.0 ** draw(st.integers(-300, 300))
+
+    arr = entries()
+    if draw(st.booleans()):
+        arr = arr + 1j * entries()
+    if kind == "huge-among-tiny":
+        arr[draw(st.integers(0, size - 1))] = 10.0 ** draw(st.integers(100, 300))
+    return arr.reshape(shape)
+
+
+class TestFroNorm:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(arr=extreme_arrays())
+    def test_matches_the_scaled_form(self, arr):
+        # the real and imaginary parts as one real vector, whose scaled
+        # form needs no complex division
+        parts = np.concatenate([arr.real.ravel(), arr.imag.ravel()])
+        scale = float(np.max(np.abs(parts)))
+        ref = scale * float(np.linalg.norm(parts / scale)) if scale else 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = fro_norm(arr)
+        assert abs(got - ref) <= 4 * _EPS * ref
+
+    def test_empty(self):
+        assert fro_norm(np.zeros((0, 3))) == 0.0
+
+    def test_complex_subnormal(self):
+        # a complex division by a subnormal scale overflows to nan
+        assert fro_norm(np.array([0, 5e-324j])) == 5e-324
+        assert fro_norm(np.array([3e-320 + 4e-320j])) == pytest.approx(5e-320, rel=1e-3)
 
 
 class TestAdjoint:

@@ -80,12 +80,21 @@ class TestQpProblem:
 
     @pytest.mark.parametrize("scale", [1e160, 1e-170, 1e-200])
     def test_hermitian_gate_at_extreme_scales(self, scale):
-        # ||t|| overflows (or underflows) when taken without rescaling
-        a, b = np.array([[1.0, 1.0]]), np.array([scale])
+        check_hermitian_gate_at(scale)
+
+    def test_hermitian_gate_on_complex_subnormals(self):
+        # a nan ||t|| would pass the gate: no comparison with nan rejects
         with pytest.raises(NotHermitianError):
-            QpProblem(t=scale * np.array([[2.0, 1], [0, 2]]), a=a, b=b)
-        p = QpProblem(t=scale * np.array([[2.0, 1], [1, 2]]), a=a, b=b)
-        assert_allclose(solve(p).xhat, [scale / 2, scale / 2], rtol=1e-12)
+            QpProblem(t=5e-324 * np.array([[2, 1j], [0, 2]]), a=np.eye(2), b=np.zeros(2))
+
+
+def check_hermitian_gate_at(scale):
+    # ||t|| overflows (or underflows) when taken without rescaling
+    a, b = np.array([[1.0, 1.0]]), np.array([scale])
+    with pytest.raises(NotHermitianError):
+        QpProblem(t=scale * np.array([[2.0, 1], [0, 2]]), a=a, b=b)
+    p = QpProblem(t=scale * np.array([[2.0, 1], [1, 2]]), a=a, b=b)
+    assert_allclose(solve(p).xhat, [scale / 2, scale / 2], rtol=1e-12)
 
 
 class TestMinNormLs:
@@ -613,6 +622,59 @@ class TestFactorMemo:
         solve(q)
         with pytest.raises(NotSingularError):
             minimize_psd_complement(q)
+
+    @pytest.fixture
+    def gated(self, monkeypatch):
+        """Constructs a QpProblem; True when that ran the Hermitian gate on `t`."""
+        shapes = []
+
+        def counted(x):
+            shapes.append(np.shape(x))
+            return fro_norm(x)
+
+        monkeypatch.setattr(minimizers, "fro_norm", counted)
+
+        def construct(t, a, b):
+            shapes.clear()
+            QpProblem(t, a, b)
+            return t.shape in shapes
+
+        return construct
+
+    def test_hit_skips_the_hermitian_gate(self, gated):
+        t, a, b = random_pd_problem(12, 6, seed=5)
+        assert gated(t, a, b)
+        solve(QpProblem(t, a, b))
+        assert not gated(t.copy(), a, fresh_rhs(t, a, seed=1))
+        # equal values in another dtype are another key
+        assert gated(t.astype(np.complex128), a, b)
+
+    def test_non_hermitian_entry_of_the_memo_shape_is_gated(self):
+        t, a, b = random_pd_problem(12, 6, seed=5)
+        solve(QpProblem(t, a, b))
+        bent = t.copy()
+        bent[0, 1] += 1.0
+        with pytest.raises(NotHermitianError):
+            QpProblem(bent, a, b)
+
+    def test_caller_mutation_in_place_is_gated(self):
+        t, a, b = random_pd_problem(12, 6, seed=5)
+        solve(QpProblem(t, a, b))
+        t[0, 1] += 1.0  # the memo holds its own copy of t
+        with pytest.raises(NotHermitianError):
+            QpProblem(t, a, b)
+
+    def test_gate_runs_after_a_failed_factor_stage(self, gated):
+        t, a, b = np.diag([1.0, -1.0]), np.ones((1, 2)), np.ones(1)
+        with pytest.raises(NotPositiveError):
+            solve(QpProblem(t, a, b))
+        assert gated(t, a, b)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-170, 1e-200])
+    def test_hermitian_gate_at_extreme_scales_with_a_warm_memo(self, scale):
+        t = scale * np.array([[2.0, 1], [1, 2]])
+        solve(QpProblem(t, np.array([[1.0, 0.0]]), np.array([scale])))
+        check_hermitian_gate_at(scale)
 
     def test_failed_factor_stage_releases_the_slot(self, count_linalg):
         t, a, b = random_pd_problem(8, 3, seed=9)
