@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 parse/IO/usage errors, 2 infeasible constraint
 sets, 3 operator-property failures (not Hermitian, not positive, not
-semidefinite, or a failed verification).  Stdout carries only the JSON
-result document; messages go to stderr.
+semidefinite, a factorization that failed its guard, or a failed
+verification).  Stdout carries only the JSON result document; messages go
+to stderr.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 
 from .dense_core import as_matrix, eigh
 from .errors import (
+    FactorizationError,
     IllConditioningWarning,
     NarrowAngleWarning,
     NotEpError,
@@ -243,7 +245,9 @@ def main(argv=None) -> int:
     except InfeasibleError as exc:
         print(f"qfmin: infeasible: {exc}", file=sys.stderr)
         return 2
-    except (PositivityError, NotHermitianError, NotEpError, OracleError) as exc:
+    except (
+        PositivityError, NotHermitianError, NotEpError, OracleError, FactorizationError
+    ) as exc:
         print(f"qfmin: operator property failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

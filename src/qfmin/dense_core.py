@@ -1,4 +1,4 @@
-"""Dense matrix values and the two factorizations the rest of the library uses.
+"""Dense matrix values and the three factorizations the rest of the library uses.
 
 Matrices and vectors are plain numpy arrays in float64 or complex128,
 validated on entry (finite values, consistent shapes).  All operations are
@@ -15,7 +15,7 @@ from .errors import DimensionMismatchError, FactorizationError, NotHermitianErro
 
 # Hermitian pre-check, ``||a - a*|| <= HTOL * ||a||``.
 HTOL = 1e-10
-# Factorization reconstruction guard (SVD and eigendecomposition).
+# Factorization reconstruction guard (SVD, QR and eigendecomposition).
 KTOL = 1e-10
 
 
@@ -52,25 +52,58 @@ _PLAIN_NORM_BAND = (1e-150, 1e150)
 def fro_norm(a) -> float:
     """Frobenius norm, correct at any float64 scale.
 
-    One BLAS pass when the plain norm lies in `_PLAIN_NORM_BAND`; outside
-    it (which includes an exactly zero `a`) the norm is taken after dividing
-    the moduli by the largest, so it cannot overflow or underflow.  The
-    moduli are real: a complex array divided by a subnormal scale would
-    overflow inside the complex division.
+    One BLAS pass when the plain norm lies in `_PLAIN_NORM_BAND`, and 0.0
+    for an exactly zero `a`; otherwise the norm is taken over the real and
+    imaginary parts divided by the largest of them, so it cannot overflow
+    or underflow.  Parts rather than moduli: `np.abs` would round each
+    modulus to the subnormal grid, and a complex division by a subnormal
+    scale would overflow.
     """
     arr = np.asarray(a)
     with np.errstate(over="ignore", under="ignore"):
         plain = float(np.linalg.norm(arr))
     if _PLAIN_NORM_BAND[0] < plain < _PLAIN_NORM_BAND[1]:
         return plain
-    mag = np.abs(arr)
-    scale = float(np.max(mag)) if arr.size else 0.0
+    if plain == 0 and not arr.any():
+        return 0.0
+    mag = np.abs(np.stack([arr.real, arr.imag]))
+    scale = float(np.max(mag))
     return scale * float(np.linalg.norm(mag / scale)) if 0 < scale < np.inf else scale
 
 
 def adjoint(a) -> np.ndarray:
     """Conjugate transpose."""
     return np.conjugate(as_matrix(a)).T
+
+
+def _within(x, x_norm: float, ref, ref_norm: float, tol: float) -> bool:
+    """``||x|| <= tol * ||ref||``, on both divided by ``max|ref|`` if ``||ref||`` overflowed."""
+    if ref_norm == np.inf:
+        scale = float(np.max(np.abs(ref)))
+        x_norm, ref_norm = fro_norm(x / scale), fro_norm(ref / scale)
+    return x_norm <= tol * ref_norm
+
+
+def _hermitian_gate(t: np.ndarray) -> tuple[np.ndarray, float]:
+    """``(t - t*, ||t||)``; NotHermitianError unless ``||t - t*|| <= HTOL * ||t||``."""
+    diff = t - t.conj().T
+    norm = fro_norm(t)
+    herm = fro_norm(diff)
+    if not _within(diff, herm, t, norm, HTOL):
+        raise NotHermitianError(f"t deviates from its adjoint by {herm:.3e} (norm {norm:.3e})")
+    return diff, norm
+
+
+def _guard(name: str, recon: np.ndarray, a: np.ndarray, tol: float, norm: float) -> None:
+    """FactorizationError unless ``||recon - a|| <= tol * norm``, so a NaN or inf residual fails.
+
+    `recon`, the product of the factors, is overwritten by the residual.
+    `norm` is ``||a||``, which may have overflowed to inf.
+    """
+    recon -= a
+    residual = fro_norm(recon)
+    if not _within(recon, residual, a, norm, tol):
+        raise FactorizationError(f"{name} residual {residual:.3e} exceeds {tol:.1e} * ||a||")
 
 
 @dataclass(frozen=True)
@@ -86,14 +119,6 @@ class SvdResult:
     sigma: np.ndarray
     v: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        m = self.u.shape[0]
-        n = self.v.shape[0]
-        k = self.sigma.size
-        return (self.u[:, :k] * self.sigma) @ self.v[:, :k].conj().T if k else np.zeros(
-            (m, n), dtype=self.u.dtype
-        )
-
 
 @dataclass(frozen=True)
 class EigResult:
@@ -104,9 +129,6 @@ class EigResult:
 
     q: np.ndarray
     eigenvalues: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.q * self.eigenvalues) @ self.q.conj().T
 
 
 def svd(a, *, full_matrices: bool = True) -> SvdResult:
@@ -120,41 +142,34 @@ def svd(a, *, full_matrices: bool = True) -> SvdResult:
         u, s, vh = np.linalg.svd(arr, full_matrices=full_matrices)
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(f"SVD did not converge: {exc}") from exc
-    result = SvdResult(u=u, sigma=s, v=vh.conj().T)
-    norm = fro_norm(arr)
-    if norm > 0:
-        residual = fro_norm(result.reconstruct() - arr)
-        if residual > KTOL * norm:
-            raise FactorizationError(
-                f"SVD reconstruction residual {residual:.3e} exceeds {KTOL:.1e} * ||a||"
-            )
-    return result
+    _guard("SVD", (u[:, : s.size] * s) @ vh[: s.size], arr, KTOL, fro_norm(arr))
+    return SvdResult(u=u, sigma=s, v=vh.conj().T)
+
+
+def qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced QR ``a = q @ r`` of a validated matrix, with the reconstruction guard."""
+    q, r = np.linalg.qr(a)
+    _guard("QR", q @ r, a, KTOL, fro_norm(a))
+    return q, r
 
 
 def eigh(a) -> EigResult:
     """Hermitian eigendecomposition with ascending eigenvalues.
 
-    The input must be Hermitian within ``HTOL * ||a||``; it is symmetrized
-    before factorization so the returned factors are exactly consistent.
+    The input must pass `_hermitian_gate`.  It is symmetrized as
+    ``a - (a - a*) / 2``, which cannot overflow, before factorization so
+    the returned factors are exactly consistent.
     """
     arr = as_matrix(a)
     if arr.shape[0] != arr.shape[1]:
         raise DimensionMismatchError(f"eigh needs a square matrix, got {arr.shape}")
-    norm = fro_norm(arr)
-    herm_residual = fro_norm(arr - arr.conj().T)
-    if herm_residual > HTOL * norm:
-        raise NotHermitianError(f"||a - a*|| = {herm_residual:.3e} exceeds {HTOL:.1e} * ||a||")
-    sym = (arr + arr.conj().T) / 2
+    sym, norm = _hermitian_gate(arr)
+    sym *= 0.5
+    np.subtract(arr, sym, out=sym)
     try:
         w, q = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(f"eigh did not converge: {exc}") from exc
     del sym  # freed before the guard builds its n-by-n temporaries
-    result = EigResult(q=q, eigenvalues=w)
-    if norm > 0:
-        residual = fro_norm(result.reconstruct() - arr)
-        if residual > (KTOL + HTOL) * norm:
-            raise FactorizationError(
-                f"eigendecomposition residual {residual:.3e} exceeds tolerance"
-            )
-    return result
+    _guard("eigendecomposition", (q * w) @ q.conj().T, arr, KTOL + HTOL, norm)
+    return EigResult(q=q, eigenvalues=w)

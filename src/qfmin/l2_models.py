@@ -73,18 +73,14 @@ def harmonic_b(n: int) -> np.ndarray:
     return 1.0 / np.arange(1, n + 1, dtype=np.float64)
 
 
-def example1_solution(
-    n: int,
-    cfg: ToleranceConfig = DEFAULT_TOL,
-    dense_cutoff: int = DENSE_CUTOFF,
-) -> tuple[np.ndarray, float]:
+def example1_solution(n: int, cfg: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, float]:
     """Truncated problem at size `n`: minimizer and minimum value.
 
     The problem lives in dimension ``n + 1``: the form is the [1, 2]
     periodic diagonal, the constraint is the left shift and the target is
-    the harmonic sequence zero-filled at the truncated end.  Below
-    `dense_cutoff` the generic positive definite solver runs on the
-    assembled matrices; above it the same quantities come from the
+    the harmonic sequence zero-filled at the truncated end.  Up to
+    dimension `DENSE_CUTOFF` the generic positive definite solver runs on
+    the assembled matrices; above it the same quantities come from the
     closed form the shift structure dictates (first coordinate free and
     zeroed, the rest pinned to the harmonic entries), which keeps the
     sweep linear in `n`.
@@ -92,7 +88,7 @@ def example1_solution(
     if n < 1:
         raise ValueError("n must be at least 1")
     dim = n + 1
-    if dim <= dense_cutoff:
+    if dim <= DENSE_CUTOFF:
         t = diag_operator(DiagonalSpec(period_values=(1.0, 2.0), n=dim))
         a = left_shift(dim)
         b = np.concatenate([harmonic_b(n), [0.0]])
@@ -105,11 +101,7 @@ def example1_solution(
     return xhat, min_value
 
 
-def example1_convergence(
-    sizes,
-    cfg: ToleranceConfig = DEFAULT_TOL,
-    dense_cutoff: int = DENSE_CUTOFF,
-) -> TruncationSeries:
+def example1_convergence(sizes, cfg: ToleranceConfig = DEFAULT_TOL) -> TruncationSeries:
     """Sweep the truncated minima over ascending `sizes`.
 
     Each minimum is a partial sum of positive terms, so the sequence
@@ -125,7 +117,7 @@ def example1_convergence(
         raise ValueError("sizes must be strictly ascending")
     minima = np.empty(arr.size, dtype=np.float64)
     for i, n in enumerate(arr):
-        _, minima[i] = example1_solution(int(n), cfg, dense_cutoff)
+        _, minima[i] = example1_solution(int(n), cfg)
     return TruncationSeries(
         sizes=arr,
         min_values=minima,

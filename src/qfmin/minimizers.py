@@ -19,15 +19,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import DEFAULT_TOL, FEAS_TOL, HTOL, KTOL, WARN_RATIO, ToleranceConfig
-from .dense_core import EigResult, as_matrix, as_vector, eigh, fro_norm, svd
+from .config import DEFAULT_TOL, FEAS_TOL, WARN_RATIO, ToleranceConfig
+from .dense_core import EigResult, _hermitian_gate, as_matrix, as_vector, eigh, fro_norm, qr, svd
 from .errors import (
     Diagnostic,
     DimensionMismatchError,
-    FactorizationError,
     InfeasibleError,
     InfeasibleOnComplementError,
-    NotHermitianError,
     NotPositiveDefiniteError,
     NotPositiveError,
     NotPsdError,
@@ -67,7 +65,7 @@ class SpectrumClass(enum.Enum):
 class QpProblem:
     """A quadratic form `t`, constraint matrix `a` and right-hand side `b`.
 
-    `t` must be Hermitian within ``HTOL``; `a` may be rectangular.
+    `t` must pass the Hermitian gate of `eigh`; `a` may be rectangular.
     """
 
     t: np.ndarray
@@ -93,12 +91,7 @@ class QpProblem:
         # in `eigh`, and the verdict depends on the entries alone.
         entry = _memo
         if entry is None or not _same(entry.t, t):
-            norm = fro_norm(t)
-            herm = fro_norm(t - t.conj().T)
-            if herm > HTOL * norm:
-                raise NotHermitianError(
-                    f"t deviates from its adjoint by {herm:.3e} (norm {norm:.3e})"
-                )
+            _hermitian_gate(t)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -289,13 +282,7 @@ def _row_factors(x: np.ndarray, decide, inverse: bool = False):
     SVD ``R = U_R Σ V_R*`` gives ``u = V_R``, ``v = Q U_R``, ``g = Σ^{-1} u*``.
     `g` is None unless `inverse`.
     """
-    xh = as_matrix(x).conj().T
-    q, r = np.linalg.qr(xh)
-    residual = q @ r
-    residual -= xh
-    if not fro_norm(residual) <= KTOL * fro_norm(xh):
-        raise FactorizationError(f"QR reconstruction residual exceeds {KTOL:.1e} * ||x||")
-    del residual
+    q, r = qr(as_matrix(x).conj().T)
     k = decide(np.linalg.svd(r, compute_uv=False), max(x.shape)).rank
     if k == x.shape[0]:
         return k, None, q, np.linalg.inv(r.conj().T) if inverse else None

@@ -16,6 +16,7 @@ from qfmin import (
     example1_convergence,
     example1_solution,
     kkt_solve,
+    l2_models,
     lat_invariant,
     min_norm_ls,
     minimize_posdef,
@@ -120,14 +121,15 @@ def test_criterion_2_example2_null_direction():
     )
 
 
-def test_criterion_3_example1_convergence():
+def test_criterion_3_example1_convergence(monkeypatch):
     start = time.perf_counter()
     series = example1_convergence([10, 100, 1000, 10_000])
     final_error = abs(series.min_values[-1] - LIMIT)
     assert final_error <= 3.1e-4
     assert np.all(np.diff(series.min_values) > 0)
     for n, cutoff in [(100, 10_000), (10_000, 400)]:
-        xhat, _ = example1_solution(n, dense_cutoff=cutoff)
+        monkeypatch.setattr(l2_models, "DENSE_CUTOFF", cutoff)
+        xhat, _ = example1_solution(n)
         exact = np.concatenate([[0.0], 1.0 / np.arange(1, n + 1)])
         assert np.max(np.abs(xhat - exact)) <= 1e-10
     elapsed = time.perf_counter() - start

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qfmin
 from qfmin import (
     OracleResult,
     kkt_solve,
@@ -153,6 +157,24 @@ class TestSolve:
         code, _, err = run(capsys, "solve", "--problem", path)
         assert code == 3
 
+    @pytest.mark.parametrize("command", ["solve", "check"])
+    def test_failed_factorization_guard_exits_three(self, tmp_path, command):
+        # the column norms of a overflow, so every factorization of it is nan
+        big = 1.5e308
+        doc = {"t": [[1, 0], [0, 1]], "a": [[big, big], [big, -big]], "b": [big, big]}
+        path = write(tmp_path, doc)
+        src = os.path.dirname(os.path.dirname(qfmin.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qfmin.cli", command, "--problem", path],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr.startswith("qfmin: ")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+
     def test_wrong_route_for_singular_form_exits_three(self, tmp_path, capsys):
         path = write(tmp_path, SINGULAR_FORM)
         code, _, _ = run(capsys, "solve", "--problem", path, "--method", "posdef")
@@ -301,6 +323,14 @@ class TestCheck:
         assert (doc["ep"], doc["rank"], doc["positivity_class"]) == (True, 2, "non-hermitian")
         assert [d["code"] for d in doc["diagnostics"]] == ["ill_conditioning"]
         assert calls == {"eigh": 0, "svd": 1, "qr": 0, "inv": 0, "solve": 0}
+
+    def test_definite_t_near_the_float64_limit(self, tmp_path, capsys):
+        t = (1e308 * np.array([[1.0, 0.5], [0.5, 1.0]])).tolist()
+        path = write(tmp_path, {"t": t, "a": [[1, 1]], "b": [1]})
+        code, out, _ = run(capsys, "check", "--problem", path)
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["positivity_class"], doc["rank"]) == ("positive-definite", 2)
 
     def test_non_ep_at_large_scale(self, tmp_path, capsys):
         path = write(tmp_path, {"t": [[0, 1e11], [0, 0]], "a": [[1, 0]], "b": [1]})

@@ -2,13 +2,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qfmin import (
     DEFAULT_TOL,
     DimensionMismatchError,
+    FactorizationError,
     NotHermitianError,
     adjoint,
     as_matrix,
@@ -16,7 +17,7 @@ from qfmin import (
     eigh,
     svd,
 )
-from qfmin.dense_core import fro_norm
+from qfmin.dense_core import fro_norm, qr
 
 EXAMPLE2_Q = np.array([[14.0, 20, 28], [20, 83, 40], [28, 40, 56]])
 
@@ -91,6 +92,8 @@ def extreme_arrays(draw):
 class TestFroNorm:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(arr=extreme_arrays())
+    # np.abs rounds each complex modulus to the subnormal grid: 2e-323, not 1.5e-323
+    @example(arr=np.array([1e-323j, 1e-323 + 1e-323j]))
     def test_matches_the_scaled_form(self, arr):
         # the real and imaginary parts as one real vector, whose scaled
         # form needs no complex division
@@ -109,6 +112,26 @@ class TestFroNorm:
         # a complex division by a subnormal scale overflows to nan
         assert fro_norm(np.array([0, 5e-324j])) == 5e-324
         assert fro_norm(np.array([3e-320 + 4e-320j])) == pytest.approx(5e-320, rel=1e-3)
+
+
+@pytest.mark.parametrize("name, factor", [("svd", svd), ("eigh", eigh), ("qr", qr)])
+def test_a_nan_in_the_factors_fails_the_guard(monkeypatch, name, factor):
+    backend = getattr(np.linalg, name)
+
+    def poisoned(*args, **kwargs):
+        factors = [np.array(f) for f in backend(*args, **kwargs)]
+        factors[0].flat[0] = np.nan
+        return tuple(factors)
+
+    monkeypatch.setattr(np.linalg, name, poisoned)
+    with pytest.raises(FactorizationError):
+        factor(np.array([[2.0, 1.0], [1.0, 3.0]]))
+
+
+def test_an_eigenvalue_past_the_float64_range_fails_the_guard():
+    # the eigenvalue 2e308 and ||a|| both overflow to inf
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FactorizationError):
+        eigh(1e308 * np.ones((2, 2)))
 
 
 class TestAdjoint:
@@ -140,7 +163,8 @@ class TestSvd:
         rng = np.random.default_rng(2)
         a = rng.standard_normal((5, 3))
         res = svd(a)
-        assert np.linalg.norm(res.reconstruct() - a) <= 1e-12 * np.linalg.norm(a)
+        product = (res.u[:, :3] * res.sigma) @ adjoint(res.v)
+        assert np.linalg.norm(product - a) <= 1e-12 * np.linalg.norm(a)
 
     @pytest.mark.parametrize("shape", [(2, 2), (7, 3), (3, 7), (50, 50), (40, 13)])
     @pytest.mark.parametrize("complex_entries", [False, True])
@@ -155,7 +179,9 @@ class TestSvd:
         assert np.linalg.norm(adjoint(res.v) @ res.v - np.eye(n)) <= 1e-12 * n
         assert np.all(np.diff(res.sigma) <= 0)
         assert np.all(res.sigma >= 0)
-        assert np.linalg.norm(res.reconstruct() - a) <= 1e-12 * np.linalg.norm(a)
+        k = min(m, n)
+        product = (res.u[:, :k] * res.sigma) @ adjoint(res.v[:, :k])
+        assert np.linalg.norm(product - a) <= 1e-12 * np.linalg.norm(a)
 
 
     @pytest.mark.parametrize("factor", [svd, eigh])
@@ -199,4 +225,5 @@ class TestEigh:
         res = eigh(h)
         assert np.isrealobj(res.eigenvalues)
         assert np.all(np.diff(res.eigenvalues) >= 0)
-        assert np.linalg.norm(res.reconstruct() - h) <= 1e-12 * np.linalg.norm(h)
+        product = (res.q * res.eigenvalues) @ adjoint(res.q)
+        assert np.linalg.norm(product - h) <= 1e-12 * np.linalg.norm(h)

@@ -8,6 +8,7 @@ from qfmin import (
     example1_convergence,
     example1_solution,
     harmonic_b,
+    l2_models,
     left_shift,
     pinv,
 )
@@ -89,14 +90,17 @@ class TestExample1Solution:
         assert value == pytest.approx(2.0 + 0.25 + 2.0 / 9 + 1.0 / 16, rel=1e-12)
 
     @pytest.mark.parametrize("n", [3, 17, 64])
-    def test_dense_and_structured_paths_agree(self, n):
-        dense_x, dense_v = example1_solution(n, dense_cutoff=10_000)
-        fast_x, fast_v = example1_solution(n, dense_cutoff=1)
+    def test_dense_and_structured_paths_agree(self, n, monkeypatch):
+        monkeypatch.setattr(l2_models, "DENSE_CUTOFF", 10_000)
+        dense_x, dense_v = example1_solution(n)
+        monkeypatch.setattr(l2_models, "DENSE_CUTOFF", 1)
+        fast_x, fast_v = example1_solution(n)
         assert np.linalg.norm(dense_x - fast_x) <= 1e-10
         assert dense_v == pytest.approx(fast_v, rel=1e-12)
 
-    def test_structured_entries_exact(self):
-        xhat, _ = example1_solution(500, dense_cutoff=1)
+    def test_structured_entries_exact(self, monkeypatch):
+        monkeypatch.setattr(l2_models, "DENSE_CUTOFF", 1)
+        xhat, _ = example1_solution(500)
         assert xhat[0] == 0.0
         assert_allclose(xhat[1:], 1.0 / np.arange(1, 501), rtol=0, atol=0)
 

@@ -87,6 +87,20 @@ class TestQpProblem:
         with pytest.raises(NotHermitianError):
             QpProblem(t=5e-324 * np.array([[2, 1j], [0, 2]]), a=np.eye(2), b=np.zeros(2))
 
+    def test_hermitian_gate_when_the_norm_of_t_overflows(self):
+        # HTOL * ||t|| is inf, which no deviation exceeds
+        t = np.array([[1.5e308, 1e300], [0.0, 1.5e308]])
+        with pytest.raises(NotHermitianError):
+            QpProblem(t, np.eye(2), np.zeros(2))
+
+    def test_definite_t_near_the_float64_limit(self):
+        # (t + t*) / 2 would overflow to inf and the eigenvalues to nan
+        t = 1e308 * np.array([[1.0, 0.5], [0.5, 1.0]])
+        r = solve(QpProblem(t, np.array([[1.0, 1.0]]), np.array([1.0])))
+        assert r.method is Method.POSDEF
+        assert_allclose(r.xhat, [0.5, 0.5], rtol=1e-12)
+        assert r.min_value == pytest.approx(7.5e307, rel=1e-12)
+
 
 def check_hermitian_gate_at(scale):
     # ||t|| overflows (or underflows) when taken without rescaling
@@ -627,12 +641,13 @@ class TestFactorMemo:
     def gated(self, monkeypatch):
         """Constructs a QpProblem; True when that ran the Hermitian gate on `t`."""
         shapes = []
+        gate = minimizers._hermitian_gate
 
         def counted(x):
             shapes.append(np.shape(x))
-            return fro_norm(x)
+            return gate(x)
 
-        monkeypatch.setattr(minimizers, "fro_norm", counted)
+        monkeypatch.setattr(minimizers, "_hermitian_gate", counted)
 
         def construct(t, a, b):
             shapes.clear()
