@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 parse/IO/usage errors, 2 infeasible constraint
 sets, 3 operator-property failures (not Hermitian, not positive, not
-semidefinite, a factorization that failed its guard, or a failed
-verification).  Stdout carries only the JSON result document; messages go
+semidefinite, or a failed verification) and factorizations that failed
+their guard.  Stdout carries only the JSON result document; messages go
 to stderr.
 """
 
@@ -245,10 +245,11 @@ def main(argv=None) -> int:
     except InfeasibleError as exc:
         print(f"qfmin: infeasible: {exc}", file=sys.stderr)
         return 2
-    except (
-        PositivityError, NotHermitianError, NotEpError, OracleError, FactorizationError
-    ) as exc:
+    except (PositivityError, NotHermitianError, NotEpError, OracleError) as exc:
         print(f"qfmin: operator property failure: {exc}", file=sys.stderr)
+        return 3
+    except FactorizationError as exc:
+        print(f"qfmin: factorization failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"qfmin: i/o error: {exc}", file=sys.stderr)

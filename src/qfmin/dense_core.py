@@ -84,16 +84,6 @@ def _within(x, x_norm: float, ref, ref_norm: float, tol: float) -> bool:
     return x_norm <= tol * ref_norm
 
 
-def _hermitian_gate(t: np.ndarray) -> tuple[np.ndarray, float]:
-    """``(t - t*, ||t||)``; NotHermitianError unless ``||t - t*|| <= HTOL * ||t||``."""
-    diff = t - t.conj().T
-    norm = fro_norm(t)
-    herm = fro_norm(diff)
-    if not _within(diff, herm, t, norm, HTOL):
-        raise NotHermitianError(f"t deviates from its adjoint by {herm:.3e} (norm {norm:.3e})")
-    return diff, norm
-
-
 def _guard(name: str, recon: np.ndarray, a: np.ndarray, tol: float, norm: float) -> None:
     """FactorizationError unless ``||recon - a|| <= tol * norm``, so a NaN or inf residual fails.
 
@@ -156,14 +146,19 @@ def qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def eigh(a) -> EigResult:
     """Hermitian eigendecomposition with ascending eigenvalues.
 
-    The input must pass `_hermitian_gate`.  It is symmetrized as
+    This is the library's one Hermitian gate: NotHermitianError unless
+    ``||a - a*|| <= HTOL * ||a||``.  The input is then symmetrized as
     ``a - (a - a*) / 2``, which cannot overflow, before factorization so
     the returned factors are exactly consistent.
     """
     arr = as_matrix(a)
     if arr.shape[0] != arr.shape[1]:
         raise DimensionMismatchError(f"eigh needs a square matrix, got {arr.shape}")
-    sym, norm = _hermitian_gate(arr)
+    sym = arr - arr.conj().T
+    norm = fro_norm(arr)
+    herm = fro_norm(sym)
+    if not _within(sym, herm, arr, norm, HTOL):
+        raise NotHermitianError(f"t deviates from its adjoint by {herm:.3e} (norm {norm:.3e})")
     sym *= 0.5
     np.subtract(arr, sym, out=sym)
     try:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import DEFAULT_TOL, FEAS_TOL, WARN_RATIO, ToleranceConfig
-from .dense_core import EigResult, _hermitian_gate, as_matrix, as_vector, eigh, fro_norm, qr, svd
+from .dense_core import EigResult, as_matrix, as_vector, eigh, fro_norm, qr, svd
 from .errors import (
     Diagnostic,
     DimensionMismatchError,
@@ -65,7 +65,9 @@ class SpectrumClass(enum.Enum):
 class QpProblem:
     """A quadratic form `t`, constraint matrix `a` and right-hand side `b`.
 
-    `t` must pass the Hermitian gate of `eigh`; `a` may be rectangular.
+    Shapes and finite entries are checked here; whether `t` is Hermitian
+    is decided by the route, in the guarded `eigh` it factors `t` with.
+    `a` may be rectangular.
     """
 
     t: np.ndarray
@@ -87,11 +89,6 @@ class QpProblem:
             raise DimensionMismatchError(
                 f"b has length {b.shape[0]} but a has {a.shape[0]} rows"
             )
-        # The memo's `t` is a copy of an array that passed this same gate
-        # in `eigh`, and the verdict depends on the entries alone.
-        entry = _memo
-        if entry is None or not _same(entry.t, t):
-            _hermitian_gate(t)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -205,8 +202,7 @@ class _Factors:
     """Everything a solve takes from ``(t, a, tol)`` alone.
 
     `t` and `a` are private copies: with `tol` they are the memo's key.  `t`
-    is copied from the array that `eigh` gated, in the same `_factorize`
-    call, so an equal `t` needs no second Hermitian gate in `QpProblem`.
+    is copied from the array that `eigh` gated, so a hit needs no gate.
     `root` is ``W = q Λ^{-1/2}`` from the kept eigenpairs of `t` (all of them
     for a definite `t`, the range for a singular one), and `u`, `v`, `g` are
     the `_row_factors` of ``a W``.  `spectra` lists the ``(sigma, dim)`` of

@@ -39,14 +39,35 @@ def _block_kkt(t, a):
     return np.block([[2.0 * t, adjoint(a)], [a, zero]])
 
 
+def _unit_rows(a, b):
+    """``(D a, D b)``, ``D`` dividing each nonzero row of `a` by its norm.
+
+    Each row of ``(a, b)`` is divided by the largest real or imaginary part
+    of the row of `a`, then by the norm of what is left of that row, so no
+    step overflows or underflows.  The divisions act on the real and
+    imaginary parts, as a complex division by a subnormal would overflow.
+    Zero rows are left as they are.
+    """
+    ab = np.column_stack([a, b])
+    parts = ab.view(np.float64)  # a complex entry as its [re, im] pair
+    a_parts = parts[:, : a.shape[1] * (ab.itemsize // 8)]
+    peak = np.max(np.abs(a_parts), axis=1)
+    parts /= np.where(peak > 0, peak, 1.0)[:, None]
+    norm = np.linalg.norm(a_parts, axis=1)
+    parts /= np.where(norm > 0, norm, 1.0)[:, None]
+    return ab[:, :-1], ab[:, -1]
+
+
 def kkt_solve(t, a, b) -> OracleResult:
     """Solve the Lagrange-multiplier system of the constrained minimum.
 
     Stacks ``[2t/τ, a*; a, 0] [x; lam] = [0; b]``, ``τ`` the largest entry
-    of ``|t|`` (which keeps the argmin and puts both blocks on one scale),
-    and applies a minimum-norm least-squares solve; the minimum is taken on
-    the original `t`.  The returned residual is the norm of the block
-    system evaluated at the solution, relative to ``||b||``.
+    of ``|t|``, on the rows of ``(a, b)`` scaled to unit norm (both keep the
+    argmin; together they put the blocks on one scale whatever the scale
+    of `t` and of each constraint), and applies a minimum-norm
+    least-squares solve; the minimum is taken on the original `t`.  The
+    returned residual is the norm of the block system evaluated at the
+    solution, relative to the norm of the scaled `b`.
 
     Raises
     ------
@@ -55,8 +76,7 @@ def kkt_solve(t, a, b) -> OracleResult:
         for infeasible data or an indefinite stationary system.
     """
     tm = as_matrix(t)
-    am = as_matrix(a)
-    bv = as_vector(b)
+    am, bv = _unit_rows(as_matrix(a), as_vector(b))
     tau = float(np.max(np.abs(tm), initial=0.0)) or 1.0
     kkt = _block_kkt(tm / tau, am)
     rhs = np.concatenate([np.zeros(tm.shape[0], dtype=kkt.dtype), bv.astype(kkt.dtype)])

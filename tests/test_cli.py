@@ -81,6 +81,16 @@ class TestSolve:
         assert doc["verify"]["oracle_gap"] <= 1e-12
         assert doc["verify"]["oracle_min"] == pytest.approx(doc["min_value"], rel=1e-10, abs=0)
 
+    def test_verify_on_graded_rows(self, tmp_path, capsys):
+        # rows of (a, b) scaled over 1e-6 .. 1e6: the oracle read a gap of 0.22
+        # before it normalized them
+        t, a, b = random_pd_problem(30, 12, seed=0)
+        d = np.logspace(-6, 6, 12)
+        doc = {"t": t.tolist(), "a": (d[:, None] * a).tolist(), "b": (d * b).tolist()}
+        code, out, err = run(capsys, "solve", "--problem", write(tmp_path, doc), "--verify")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["verify"]["oracle_gap"] <= 1e-12
+
     def test_verify_more_constraints_than_rank(self, tmp_path, capsys, more_rows_than_rank):
         # a t of rank 5 leaves 3 of the 8 rows of a Q_r dependent, and a
         # block system that keeps them is unsatisfiable to 1e-10
@@ -154,8 +164,13 @@ class TestSolve:
 
     def test_non_hermitian_exits_three(self, tmp_path, capsys):
         path = write(tmp_path, {"t": [[0, 1], [0, 0]], "a": [[1, 0]], "b": [1]})
-        code, _, err = run(capsys, "solve", "--problem", path)
-        assert code == 3
+        for method in ("auto", "posdef", "posdef-diag", "psd-complement"):
+            code, out, err = run(capsys, "solve", "--problem", path, "--method", method)
+            assert (code, out) == (3, "")
+            assert err == (
+                "qfmin: operator property failure: "
+                "t deviates from its adjoint by 1.414e+00 (norm 1.000e+00)\n"
+            )
 
     @pytest.mark.parametrize("command", ["solve", "check"])
     def test_failed_factorization_guard_exits_three(self, tmp_path, command):
@@ -171,7 +186,7 @@ class TestSolve:
             env={**os.environ, "PYTHONPATH": src},
         )
         assert (proc.returncode, proc.stdout) == (3, "")
-        assert proc.stderr.startswith("qfmin: ")
+        assert proc.stderr.startswith("qfmin: factorization failure: ")
         assert proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
 

@@ -1,4 +1,8 @@
-"""Only dense_core calls the guarded factorizations of numpy.linalg."""
+"""Layering read from the source.
+
+Only dense_core calls the guarded factorizations of numpy.linalg, and
+private names cross from one module to another only where listed.
+"""
 
 import ast
 import pathlib
@@ -47,3 +51,28 @@ def test_the_check_sees_dense_core_calls():
         "np.linalg.qr",
         "np.linalg.svd",
     }
+
+
+# (importer, source, name): every private name one qfmin module imports from
+# another.  A new crossing is a coupling, and joins this list on purpose.
+PRIVATE_IMPORTS = {
+    ("cli", "minimizers", "_range_eigenpairs"),
+    ("cli", "pinv_ops", "_ep_holds"),
+    ("cli", "pinv_ops", "_kept_svd"),
+}
+
+
+def test_private_names_cross_modules_only_where_listed():
+    found = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or node.module.split(".")[0] == "qfmin"
+            ):
+                source = node.module or "__init__"
+                found |= {
+                    (path.stem, source.removeprefix("qfmin."), alias.name)
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                }
+    assert found == PRIVATE_IMPORTS

@@ -71,8 +71,10 @@ class TestQpProblem:
             QpProblem(t=np.eye(3), a=np.eye(3), b=np.zeros(2))
 
     def test_rejects_non_hermitian(self):
+        # the constructor checks shapes and entries; the route's eigh gates t
+        p = QpProblem(t=np.array([[0.0, 1], [0, 0]]), a=np.eye(2), b=np.zeros(2))
         with pytest.raises(NotHermitianError):
-            QpProblem(t=np.array([[0.0, 1], [0, 0]]), a=np.eye(2), b=np.zeros(2))
+            solve(p)
 
     def test_dim(self):
         p = QpProblem(t=np.eye(3), a=np.ones((1, 3)), b=np.ones(1))
@@ -85,13 +87,13 @@ class TestQpProblem:
     def test_hermitian_gate_on_complex_subnormals(self):
         # a nan ||t|| would pass the gate: no comparison with nan rejects
         with pytest.raises(NotHermitianError):
-            QpProblem(t=5e-324 * np.array([[2, 1j], [0, 2]]), a=np.eye(2), b=np.zeros(2))
+            solve(QpProblem(t=5e-324 * np.array([[2, 1j], [0, 2]]), a=np.eye(2), b=np.zeros(2)))
 
     def test_hermitian_gate_when_the_norm_of_t_overflows(self):
         # HTOL * ||t|| is inf, which no deviation exceeds
         t = np.array([[1.5e308, 1e300], [0.0, 1.5e308]])
         with pytest.raises(NotHermitianError):
-            QpProblem(t, np.eye(2), np.zeros(2))
+            solve(QpProblem(t, np.eye(2), np.zeros(2)))
 
     def test_definite_t_near_the_float64_limit(self):
         # (t + t*) / 2 would overflow to inf and the eigenvalues to nan
@@ -106,7 +108,7 @@ def check_hermitian_gate_at(scale):
     # ||t|| overflows (or underflows) when taken without rescaling
     a, b = np.array([[1.0, 1.0]]), np.array([scale])
     with pytest.raises(NotHermitianError):
-        QpProblem(t=scale * np.array([[2.0, 1], [0, 2]]), a=a, b=b)
+        solve(QpProblem(t=scale * np.array([[2.0, 1], [0, 2]]), a=a, b=b))
     p = QpProblem(t=scale * np.array([[2.0, 1], [1, 2]]), a=a, b=b)
     assert_allclose(solve(p).xhat, [scale / 2, scale / 2], rtol=1e-12)
 
@@ -639,30 +641,55 @@ class TestFactorMemo:
 
     @pytest.fixture
     def gated(self, monkeypatch):
-        """Constructs a QpProblem; True when that ran the Hermitian gate on `t`."""
+        """The live list of shapes the Hermitian gate ran on.
+
+        The gate is the first step of `eigh`, and nothing else runs it.
+        """
         shapes = []
-        gate = minimizers._hermitian_gate
+        factor = minimizers.eigh
 
         def counted(x):
             shapes.append(np.shape(x))
-            return gate(x)
+            return factor(x)
 
-        monkeypatch.setattr(minimizers, "_hermitian_gate", counted)
+        monkeypatch.setattr(minimizers, "eigh", counted)
+        return shapes
 
-        def construct(t, a, b):
-            shapes.clear()
-            QpProblem(t, a, b)
-            return t.shape in shapes
+    def test_hit_skips_the_hermitian_gate(self, gated, monkeypatch):
+        compared = []
+        same = minimizers._same
 
-        return construct
+        def spied(kept, given):
+            compared.append(given)
+            return same(kept, given)
 
-    def test_hit_skips_the_hermitian_gate(self, gated):
+        monkeypatch.setattr(minimizers, "_same", spied)
         t, a, b = random_pd_problem(12, 6, seed=5)
-        assert gated(t, a, b)
         solve(QpProblem(t, a, b))
-        assert not gated(t.copy(), a, fresh_rhs(t, a, seed=1))
+        assert (gated, compared) == ([t.shape], [])
+        q = QpProblem(t.copy(), a, fresh_rhs(t, a, seed=1))
+        assert compared == []  # the constructor neither gates nor reads the memo
+        solve(q)
+        assert gated == [t.shape]
+        assert sum(x is q.t for x in compared) == 1
         # equal values in another dtype are another key
-        assert gated(t.astype(np.complex128), a, b)
+        solve(QpProblem(t.astype(np.complex128), a, b))
+        assert gated == [t.shape] * 2
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize(
+        "route",
+        [solve, minimize_posdef, minimize_posdef_diag, minimize_psd_complement, try_cor1_shortcut],
+        ids=lambda route: route.__name__,
+    )
+    def test_every_route_gates_t(self, route, warm):
+        a, b = np.ones((1, 2)), np.ones(1)
+        if warm:
+            solve(QpProblem(np.array([[2.0, 1], [1, 2]]), a, b))
+        p = QpProblem(np.array([[2.0, 1], [0, 2]]), a, b)
+        with pytest.raises(NotHermitianError) as caught:
+            route(p)
+        assert str(caught.value) == "t deviates from its adjoint by 1.414e+00 (norm 3.000e+00)"
 
     def test_non_hermitian_entry_of_the_memo_shape_is_gated(self):
         t, a, b = random_pd_problem(12, 6, seed=5)
@@ -670,20 +697,23 @@ class TestFactorMemo:
         bent = t.copy()
         bent[0, 1] += 1.0
         with pytest.raises(NotHermitianError):
-            QpProblem(bent, a, b)
+            solve(QpProblem(bent, a, b))
+        assert minimizers._memo is None  # a rejected miss, like any miss, empties the slot
 
     def test_caller_mutation_in_place_is_gated(self):
         t, a, b = random_pd_problem(12, 6, seed=5)
         solve(QpProblem(t, a, b))
         t[0, 1] += 1.0  # the memo holds its own copy of t
         with pytest.raises(NotHermitianError):
-            QpProblem(t, a, b)
+            solve(QpProblem(t, a, b))
 
     def test_gate_runs_after_a_failed_factor_stage(self, gated):
         t, a, b = np.diag([1.0, -1.0]), np.ones((1, 2)), np.ones(1)
         with pytest.raises(NotPositiveError):
             solve(QpProblem(t, a, b))
-        assert gated(t, a, b)
+        with pytest.raises(NotPositiveError):
+            solve(QpProblem(t, a, b))
+        assert gated == [t.shape] * 2
 
     @pytest.mark.parametrize("scale", [1e160, 1e-170, 1e-200])
     def test_hermitian_gate_at_extreme_scales_with_a_warm_memo(self, scale):

@@ -62,6 +62,22 @@ class TestKktSolve:
         assert np.linalg.norm(r.x - x) <= 1e-10 * np.linalg.norm(x)
         assert r.min_value == pytest.approx(c * quad_value(t, x), rel=1e-10, abs=0)
 
+    @pytest.mark.parametrize("e", [6, 40, 150])
+    @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+    def test_argmin_does_not_depend_on_the_scale_of_the_rows(self, complex_entries, e):
+        # rows of (a, b) scaled by 1e-e .. 1e+e describe the same constraint set
+        t, a, b = random_pd_problem(30, 12, seed=0, complex_entries=complex_entries)
+        x = solve(QpProblem(t, a, b)).xhat
+        d = np.logspace(-e, e, 12)
+        r = kkt_solve(t, d[:, None] * a, d * b)
+        assert np.linalg.norm(r.x - x) <= 1e-12 * np.linalg.norm(x)
+
+    def test_zero_row_is_left_alone(self):
+        t, a, b = random_pd_problem(8, 3, seed=2)
+        x = kkt_solve(t, a, b).x
+        r = kkt_solve(t, np.vstack([a, np.zeros(8)]), np.append(b, 0.0))
+        assert np.linalg.norm(r.x - x) <= 1e-12 * np.linalg.norm(x)
+
     def test_reports_unsatisfiable_system(self):
         # b outside R(A) leaves the block system inconsistent
         a = np.array([[1.0, 0.0], [1.0, 0.0]])
