@@ -32,7 +32,7 @@ from .minimizers import (
     MinimizationResult,
     QpProblem,
     SpectrumClass,
-    _range_eigenpairs,
+    _inverse_root,
     classify_spectrum,
     minimize_posdef,  # noqa: F401  kept bound: perfbench/tracing.py wraps it
     minimize_posdef_diag,  # noqa: F401  kept bound: perfbench/tracing.py wraps it
@@ -198,8 +198,7 @@ def cmd_check(args) -> int:
         }
         if eig is not None and cls is not SpectrumClass.INDEFINITE:
             # T^{+1/2} on the range the solver keeps, from the same eigenpairs
-            w, q = _range_eigenpairs(eig, cls, lambda *_: decision)
-            partner = (q / np.sqrt(w)) @ q.conj().T
+            partner = _inverse_root(eig, cls, lambda *_: decision)
             verdict = reverse_order_holds(a, partner, cfg=cfg)
             report["reverse_order"] = {
                 "holds": verdict.holds,

@@ -44,8 +44,10 @@ class ToleranceConfig:
         Definiteness gate: eigenvalues above it count as strictly positive.
         None derives the gate from ``rtol`` and the largest eigenvalue.
     neg_tol : float
-        Eigenvalues in ``[-neg_tol * ||t||, 0)`` are clamped to zero by the
-        positive square root; anything below is an error.
+        Indefiniteness gate: an eigenvalue below ``-neg_tol * max|λ|``
+        makes `t` indefinite (`classify_spectrum`, `sqrt_psd`); negative
+        eigenvalues above it count as roundoff, and `sqrt_psd` clamps them
+        to zero.
     angle_warn : float
         Principal angles below this (radians) raise a narrow-angle warning.
     """

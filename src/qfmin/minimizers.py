@@ -7,9 +7,9 @@ minimizes over the orthogonal complement of the kernel) and one QR
 otherwise an SVD of the small R.  Those factors depend on ``(T, A)`` only,
 so the last operator's are kept and a further ``b`` needs no factorization,
 only O(n^2 + nm) work to recognise the operator and apply them.  The
-square-root route ``inv(R) pinv(A inv(R)) b`` stays literal and uncached as
-an independent reference, a Lat-invariance shortcut collapses the solution
-to ``pinv(A) b``, and ``min_norm_ls`` is the unconstrained baseline.
+square-root route ``T^{-1/2} pinv(A T^{-1/2}) b`` stays literal and uncached
+as an independent reference, a Lat-invariance shortcut collapses the
+solution to ``pinv(A) b``, and ``min_norm_ls`` is the unconstrained baseline.
 """
 
 from __future__ import annotations
@@ -32,15 +32,16 @@ from .errors import (
     NotSingularError,
 )
 from .pinv_ops import (
+    _kept_svd,
     ep_decompose,  # noqa: F401  kept bound: perfbench/tracing.py wraps it
     pinv,
-    pinv_with_rank,
+    pinv_with_rank,  # noqa: F401  kept bound: perfbench/tracing.py wraps it
     projector_rangestar,  # noqa: F401  kept bound: perfbench/tracing.py wraps it
     range_basis,
     rangestar_basis,  # noqa: F401  kept bound: perfbench/tracing.py wraps it
     rank_decide,
     lat_invariant,
-    sqrt_psd,
+    sqrt_psd,  # noqa: F401  kept bound: perfbench/tracing.py wraps it
     SubspaceBasis,
 )
 
@@ -269,6 +270,16 @@ def _range_eigenpairs(eig: EigResult, cls: SpectrumClass, decide):
     return w[keep], q[:, keep]
 
 
+def _inverse_root(eig: EigResult, cls: SpectrumClass, decide) -> np.ndarray:
+    """``Q_r Λ_r^{-1/2} Q_r*`` from the `_range_eigenpairs` of `eig`.
+
+    ``T^{-1/2}`` for a definite `t` (`decide` is then not called), the
+    pseudoinverse of the positive square root for a singular one.
+    """
+    w, q = _range_eigenpairs(eig, cls, decide)
+    return (q / np.sqrt(w)) @ q.conj().T
+
+
 def _row_factors(x: np.ndarray, decide, inverse: bool = False):
     """``(rank, u, v, g)`` with ``pinv(x) = v @ g``; `b` is in range iff `u` admits it.
 
@@ -364,25 +375,33 @@ def minimize_posdef_diag(p: QpProblem) -> MinimizationResult:
 def minimize_posdef(p: QpProblem) -> MinimizationResult:
     """Square-root route for positive definite `t`.
 
-    With ``r = sqrt_psd(t)`` (invertible here), the minimizer is
-    ``r^{-1} pinv(a r^{-1}) b`` and the minimum is ``||pinv(a r^{-1}) b||^2``,
-    built literally as the independent reference for the factor-once kernel,
-    and never from the memo of factors.
+    With ``t^{-1/2} = q Λ^{-1/2} q*`` from one guarded `eigh`, the minimizer
+    is ``t^{-1/2} pinv(a t^{-1/2}) b`` and the minimum is
+    ``||pinv(a t^{-1/2}) b||^2``.  One guarded SVD of ``a t^{-1/2}`` makes
+    the route's one rank decision, and its kept ``U_r`` the feasibility
+    test.  Built literally as the independent reference for the
+    factor-once kernel, and never from the memo of factors.
     """
     cfg = p.tol
-    _require_pd(classify_spectrum(eigh(p.t).eigenvalues, cfg))
-    if not feasible(p.a, p.b, cfg=cfg):
+    eig = eigh(p.t)
+    cls = classify_spectrum(eig.eigenvalues, cfg)
+    _require_pd(cls)
+    root_inv = _inverse_root(eig, cls, None)
+    fact, decision = _kept_svd(p.a @ root_inv, cfg)
+    r = decision.rank
+    u = fact.u[:, :r]
+    if not _in_range(u, p.b):
         raise InfeasibleError("b is not in the range of a; the constraint set is empty")
-    root_inv = np.linalg.inv(sqrt_psd(p.t, cfg))
-    reduced, decision = pinv_with_rank(p.a @ root_inv, cfg)
-    y = reduced @ p.b
+    # applied factor by factor: a formed pinv would spread the roundoff of
+    # its 1/sigma_min entries over every direction of y, not only along v_r
+    y = fact.v[:, :r] @ ((u.conj().T @ p.b) / fact.sigma[:r])
     xhat = root_inv @ y
     return MinimizationResult(
         xhat=xhat,
         min_value=float(np.real(np.vdot(y, y))),
         feasibility_residual=fro_norm(p.a @ xhat - p.b),
         method=Method.POSDEF,
-        diagnostics=(_constraint_note(p, decision.rank),),
+        diagnostics=(_constraint_note(p, r),),
     )
 
 
@@ -407,8 +426,8 @@ def try_cor1_shortcut(p: QpProblem) -> MinimizationResult | None:
 
     Applies only to square constraints (range invariance is not well-typed
     for rectangular `a`).  Row-space invariance is what actually licenses
-    collapsing ``inv(R) pinv(a inv(R))`` to ``pinv(a)``: it makes
-    ``R pinv(a) a inv(R)`` Hermitian, which is the only reverse-order
+    collapsing ``T^{-1/2} pinv(a T^{-1/2})`` to ``pinv(a)``: it makes
+    ``T^{1/2} pinv(a) a T^{-1/2}`` Hermitian, which is the only reverse-order
     Penrose identity that can fail here.  Column-space invariance alone is
     not sufficient (t = diag(1, 2), a = [[1, 1], [0, 0]] has an invariant
     column space yet ``pinv(a) b`` is not the minimizer), so the gate

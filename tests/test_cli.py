@@ -151,6 +151,17 @@ class TestSolve:
         assert code == 2
         assert "infeasible" in err
 
+    def test_reference_judges_b_on_the_operator_it_factors(self, tmp_path, capsys):
+        # a has rank 2 but a T^{-1/2} has rank 1 at the threshold; the square
+        # root route once decided feasibility on a and exited 0 with a
+        # feasibility residual of 0.71
+        doc = {"t": [[1, 0], [0, 2e15]], "a": [[1, 0], [1, 1e-12]], "b": [1, 2]}
+        path = write(tmp_path, doc)
+        for method in ("auto", "posdef", "posdef-diag"):
+            code, out, err = run(capsys, "solve", "--problem", path, "--method", method)
+            assert (code, out) == (2, "")
+            assert err.startswith("qfmin: infeasible: ")
+
     def test_complement_infeasible_exits_two(self, tmp_path, capsys):
         path = write(tmp_path, {"t": [[1, 0], [0, 0]], "a": [[0, 1]], "b": [1]})
         code, _, err = run(capsys, "solve", "--problem", path)
