@@ -15,7 +15,7 @@ import warnings
 
 import numpy as np
 
-from .dense_core import as_matrix, eigh
+from .dense_core import eigh
 from .errors import (
     FactorizationError,
     IllConditioningWarning,
@@ -46,7 +46,7 @@ from .pinv_ops import (
     _kept_svd,
     is_ep,  # noqa: F401  kept bound: perfbench/tracing.py wraps it
     pinv,  # noqa: F401  kept bound: perfbench/tracing.py wraps it
-    principal_angle_diag,
+    principal_angle_diag,  # noqa: F401  kept bound: perfbench/tracing.py wraps it
     rank_decide,
     reverse_order_holds,
     sqrt_psd,  # noqa: F401  kept bound: perfbench/tracing.py wraps it
@@ -170,9 +170,10 @@ def cmd_solve(args) -> int:
 
 
 def cmd_check(args) -> int:
-    t, a, _, file_tol = load_problem_arrays(args.problem)
+    t, a, b, file_tol = load_problem_arrays(args.problem)
     cfg = resolve_tolerances(file_tol, {})
-    t = as_matrix(t)
+    problem = QpProblem(t=t, a=a, b=b, tol=cfg)
+    t, a = problem.t, problem.a
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
@@ -207,7 +208,7 @@ def cmd_check(args) -> int:
                 "ab_rank": verdict.ab_rank.rank,
                 "ab_rank_threshold": verdict.ab_rank.threshold,
             }
-            report["principal_angle"] = principal_angle_diag(a, partner, cfg)
+            report["principal_angle"] = verdict.principal_angle
         report["diagnostics"] = _warning_diagnostics(caught)
     print(emit_json(report))
     return 0

@@ -126,7 +126,9 @@ def _feasible_directions(t, a, cfg: ToleranceConfig) -> np.ndarray:
     # directions are range_t @ z with (a @ range_t) z = 0.  Intersecting via
     # projector complements instead would put roundoff-scale singular values
     # right at the rank threshold; here every factored matrix is well scaled,
-    # and the product of the two orthonormal bases is orthonormal too.
+    # and the product of the two orthonormal bases is orthonormal too.  The
+    # caller passes `a` with unit rows, so no row's scale moves the rank
+    # decision.
     range_t = range_basis(t, cfg)
     if range_t.dim == 0:
         return np.zeros((t.shape[0], 0), dtype=t.dtype)
@@ -160,7 +162,7 @@ def grid_refute(
     gap = fro_norm(am @ xc - bv)
     if gap > FEAS_TOL * fro_norm(bv):
         raise OracleError(f"candidate violates the constraint by {gap:.3e}")
-    directions = _feasible_directions(tm, am, cfg)
+    directions = _feasible_directions(tm, _unit_rows(am, bv)[0], cfg)
     if directions.shape[1] == 0:
         return True
     rng = np.random.default_rng(seed)

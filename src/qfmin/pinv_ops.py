@@ -246,41 +246,6 @@ def null_basis(a, cfg: ToleranceConfig = DEFAULT_TOL) -> SubspaceBasis:
     return SubspaceBasis(basis=fact.v[:, decision.rank :], ambient_dim=fact.v.shape[0])
 
 
-def principal_angle_diag(a, b, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
-    """Minimal principal angle between ``N(a) ⊖ R(b)`` and ``R(b)``.
-
-    A small angle means the product ``a @ b`` is close to losing rank; in
-    that case a NarrowAngleWarning fires (threshold ``angle_warn``).  It is
-    the arccos of the largest singular value of ``N_a* R_b`` below ``1 - n
-    eps`` (those above are the intersection), or pi/2 by convention when
-    there is none or either subspace is trivial.
-    """
-    arr_a = as_matrix(a)
-    arr_b = as_matrix(b)
-    if arr_a.shape[1] != arr_b.shape[0]:
-        raise DimensionMismatchError("inner dimensions of a and b must agree")
-    na = null_basis(arr_a, cfg)
-    rb = range_basis(arr_b, cfg)
-    if na.dim == 0 or rb.dim == 0:
-        return math.pi / 2
-    cosines = np.linalg.svd(na.basis.conj().T @ rb.basis, compute_uv=False)
-    below = cosines[cosines < 1.0 - arr_a.shape[1] * _EPS]
-    if not below.size:
-        return math.pi / 2
-    angle = float(np.arccos(np.clip(below[0], 0.0, 1.0)))
-    if angle < cfg.angle_warn:
-        warnings.warn(
-            NarrowAngleWarning(
-                f"principal angle {angle:.3e} rad below angle_warn "
-                f"{cfg.angle_warn:.1e}; the operator product is close to "
-                "losing rank",
-                value=angle,
-            ),
-            stacklevel=2,
-        )
-    return angle
-
-
 @dataclass(frozen=True)
 class ReverseOrderReport:
     """Verdict and residuals for the reverse-order-law predicate.
@@ -289,13 +254,20 @@ class ReverseOrderReport:
     `range_commutator` is ``||[b pinv(b), a* a]||``; both must vanish (to
     tolerance) for ``pinv(a @ b) == pinv(b) @ pinv(a)`` to hold.  They are
     ``inf`` when that value is past the float64 range.
-    `ab_rank` reports the conditioning of the product itself.
+    `ab_rank` reports the conditioning of the product itself and
+    `principal_angle` its closed range: the minimal angle between
+    ``N(a) ⊖ R(b)`` and ``R(b)``, the arccos of the largest singular value
+    of ``N_a* R_b`` below ``1 - n eps`` (those above are the intersection),
+    or pi/2 when there is none or either subspace is trivial.  A small
+    angle means ``a @ b`` is close to losing rank; a NarrowAngleWarning
+    fires below ``angle_warn``.
     """
 
     holds: bool
     rangestar_commutator: float
     range_commutator: float
     ab_rank: RankDecision
+    principal_angle: float
 
     def __bool__(self) -> bool:
         return self.holds
@@ -310,32 +282,59 @@ def _gram_commutator(p: np.ndarray, m: np.ndarray) -> tuple[float, np.ndarray, f
 
 
 def reverse_order_holds(a, b, cfg: ToleranceConfig = DEFAULT_TOL) -> ReverseOrderReport:
-    """Test the two commutation conditions behind the reverse order law.
+    """Test the conditions behind the reverse order law ``pinv(a b) = pinv(b) pinv(a)``.
 
     Each commutator is taken on its operand divided by its norm and gated
     against ``COMMUTE_TOL``, so the verdict does not depend on the scale of
-    `a` or `b`.  The closed-range condition on the product is automatic
-    here (finite dimensions); its conditioning is surfaced through
-    `ab_rank` instead of being gated on.  That rank is decided on the
+    `a` or `b`.  The closed-range condition on the product is reported,
+    not gated on: its conditioning through `ab_rank`, and its distance
+    from failing through `principal_angle`.  That rank is decided on the
     product of the divided operands, so it is scale-free too; its
     threshold and singular values are reported at the scale of ``a @ b``.
+    One SVD of each operand serves all three conditions.
     """
     arr_a = as_matrix(a)
     arr_b = as_matrix(b)
     if arr_a.shape[1] != arr_b.shape[0]:
         raise DimensionMismatchError("inner dimensions of a and b must agree")
-    c1, unit_b, norm_b = _gram_commutator(projector_rangestar(arr_a, cfg), arr_b)
-    c2, unit_ah, norm_a = _gram_commutator(projector_range(arr_b, cfg), arr_a.conj().T)
+    fact_a, rank_a = _kept_svd(arr_a, cfg)
+    fact_b, rank_b = _kept_svd(arr_b, cfg)
+    rows_a, null_a = fact_a.v[:, : rank_a.rank], fact_a.v[:, rank_a.rank :]
+    range_b = fact_b.u[:, : rank_b.rank]
+    c1, unit_b, norm_b = _gram_commutator(rows_a @ rows_a.conj().T, arr_b)
+    c2, unit_ah, norm_a = _gram_commutator(range_b @ range_b.conj().T, arr_a.conj().T)
     product = unit_ah.conj().T @ unit_b
     unit = rank_decide(np.linalg.svd(product, compute_uv=False), cfg, dim=max(product.shape))
     values = (unit.threshold, unit.sigma_kept_min, unit.sigma_dropped_max)
+    angle = math.pi / 2
+    if null_a.shape[1] and range_b.shape[1]:
+        cosines = np.linalg.svd(null_a.conj().T @ range_b, compute_uv=False)
+        below = cosines[cosines < 1.0 - arr_a.shape[1] * _EPS]
+        if below.size:
+            angle = float(np.arccos(np.clip(below[0], 0.0, 1.0)))
+            if angle < cfg.angle_warn:
+                warnings.warn(
+                    NarrowAngleWarning(
+                        f"principal angle {angle:.3e} rad below angle_warn "
+                        f"{cfg.angle_warn:.1e}; the operator product is close "
+                        "to losing rank",
+                        value=angle,
+                    ),
+                    stacklevel=2,
+                )
     return ReverseOrderReport(
         holds=c1 <= COMMUTE_TOL and c2 <= COMMUTE_TOL,
         # float products overflow to inf, where ** would raise
         rangestar_commutator=c1 * norm_b * norm_b,
         range_commutator=c2 * norm_a * norm_a,
         ab_rank=RankDecision(unit.rank, *(v * norm_a * norm_b for v in values)),
+        principal_angle=angle,
     )
+
+
+def principal_angle_diag(a, b, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
+    """The `principal_angle` of ``reverse_order_holds(a, b, cfg)``."""
+    return reverse_order_holds(a, b, cfg).principal_angle
 
 
 def lat_invariant(subspace: SubspaceBasis, t) -> bool:

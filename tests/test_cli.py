@@ -324,8 +324,8 @@ class TestCheck:
     @pytest.mark.parametrize(
         "problem, svd_calls",
         [
-            (lambda: random_pd_problem(50, 25, seed=7), 6),
-            (lambda: random_psd_problem(50, 25, rank=37, seed=7, complex_entries=True), 6),
+            (lambda: random_pd_problem(50, 25, seed=7), 4),
+            (lambda: random_psd_problem(50, 25, rank=37, seed=7, complex_entries=True), 4),
         ],
         ids=["pd", "psd-complex"],
     )
@@ -336,8 +336,9 @@ class TestCheck:
         calls = count_linalg()
         code, _, _ = run(capsys, "check", "--problem", path)
         assert code == 0
-        # the reverse-order test makes 3 SVDs and the angle 3, whether or
-        # not N(A) is inside R(T^{+1/2})
+        # the reverse-order report factors A and T^{+1/2} once each, then
+        # takes the singular values of their product and of N_A* R(T^{+1/2}),
+        # whether or not N(A) is inside R(T^{+1/2})
         assert calls == {"eigh": 1, "svd": svd_calls, "qr": 0, "inv": 0, "solve": 0}
 
     def test_non_hermitian_factors_once(self, tmp_path, capsys, count_linalg):
@@ -373,6 +374,47 @@ class TestCheck:
             assert code == 0
             verdicts.append(json.loads(out)["reverse_order"]["holds"])
         assert verdicts == [False, False]
+
+    @pytest.mark.parametrize(
+        "t",
+        [[[1, 0], [0, 2]], [[1, 0], [0, -2]], [[1, 1], [0, 1]]],
+        ids=["definite", "indefinite", "non-hermitian"],
+    )
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ([[1, 0, 0]], [1]),
+            ([[1, 0]], [1, 2, 3]),
+            ([[float("nan"), 0]], [1]),
+            ([[1, 0]], [float("nan")]),
+        ],
+        ids=["a-width", "b-length", "nan-in-a", "nan-in-b"],
+    )
+    def test_invalid_problem_exits_one_as_solve_does(self, tmp_path, capsys, t, a, b):
+        path = write(tmp_path, {"t": t, "a": a, "b": b})
+        checked = run(capsys, "check", "--problem", path)
+        solved = run(capsys, "solve", "--problem", path)
+        assert checked[:2] == (1, "")
+        assert checked[2].startswith("qfmin: invalid input: ")
+        assert checked == solved
+
+    def test_each_operand_warns_once(self, tmp_path, capsys):
+        # A keeps a singular value 1e-10 of its largest; T^{+1/2} is well
+        # conditioned, so A and the product each warn, and nothing else does
+        rng = np.random.default_rng(3)
+        u, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        v, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+        a = (u * [1.0, 0.5, 0.1, 1e-10]) @ v[:, :4].T
+        t = np.diag(np.linspace(1.0, 3.0, 8))
+        doc = {"t": t.tolist(), "a": a.tolist(), "b": [1.0, 2.0, 3.0, 4.0]}
+        code, out, _ = run(capsys, "check", "--problem", write(tmp_path, doc))
+        assert code == 0
+        notes = json.loads(out)["diagnostics"]
+        sigma_a = np.linalg.svd(a, compute_uv=False)
+        sigma_ab = np.linalg.svd(a / np.sqrt(np.diag(t)), compute_uv=False)
+        assert [d["code"] for d in notes] == ["ill_conditioning"] * 2
+        assert notes[0]["value"] == pytest.approx(sigma_a[-1] / sigma_a[0], rel=1e-4)
+        assert notes[1]["value"] == pytest.approx(sigma_ab[-1] / sigma_ab[0], rel=1e-4)
 
 
 class TestL2Demo:

@@ -33,3 +33,4 @@ def test_demo_runs(script):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
+    assert done.stderr == ""

@@ -93,6 +93,7 @@ TRACER_ONLY = {
     ("cli", "minimize_posdef_diag"),
     ("cli", "minimize_psd_complement"),
     ("cli", "pinv"),
+    ("cli", "principal_angle_diag"),
     ("cli", "sqrt_psd"),
     ("minimizers", "ep_decompose"),
     ("minimizers", "pinv_with_rank"),

@@ -17,6 +17,7 @@ from qfmin import (
     quad_value,
     random_pd_problem,
     random_psd_problem,
+    range_basis,
     reduced_solve,
     solve,
 )
@@ -166,6 +167,23 @@ class TestGridRefute:
         d = null_basis(a).basis[:, 0]
         assert not grid_refute(scale * t, a, b, xhat + 0.1 * d, n_samples=5_000)
         assert grid_refute(scale * t, a, b, xhat, n_samples=5_000)
+
+    @pytest.mark.parametrize("e", [20, 40, 150])
+    @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("kind", ["pd", "psd"])
+    def test_verdict_does_not_depend_on_the_scale_of_the_rows(self, kind, complex_entries, e):
+        # rows of (a, b) scaled by 1e-e .. 1e+e describe the same constraint set
+        if kind == "pd":
+            t, a, b = random_pd_problem(30, 12, seed=0, complex_entries=complex_entries)
+        else:
+            t, a, b = random_psd_problem(30, 12, 20, seed=0, complex_entries=complex_entries)
+        xhat = solve(QpProblem(t, a, b)).xhat
+        range_t = range_basis(t).basis
+        d = range_t @ null_basis(a @ range_t).basis[:, 0]
+        rows = np.logspace(-e, e, 12)
+        a, b = rows[:, None] * a, rows * b
+        assert grid_refute(t, a, b, xhat, n_samples=5_000)
+        assert not grid_refute(t, a, b, xhat + 0.1 * d, n_samples=5_000)
 
     def test_invertible_constraint_trivially_stands(self):
         a = np.eye(3)
