@@ -44,11 +44,12 @@ from .l2_models import example1_convergence
 from .pinv_ops import (
     _ep_holds,
     _kept_svd,
+    _reverse_order,
     is_ep,  # noqa: F401  kept bound: perfbench/tracing.py wraps it
     pinv,  # noqa: F401  kept bound: perfbench/tracing.py wraps it
     principal_angle_diag,  # noqa: F401  kept bound: perfbench/tracing.py wraps it
     rank_decide,
-    reverse_order_holds,
+    reverse_order_holds,  # noqa: F401  kept bound: perfbench/tracing.py wraps it
     sqrt_psd,  # noqa: F401  kept bound: perfbench/tracing.py wraps it
 )
 from .problem_io import emit_json, load_problem_arrays, resolve_tolerances
@@ -198,9 +199,9 @@ def cmd_check(args) -> int:
             "positivity_class": label,
         }
         if eig is not None and cls is not SpectrumClass.INDEFINITE:
-            # T^{+1/2} on the range the solver keeps, from the same eigenpairs
-            partner = _inverse_root(eig, cls, lambda *_: decision)
-            verdict = reverse_order_holds(a, partner, cfg=cfg)
+            # T^{+1/2} and its range Q_r, the range the solver keeps, from the same eigenpairs
+            partner, range_t = _inverse_root(eig, cls, lambda *_: decision)
+            verdict = _reverse_order(a, partner, range_t, cfg)
             report["reverse_order"] = {
                 "holds": verdict.holds,
                 "rangestar_commutator": verdict.rangestar_commutator,

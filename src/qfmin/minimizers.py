@@ -270,14 +270,14 @@ def _range_eigenpairs(eig: EigResult, cls: SpectrumClass, decide):
     return w[keep], q[:, keep]
 
 
-def _inverse_root(eig: EigResult, cls: SpectrumClass, decide) -> np.ndarray:
-    """``Q_r Λ_r^{-1/2} Q_r*`` from the `_range_eigenpairs` of `eig`.
+def _inverse_root(eig: EigResult, cls: SpectrumClass, decide) -> tuple[np.ndarray, np.ndarray]:
+    """``Q_r Λ_r^{-1/2} Q_r*`` from the `_range_eigenpairs` of `eig`, and its range ``Q_r``.
 
     ``T^{-1/2}`` for a definite `t` (`decide` is then not called), the
     pseudoinverse of the positive square root for a singular one.
     """
     w, q = _range_eigenpairs(eig, cls, decide)
-    return (q / np.sqrt(w)) @ q.conj().T
+    return (q / np.sqrt(w)) @ q.conj().T, q
 
 
 def _row_factors(x: np.ndarray, decide, inverse: bool = False):
@@ -386,7 +386,7 @@ def minimize_posdef(p: QpProblem) -> MinimizationResult:
     eig = eigh(p.t)
     cls = classify_spectrum(eig.eigenvalues, cfg)
     _require_pd(cls)
-    root_inv = _inverse_root(eig, cls, None)
+    root_inv, _ = _inverse_root(eig, cls, None)
     fact, decision = _kept_svd(p.a @ root_inv, cfg)
     r = decision.rank
     u = fact.u[:, :r]

@@ -24,10 +24,7 @@ from .errors import (
     NotPositiveError,
 )
 
-# Cosines within n eps of 1 (n the ambient dimension, as in the default
-# rank rule) mark an exact subspace intersection, whose cosines carry SVD
-# roundoff of that order.  That resolves angles down to sqrt(2 n eps) rad,
-# under the default angle_warn up to n ~ 2000.
+# A principal sine at most n eps (n the ambient dimension) is roundoff on an intersection.
 _EPS = float(np.finfo(np.float64).eps)
 
 
@@ -84,15 +81,14 @@ def rank_decide(
 
 
 def _kept_svd(a, cfg: ToleranceConfig) -> tuple[SvdResult, RankDecision]:
-    """The guarded full SVD of `a` and its one rank decision.
+    """The guarded thin SVD of `a` and its one rank decision.
 
     Every pseudoinverse, projector, basis and EP test here reads its kept
     factors ``fact.u[:, :r]``, ``fact.sigma[:r]``, ``fact.v[:, :r]`` from
     this pair, so each operand is factored and thresholded once.
     """
-    arr = as_matrix(a)
-    fact = svd(arr)
-    return fact, rank_decide(fact.sigma, cfg, dim=max(arr.shape))
+    fact = svd(a, full_matrices=False)
+    return fact, rank_decide(fact.sigma, cfg, dim=max(fact.u.shape[0], fact.v.shape[0]))
 
 
 def pinv_with_rank(
@@ -111,8 +107,7 @@ def pinv(a, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     the rest are inverted; on well-scaled inputs the result satisfies the
     four defining (Penrose) equations to roundoff.
     """
-    p, _ = pinv_with_rank(a, cfg)
-    return p
+    return pinv_with_rank(a, cfg)[0]
 
 
 def projector_range(a, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -162,10 +157,8 @@ class EpDecomposition:
     rank: int
 
     def reconstruct(self) -> np.ndarray:
-        n = self.u1.shape[0]
-        core = np.zeros((n, n), dtype=self.u1.dtype)
-        core[: self.rank, : self.rank] = self.a1
-        return self.u1 @ core @ self.u1.conj().T
+        u = self.u1[:, : self.rank]
+        return u @ self.a1 @ u.conj().T
 
 
 def ep_decompose(t, cfg: ToleranceConfig = DEFAULT_TOL) -> EpDecomposition:
@@ -208,8 +201,7 @@ def sqrt_psd(t, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
         raise NotPositiveError(
             f"smallest eigenvalue {w[0]:.6e} is below -neg_tol * ||t|| = {lower:.6e}"
         )
-    clamped = np.where(w < 0, 0.0, w)
-    root = (fact.q * np.sqrt(clamped)) @ fact.q.conj().T
+    root = (fact.q * np.sqrt(np.maximum(w, 0.0))) @ fact.q.conj().T
     return (root + root.conj().T) / 2
 
 
@@ -241,9 +233,10 @@ def rangestar_basis(a, cfg: ToleranceConfig = DEFAULT_TOL) -> SubspaceBasis:
 
 
 def null_basis(a, cfg: ToleranceConfig = DEFAULT_TOL) -> SubspaceBasis:
-    """Orthonormal basis of the kernel of `a`."""
-    fact, decision = _kept_svd(a, cfg)
-    return SubspaceBasis(basis=fact.v[:, decision.rank :], ambient_dim=fact.v.shape[0])
+    """Orthonormal basis of the kernel of `a`, the trailing ``V`` of its full SVD."""
+    fact = svd(a)
+    rank = rank_decide(fact.sigma, cfg, dim=max(fact.u.shape[0], fact.v.shape[0])).rank
+    return SubspaceBasis(basis=fact.v[:, rank:], ambient_dim=fact.v.shape[0])
 
 
 @dataclass(frozen=True)
@@ -256,11 +249,10 @@ class ReverseOrderReport:
     ``inf`` when that value is past the float64 range.
     `ab_rank` reports the conditioning of the product itself and
     `principal_angle` its closed range: the minimal angle between
-    ``N(a) ⊖ R(b)`` and ``R(b)``, the arccos of the largest singular value
-    of ``N_a* R_b`` below ``1 - n eps`` (those above are the intersection),
-    or pi/2 when there is none or either subspace is trivial.  A small
-    angle means ``a @ b`` is close to losing rank; a NarrowAngleWarning
-    fires below ``angle_warn``.
+    ``N(a) ⊖ R(b)`` and ``R(b)``, or pi/2 when there is none.  Principal
+    sines at most ``n eps`` count as the intersection.  A small angle
+    means ``a @ b`` is close to losing rank; a NarrowAngleWarning fires
+    below ``angle_warn``.
     """
 
     holds: bool
@@ -293,35 +285,42 @@ def reverse_order_holds(a, b, cfg: ToleranceConfig = DEFAULT_TOL) -> ReverseOrde
     threshold and singular values are reported at the scale of ``a @ b``.
     One SVD of each operand serves all three conditions.
     """
-    arr_a = as_matrix(a)
-    arr_b = as_matrix(b)
+    arr_a, arr_b = as_matrix(a), as_matrix(b)
     if arr_a.shape[1] != arr_b.shape[0]:
         raise DimensionMismatchError("inner dimensions of a and b must agree")
-    fact_a, rank_a = _kept_svd(arr_a, cfg)
-    fact_b, rank_b = _kept_svd(arr_b, cfg)
-    rows_a, null_a = fact_a.v[:, : rank_a.rank], fact_a.v[:, rank_a.rank :]
-    range_b = fact_b.u[:, : rank_b.rank]
-    c1, unit_b, norm_b = _gram_commutator(rows_a @ rows_a.conj().T, arr_b)
-    c2, unit_ah, norm_a = _gram_commutator(range_b @ range_b.conj().T, arr_a.conj().T)
+    return _reverse_order(arr_a, arr_b, range_basis(arr_b, cfg).basis, cfg)
+
+
+def _reverse_order(a, b, range_b, cfg: ToleranceConfig) -> ReverseOrderReport:
+    """`reverse_order_holds` of validated operands, given an orthonormal basis `range_b` of R(b).
+
+    One thin SVD of `a` gives its row space ``V_r``.  The sines of ``R(b)`` to
+    ``N(a)`` are the singular values of ``V_r* R_b`` and ``max(r_b - r_a, 0)``
+    zeros; ascending, the first ``min(n - r_a, r_b)`` are the principal sines.
+    The first above ``n eps`` gives the angle: its arcsin below ``1/sqrt(2)``,
+    else the arccos of the matching singular value of ``R_b - V_r V_r* R_b``.
+    """
+    rows_a = rangestar_basis(a, cfg).basis
+    c1, unit_b, norm_b = _gram_commutator(rows_a @ rows_a.conj().T, b)
+    c2, unit_ah, norm_a = _gram_commutator(range_b @ range_b.conj().T, a.conj().T)
     product = unit_ah.conj().T @ unit_b
     unit = rank_decide(np.linalg.svd(product, compute_uv=False), cfg, dim=max(product.shape))
     values = (unit.threshold, unit.sigma_kept_min, unit.sigma_dropped_max)
+    n, shadow = a.shape[1], rows_a.conj().T @ range_b
+    sines = np.linalg.svd(shadow, compute_uv=False)[::-1]
+    sines = np.concatenate((np.zeros(range_b.shape[1] - sines.size), sines))[: n - rows_a.shape[1]]
+    first = int(np.count_nonzero(sines <= n * _EPS))
     angle = math.pi / 2
-    if null_a.shape[1] and range_b.shape[1]:
-        cosines = np.linalg.svd(null_a.conj().T @ range_b, compute_uv=False)
-        below = cosines[cosines < 1.0 - arr_a.shape[1] * _EPS]
-        if below.size:
-            angle = float(np.arccos(np.clip(below[0], 0.0, 1.0)))
-            if angle < cfg.angle_warn:
-                warnings.warn(
-                    NarrowAngleWarning(
-                        f"principal angle {angle:.3e} rad below angle_warn "
-                        f"{cfg.angle_warn:.1e}; the operator product is close "
-                        "to losing rank",
-                        value=angle,
-                    ),
-                    stacklevel=2,
-                )
+    if first < sines.size:
+        if sines[first] < math.sqrt(0.5):
+            angle = math.asin(sines[first])
+        else:
+            cosines = np.linalg.svd(range_b - rows_a @ shadow, compute_uv=False)
+            angle = math.acos(min(cosines[first], 1.0))
+        if angle < cfg.angle_warn:
+            message = f"principal angle {angle:.3e} rad below angle_warn {cfg.angle_warn:.1e}"
+            message += "; the operator product is close to losing rank"
+            warnings.warn(NarrowAngleWarning(message, value=angle), stacklevel=3)
     return ReverseOrderReport(
         holds=c1 <= COMMUTE_TOL and c2 <= COMMUTE_TOL,
         # float products overflow to inf, where ** would raise

@@ -11,15 +11,18 @@ def count_linalg(monkeypatch):
     """Start counting the numpy.linalg calls in `LINALG_CALLS`.
 
     Calling the fixture's value patches them and returns the live counts,
-    which grow until the test ends.
+    which grow until the test ends.  An SVD called with ``compute_uv=False``
+    computes no singular vectors and counts under ``svdvals``, apart from
+    ``svd``.
     """
 
     def start() -> dict:
-        calls = dict.fromkeys(LINALG_CALLS, 0)
+        calls = dict.fromkeys(LINALG_CALLS + ("svdvals",), 0)
         for name in LINALG_CALLS:
 
             def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
-                calls[_name] += 1
+                values_only = _name == "svd" and kwargs.get("compute_uv") is False
+                calls["svdvals" if values_only else _name] += 1
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)

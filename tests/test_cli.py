@@ -321,25 +321,44 @@ class TestCheck:
         assert report["principal_angle"] == pytest.approx(principal_angle_diag(a, partner), rel=1e-8)
         assert [d for d in report["diagnostics"] if d["code"] == "ill_conditioning"] == []
 
+    def test_narrow_angle_of_a_singular_t(self, tmp_path, capsys):
+        # N(A) = span(Q[:, :4]) and R(T) = span(cos θ Q0 + sin θ Q4, Q5, Q6):
+        # the one principal angle below pi/2 is θ, far below the resolution
+        # of its cosine
+        theta = 1e-8
+        q, _ = np.linalg.qr(np.random.default_rng(21).standard_normal((8, 8)))
+        a = np.random.default_rng(22).standard_normal((4, 4)) @ q[:, 4:].T
+        r_t = np.column_stack([np.cos(theta) * q[:, 0] + np.sin(theta) * q[:, 4], q[:, 5], q[:, 6]])
+        t = (r_t * [1.0, 2.0, 3.0]) @ r_t.T
+        doc = {"t": t.tolist(), "a": a.tolist(), "b": [1.0, 2.0, 3.0, 4.0]}
+        code, out, _ = run(capsys, "check", "--problem", write(tmp_path, doc))
+        assert code == 0
+        report = json.loads(out)
+        assert (report["rank"], report["positivity_class"]) == (3, "psd-singular")
+        assert report["principal_angle"] == pytest.approx(theta, rel=1e-6)
+        narrow = [d for d in report["diagnostics"] if d["code"] == "narrow_angle"]
+        assert [d["value"] for d in narrow] == [report["principal_angle"]]
+
     @pytest.mark.parametrize(
-        "problem, svd_calls",
+        "problem",
         [
-            (lambda: random_pd_problem(50, 25, seed=7), 4),
-            (lambda: random_psd_problem(50, 25, rank=37, seed=7, complex_entries=True), 4),
+            lambda: random_pd_problem(50, 25, seed=7),
+            lambda: random_psd_problem(50, 25, rank=37, seed=7, complex_entries=True),
         ],
         ids=["pd", "psd-complex"],
     )
-    def test_factors_t_once(self, tmp_path, capsys, count_linalg, problem, svd_calls):
+    def test_factors_t_once(self, tmp_path, capsys, count_linalg, problem):
         t, a, b = problem()
         doc = {"t": nested(t), "a": nested(a), "b": nested(b)}
         path = write(tmp_path, doc)
         calls = count_linalg()
         code, _, _ = run(capsys, "check", "--problem", path)
         assert code == 0
-        # the reverse-order report factors A and T^{+1/2} once each, then
-        # takes the singular values of their product and of N_A* R(T^{+1/2}),
-        # whether or not N(A) is inside R(T^{+1/2})
-        assert calls == {"eigh": 1, "svd": svd_calls, "qr": 0, "inv": 0, "solve": 0}
+        # the range of T^{+1/2} is the Q_r of the eigh, so the reverse-order
+        # report factors only A, by one thin SVD, then takes the singular
+        # values of the product and of V_A* Q_r, the sines to N(A); both
+        # angles here are below pi/4, where no cosine is needed
+        assert calls == {"eigh": 1, "svd": 1, "qr": 0, "inv": 0, "solve": 0, "svdvals": 2}
 
     def test_non_hermitian_factors_once(self, tmp_path, capsys, count_linalg):
         path = write(tmp_path, {"t": [[1, 1e-9], [0, 1e-12]], "a": [[1, 0]], "b": [1]})
@@ -349,7 +368,7 @@ class TestCheck:
         doc = json.loads(out)
         assert (doc["ep"], doc["rank"], doc["positivity_class"]) == (True, 2, "non-hermitian")
         assert [d["code"] for d in doc["diagnostics"]] == ["ill_conditioning"]
-        assert calls == {"eigh": 0, "svd": 1, "qr": 0, "inv": 0, "solve": 0}
+        assert calls == {"eigh": 0, "svd": 1, "qr": 0, "inv": 0, "solve": 0, "svdvals": 0}
 
     def test_definite_t_near_the_float64_limit(self, tmp_path, capsys):
         t = (1e308 * np.array([[1.0, 0.5], [0.5, 1.0]])).tolist()

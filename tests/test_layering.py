@@ -61,6 +61,7 @@ PRIVATE_IMPORTS = {
     ("cli", "minimizers", "_inverse_root"),
     ("cli", "pinv_ops", "_ep_holds"),
     ("cli", "pinv_ops", "_kept_svd"),
+    ("cli", "pinv_ops", "_reverse_order"),
     ("minimizers", "pinv_ops", "_kept_svd"),
 }
 
@@ -94,6 +95,7 @@ TRACER_ONLY = {
     ("cli", "minimize_psd_complement"),
     ("cli", "pinv"),
     ("cli", "principal_angle_diag"),
+    ("cli", "reverse_order_holds"),
     ("cli", "sqrt_psd"),
     ("minimizers", "ep_decompose"),
     ("minimizers", "pinv_with_rank"),

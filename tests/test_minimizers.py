@@ -531,7 +531,7 @@ class TestFactorizationCounts:
         p = QpProblem(*random_pd_problem(12, 6, seed=5))
         counts = count_linalg()
         solve(p)
-        assert counts == {"eigh": 1, "svd": 1, "qr": 1, "inv": 1, "solve": 0}
+        assert counts == {"eigh": 1, "svd": 0, "qr": 1, "inv": 1, "solve": 0, "svdvals": 1}
 
     def test_semidefinite(self, count_linalg):
         p = QpProblem(*random_psd_problem(12, 6, rank=9, seed=5))
@@ -540,14 +540,14 @@ class TestFactorizationCounts:
         # the second QR and two more values-only SVDs give the row space of
         # a and its cosines to the range of t, for the psd_product_conditioning
         # note, which needs no inverse
-        assert counts == {"eigh": 1, "svd": 3, "qr": 2, "inv": 1, "solve": 0}
+        assert counts == {"eigh": 1, "svd": 0, "qr": 2, "inv": 1, "solve": 0, "svdvals": 3}
 
     def test_definite_square_constraint(self, count_linalg):
         p = QpProblem(*random_pd_problem(12, 12, seed=5))
         counts = count_linalg()
         r = solve(p)
         # the shortcut's pinv(a) b takes a second QR, of the invertible a*
-        assert counts == {"eigh": 1, "svd": 2, "qr": 2, "inv": 2, "solve": 0}
+        assert counts == {"eigh": 1, "svd": 0, "qr": 2, "inv": 2, "solve": 0, "svdvals": 2}
         assert r.diagnostics[-1].value is not None
 
     def test_square_root_reference(self, count_linalg):
@@ -555,7 +555,7 @@ class TestFactorizationCounts:
         p = QpProblem(*random_pd_problem(12, 6, seed=5))
         counts = count_linalg()
         minimize_posdef(p)
-        assert counts == {"eigh": 1, "svd": 1, "qr": 0, "inv": 0, "solve": 0}
+        assert counts == {"eigh": 1, "svd": 1, "qr": 0, "inv": 0, "solve": 0, "svdvals": 0}
 
     def test_square_shortcut_leaves_the_memo_alone(self, count_linalg):
         # the class gate needs the eigenvalues of t and the shortcut the
@@ -564,7 +564,7 @@ class TestFactorizationCounts:
         p = truncated_problem(8)
         counts = count_linalg()
         assert try_cor1_shortcut(p) is not None
-        assert counts == {"eigh": 1, "svd": 2, "qr": 1, "inv": 0, "solve": 0}
+        assert counts == {"eigh": 1, "svd": 1, "qr": 1, "inv": 0, "solve": 0, "svdvals": 1}
         assert minimizers._memo is None
 
 
@@ -602,7 +602,7 @@ class TestFactorMemo:
         hit = solve(QpProblem(t, a, b2))
         # a square a keeps the shortcut's factors of a on every solve
         each = 1 if case == "pd-square" else 0
-        assert counts == {"eigh": 0, "svd": each, "qr": each, "inv": each, "solve": 0}
+        assert counts == {"eigh": 0, "svd": 0, "qr": each, "inv": each, "solve": 0, "svdvals": each}
         monkeypatch.setattr(minimizers, "_memo", None)
         assert_same_result(hit, solve(QpProblem(t, a, b2)))
 
@@ -616,7 +616,7 @@ class TestFactorMemo:
         assert diag.method is Method.POSDEF_DIAG
         # the square-root reference never reads the memo
         minimize_posdef(QpProblem(t, a, b))
-        assert counts == {"eigh": 1, "svd": 1, "qr": 0, "inv": 0, "solve": 0}
+        assert counts == {"eigh": 1, "svd": 1, "qr": 0, "inv": 0, "solve": 0, "svdvals": 0}
 
     @pytest.mark.parametrize(
         "change",
@@ -676,7 +676,7 @@ class TestFactorMemo:
         p = QpProblem(*random_pd_problem(12, 6, seed=5))
         counts = count_linalg()
         assert try_cor1_shortcut(p) is None
-        assert counts == {"eigh": 1, "svd": 0, "qr": 0, "inv": 0, "solve": 0}
+        assert counts == {"eigh": 1, "svd": 0, "qr": 0, "inv": 0, "solve": 0, "svdvals": 0}
         assert minimizers._memo is None
         with pytest.raises(NotPositiveDefiniteError):
             try_cor1_shortcut(QpProblem(EXAMPLE2_Q, EXAMPLE2_A, EXAMPLE2_B))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qfmin import (
+    DEFAULT_TOL,
     DimensionMismatchError,
     IllConditioningWarning,
     NarrowAngleWarning,
@@ -297,15 +298,20 @@ class TestPrincipalAngle:
         b = np.array([[np.cos(theta)], [np.sin(theta)]])
         assert principal_angle_diag(a, b) == pytest.approx(theta, abs=1e-9)
 
-    def test_warns_on_narrow_angle(self):
-        # arccos near 1 has eps/sin(theta) conditioning, so only the
-        # magnitude and the warning are checked, not tight equality
-        theta = 1e-7
+    @pytest.mark.parametrize(
+        "theta", [1e-3, 1e-5, 1e-7, 1e-8, 1e-10], ids=["1e-3", "1e-5", "1e-7", "1e-8", "1e-10"]
+    )
+    def test_narrow_angle_from_sines(self, theta):
+        # the sine of a small angle keeps its relative accuracy, where the
+        # cosine rounds to 1 below about sqrt(2 n eps)
         a = np.diag([0.0, 1.0])
         b = np.array([[np.cos(theta)], [np.sin(theta)]])
-        with pytest.warns(NarrowAngleWarning):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             angle = principal_angle_diag(a, b)
-        assert 0.0 < angle < 1e-6
+        assert abs(angle - theta) <= 1e-12
+        expected = [NarrowAngleWarning] if theta < DEFAULT_TOL.angle_warn else []
+        assert [w.category for w in caught] == expected
 
     def test_contained_kernel_collapses_to_right_angle(self):
         a = np.diag([0.0, 1.0])
