@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,6 +18,7 @@ from qfmin import (
     eigh,
     svd,
 )
+from qfmin import dense_core
 from qfmin.dense_core import fro_norm, qr
 
 EXAMPLE2_Q = np.array([[14.0, 20, 28], [20, 83, 40], [28, 40, 56]])
@@ -132,6 +134,94 @@ def test_an_eigenvalue_past_the_float64_range_fails_the_guard():
     # the eigenvalue 2e308 and ||a|| both overflow to inf
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FactorizationError):
         eigh(1e308 * np.ones((2, 2)))
+
+
+def _draw(rng, shape, complex_entries):
+    x = rng.standard_normal(shape)
+    return x + 1j * rng.standard_normal(shape) if complex_entries else x
+
+
+def _operand(rng, name, shape, complex_entries):
+    """A random input for the factorization `name`, Hermitian for eigh."""
+    a = _draw(rng, shape, complex_entries)
+    return (a + a.conj().T) / 2 if name == "eigh" else a
+
+
+def _guarded(name, a):
+    """The guarded factorization `name` of `a`: the thin SVD, the QR or eigh."""
+    factor = {"svd": lambda x: svd(x, full_matrices=False), "qr": lambda x: qr(as_matrix(x)), "eigh": eigh}
+    return factor[name](a)
+
+
+class TestProbeGuard:
+    """The guard checks the factors on dense_core._PROBES fixed Gaussian probes."""
+
+    @pytest.mark.parametrize("n", [3, 64, 257])
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    @pytest.mark.parametrize("name", ["svd", "qr", "eigh"])
+    @pytest.mark.parametrize("size", [1.01, 2.0])
+    def test_a_rank_one_error_past_the_tolerance_fails(
+        self, monkeypatch, size, name, complex_entries, n
+    ):
+        # The backend factors a + E, ||E|| = size * KTOL ||a||, Hermitian for
+        # eigh, which a full reconstruction would reject.  The probes miss it
+        # with probability P(chi2_8 <= pi / (25 size^2)), below 6.2e-7 (README).
+        rng = np.random.default_rng(n)
+        a = _operand(rng, name, (n, n), complex_entries)
+        u = _draw(rng, n, complex_entries)
+        v = u if name == "eigh" else _draw(rng, n, complex_entries)
+        error = np.outer(u, v.conj())
+        error *= size * dense_core.KTOL * fro_norm(a) / fro_norm(error)
+        backend = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda x, *args, **kw: backend(x + error, *args, **kw))
+        with pytest.raises(FactorizationError, match="probe residual"):
+            _guarded(name, a)
+
+    @pytest.mark.parametrize("n", [3, 64, 257])
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    @pytest.mark.parametrize("name", ["svd", "qr", "eigh"])
+    def test_sound_factors_pass_with_a_hundredfold_margin(
+        self, monkeypatch, name, complex_entries, n
+    ):
+        rng = np.random.default_rng(n)
+        a = _operand(rng, name, (n, n), complex_entries)
+        monkeypatch.setattr(dense_core, "KTOL", dense_core.KTOL / 100)
+        _guarded(name, a)
+
+    @pytest.mark.parametrize("scale", [1e-310, 1e-300, 1e-150, 1.0, 1e150, 1e300, 1e307])
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    @pytest.mark.parametrize(
+        "name, shape",
+        [("eigh", (30, 30)), ("svd", (30, 30)), ("svd", (30, 12)), ("qr", (30, 30)), ("qr", (30, 12))],
+    )
+    def test_sound_factors_pass_at_every_scale(self, name, shape, complex_entries, scale):
+        rng = np.random.default_rng(shape[1])
+        a = _operand(rng, name, shape, complex_entries) * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            _guarded(name, a)
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    @pytest.mark.parametrize("name", ["svd", "qr", "eigh"])
+    def test_one_guard_allocates_a_few_probe_blocks(self, monkeypatch, name, complex_entries):
+        n = 400
+        rng = np.random.default_rng(7)
+        a = _operand(rng, name, (n, n), complex_entries)
+        guard, peaks = dense_core._guard, []
+
+        def traced(*args):
+            tracemalloc.start()
+            try:
+                guard(*args)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+
+        monkeypatch.setattr(dense_core, "_guard", traced)
+        _guarded(name, a)
+        block = n * dense_core._PROBES * a.itemsize
+        assert len(peaks) == 1
+        assert peaks[0] <= 8 * block < a.nbytes / 4
 
 
 class TestAdjoint:

@@ -55,6 +55,42 @@ def test_the_check_sees_dense_core_calls():
     }
 
 
+def _formed_products(tree):
+    """``@`` products in the arguments of a `_guard` call whose right operand is not a probe.
+
+    The guard's `apply` multiplies the factors into the probe block, right
+    to left; an ``@`` with no probe on its right forms a product of factors,
+    the O(n^3) reconstruction the probes replace.
+    """
+    for call in ast.walk(tree):
+        if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "_guard"):
+            continue
+        for arg in call.args:
+            probes = {a.arg for a in arg.args.args} if isinstance(arg, ast.Lambda) else set()
+            for node in ast.walk(arg):
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+                    right = {n.id for n in ast.walk(node.right) if isinstance(n, ast.Name)}
+                    if not right & probes:
+                        yield f"{ast.unparse(node)} at line {node.lineno}"
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_guard_forms_a_product_of_factors(module):
+    tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+    assert list(_formed_products(tree)) == []
+
+
+def test_the_product_check_sees_a_reconstruction():
+    guards = [
+        node
+        for node in ast.walk(ast.parse((SRC / "dense_core.py").read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_guard"
+    ]
+    assert len(guards) == 3
+    old = ast.parse('_guard("QR", q @ r, a, KTOL, n)\n_guard("E", lambda z: ((q * w) @ q.T) @ z, a, n)')
+    assert [p.split(" at ")[0] for p in _formed_products(old)] == ["q @ r", "q * w @ q.T"]
+
+
 # (importer, source, name): every private name one qfmin module imports from
 # another.  A new crossing is a coupling, and joins this list on purpose.
 PRIVATE_IMPORTS = {

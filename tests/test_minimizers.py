@@ -37,7 +37,7 @@ from qfmin import (
     try_cor1_shortcut,
 )
 from qfmin import minimizers
-from qfmin.config import FEAS_TOL, WARN_RATIO, ToleranceConfig
+from qfmin.config import FEAS_TOL, HTOL, WARN_RATIO, ToleranceConfig
 from qfmin.dense_core import fro_norm, svd
 from qfmin.l2_models import diag_operator, DiagonalSpec, harmonic_b, left_shift
 
@@ -102,6 +102,24 @@ class TestQpProblem:
         assert r.method is Method.POSDEF
         assert_allclose(r.xhat, [0.5, 0.5], rtol=1e-12)
         assert r.min_value == pytest.approx(7.5e307, rel=1e-12)
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_asymmetry_just_inside_the_gate_solves(self, complex_entries):
+        # eigh checks its factors against the symmetrized t it factored; checked
+        # against t itself they would miss by HTOL / 2, above the guard's bound
+        t, a, b = random_pd_problem(30, 12, 3, complex_entries)
+        rng = np.random.default_rng(3)
+        skew = rng.standard_normal((30, 30))
+        if complex_entries:
+            skew = skew + 1j * rng.standard_normal((30, 30))
+        skew -= skew.conj().T
+        asymmetric = t + skew * (0.45 * HTOL * fro_norm(t) / fro_norm(skew))
+        gap = fro_norm(asymmetric - asymmetric.conj().T) / fro_norm(asymmetric)
+        assert 0.89 * HTOL < gap < 0.91 * HTOL
+        r = solve(QpProblem(asymmetric, a, b))
+        expected = solve(QpProblem((asymmetric + asymmetric.conj().T) / 2, a, b))
+        assert r.method is Method.POSDEF
+        assert_allclose(r.xhat, expected.xhat, rtol=1e-12)
 
 
 def check_hermitian_gate_at(scale):
