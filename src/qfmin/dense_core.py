@@ -61,6 +61,8 @@ def as_vector(b) -> np.ndarray:
 # so no partial sum overflowed, and squares lost to underflow moved it by at
 # most ``size * 2**-1074``, negligible next to 1e-300.
 _PLAIN_NORM_BAND = (1e-150, 1e150)
+# No difference of two parts at most this large overflows.
+_HALF_MAX = float(np.finfo(np.float64).max) / 2
 
 
 def fro_norm(a) -> float:
@@ -201,20 +203,28 @@ def eigh(a) -> EigResult:
     """Hermitian eigendecomposition with ascending eigenvalues.
 
     This is the library's one Hermitian gate: NotHermitianError unless
-    ``||a - a*|| <= HTOL * ||a||``.  The input is then symmetrized as
-    ``a - (a - a*) / 2``, which cannot overflow, before factorization so
+    ``||a - a*|| <= HTOL * ||a||``, taken as ``a/2 - a*/2`` against
+    ``||a/2||`` where a part of `a` is above half the float64 maximum.
+    The input is then symmetrized as ``a - (a - a*) / 2``, which cannot
+    overflow, before factorization so
     the returned factors are exactly consistent, and the probe guard checks
     them against that symmetrized matrix.
     """
     arr = as_matrix(a)
     if arr.shape[0] != arr.shape[1]:
         raise DimensionMismatchError(f"eigh needs a square matrix, got {arr.shape}")
-    sym = arr - arr.conj().T
     norm = fro_norm(arr)
+    # t - t* can overflow where a part of t is above half the float64
+    # maximum; the difference of halves cannot, and the gate is scale-free
+    halve = not _PLAIN_NORM_BAND[0] < norm < _PLAIN_NORM_BAND[1] and _largest_part(arr) > _HALF_MAX
+    ref = arr * 0.5 if halve else arr
+    sym = ref - ref.conj().T
     herm = fro_norm(sym)
-    if not _within(sym, herm, arr, norm, HTOL):
+    if not _within(sym, herm, ref, norm * 0.5 if halve else norm, HTOL):
+        herm = 2.0 * herm if halve else herm
         raise NotHermitianError(f"t deviates from its adjoint by {herm:.3e} (norm {norm:.3e})")
-    sym *= 0.5
+    if not halve:
+        sym *= 0.5
     np.subtract(arr, sym, out=sym)
     try:
         w, q = np.linalg.eigh(sym)

@@ -19,7 +19,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import DEFAULT_TOL, FEAS_TOL, WARN_RATIO, ToleranceConfig
+from .config import (
+    ABS_FLOOR,
+    CERTIFICATE_MARGIN,
+    DEFAULT_TOL,
+    FEAS_TOL,
+    WARN_RATIO,
+    ToleranceConfig,
+)
 from .dense_core import EigResult, as_matrix, as_vector, eigh, fro_norm, qr, svd
 from .errors import (
     Diagnostic,
@@ -207,8 +214,8 @@ class _Factors:
     `root` is ``W = q Λ^{-1/2}`` from the kept eigenpairs of `t` (all of them
     for a definite `t`, the range for a singular one), and `u`, `v`, `g` are
     the `_row_factors` of ``a W``.  `spectra` lists the ``(sigma, dim)`` of
-    every rank decision in order, replayed on a hit so that it warns as the
-    miss did.
+    every rank decision the miss made, in order, replayed on a hit so that
+    it warns as the miss did.
     """
 
     t: np.ndarray
@@ -302,7 +309,9 @@ def _factorize(p: QpProblem, gate) -> _Factors:
     """One guarded `eigh` of `t` and the `_row_factors` of ``a W``.
 
     For a singular `t` only the range is kept (`_range_eigenpairs`), and
-    the conditioning of that reduction is noted.
+    the conditioning of that reduction is noted; its factorization of `a`
+    is skipped when the factors in hand certify that it would note and
+    warn nothing (`_conditioning_certified`).
     """
     cfg = p.tol
     eig = eigh(p.t)
@@ -318,7 +327,8 @@ def _factorize(p: QpProblem, gate) -> _Factors:
     root = q / np.sqrt(w)
     rank, u, v, g = _row_factors(p.a @ root, decide, inverse=True)
     notes = [_constraint_note(p, rank)]
-    if cls is SpectrumClass.PSD_SINGULAR:
+    # spectra[-1] holds the singular values of a W, the last decision made
+    if cls is SpectrumClass.PSD_SINGULAR and not _conditioning_certified(p, rank, spectra[-1][0], w):
         notes.extend(_complement_conditioning(p, q, decide))
     return _Factors(
         # copied last, once the factorizations have freed their workspace,
@@ -464,6 +474,28 @@ def minimize_psd_complement(p: QpProblem) -> MinimizationResult:
     ``x = W pinv(a W) b`` for ``W = Q_r Λ_r^{-1/2}``.
     """
     return _apply(p, _factors(p, _require_singular_psd), Method.PSD_COMPLEMENT)
+
+
+def _conditioning_certified(p: QpProblem, rank: int, sigma: np.ndarray, w: np.ndarray) -> bool:
+    """Whether `_complement_conditioning` can neither drop a value, warn nor note.
+
+    `sigma` are the singular values of ``a W`` and `w` the kept eigenvalues
+    of `t`.  With full row rank ``m <= r``, ``a Q_r = (a W) Λ_r^{1/2}``
+    gives ``σ_min(a Q_r) >= s √λ_min`` for ``s = σ_min(a W)``.  As `Q_r`
+    has orthonormal columns, ``σ_min(a) / σ_max(a)`` and, through
+    ``a Q_r = R_a* (V_a* Q_r)``, every principal-angle cosine (at most 1)
+    are at least ``L = s √λ_min / ||a||_F``.  So when `L` clears the
+    thresholds of both rank decisions and of the warning by
+    `CERTIFICATE_MARGIN`, and ``s √λ_min`` clears the absolute floor,
+    the note's factorization of `a` could not change the result.
+    """
+    m = p.a.shape[0]
+    if rank == 0 or rank != m:
+        return False
+    bound = float(sigma[m - 1] * np.sqrt(w[0]))
+    # m <= r <= n, so n is the larger dimension of a as well as of V_a* Q_r
+    tau = CERTIFICATE_MARGIN * max(WARN_RATIO, p.tol.effective_rtol(p.dim))
+    return bound > CERTIFICATE_MARGIN * ABS_FLOOR and bound / fro_norm(p.a) >= tau
 
 
 def _complement_conditioning(p: QpProblem, range_t, decide) -> list[Diagnostic]:

@@ -303,6 +303,21 @@ class TestEigh:
         with pytest.raises(NotHermitianError):
             eigh(np.array([[0.0, 1], [0, 0]]))
 
+    @pytest.mark.parametrize(
+        "t",
+        [
+            np.array([[1.0, 1.5e308], [-1.5e308, 1.0]]),
+            np.array([[1.0, 1.5e308 * (1 + 1j)], [1.5e308 * (1 + 1j), 1.0]]),
+        ],
+        ids=["real", "complex"],
+    )
+    def test_rejects_non_hermitian_where_t_minus_its_adjoint_overflows(self, t):
+        # a part of t - t* is 3e308; the gate takes the difference on halves
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotHermitianError, match="by inf"):
+                eigh(t)
+
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatchError):
             eigh(np.zeros((2, 3)))

@@ -40,6 +40,7 @@ from qfmin import minimizers
 from qfmin.config import FEAS_TOL, HTOL, WARN_RATIO, ToleranceConfig
 from qfmin.dense_core import fro_norm, svd
 from qfmin.l2_models import diag_operator, DiagonalSpec, harmonic_b, left_shift
+from qfmin.pinv_ops import rank_decide
 
 EXAMPLE2_Q = np.array([[14.0, 20, 28], [20, 83, 40], [28, 40, 56]])
 EXAMPLE2_A = np.array([[2.0, 1, -1]])
@@ -555,10 +556,20 @@ class TestFactorizationCounts:
         p = QpProblem(*random_psd_problem(12, 6, rank=9, seed=5))
         counts = count_linalg()
         solve(p)
-        # the second QR and two more values-only SVDs give the row space of
-        # a and its cosines to the range of t, for the psd_product_conditioning
-        # note, which needs no inverse
+        # sigma_min(a W) certifies the psd_product_conditioning note absent,
+        # so a is not factored for it
+        assert counts == {"eigh": 1, "svd": 0, "qr": 1, "inv": 1, "solve": 0, "svdvals": 1}
+
+    def test_semidefinite_without_a_certificate(self, count_linalg):
+        # a row at cosine 1e-9 to the range of t: the second QR and two more
+        # values-only SVDs give the row space of a and its cosines to the
+        # range of t, for the note, which needs no inverse
+        t, a = np.diag([1.0, 1.0, 0.0]), np.array([[1.0, 0.0, 0.0], [0.0, 1e-9, 1.0]])
+        counts = count_linalg()
+        with pytest.warns(IllConditioningWarning):
+            r = solve(QpProblem(t, a, a @ np.array([1.0, 1.0, 0.0])))
         assert counts == {"eigh": 1, "svd": 0, "qr": 2, "inv": 1, "solve": 0, "svdvals": 3}
+        assert r.diagnostics[-1].code == "psd_product_conditioning"
 
     def test_definite_square_constraint(self, count_linalg):
         p = QpProblem(*random_pd_problem(12, 12, seed=5))
@@ -657,6 +668,18 @@ class TestFactorMemo:
         assert_same_result(again, solve(QpProblem(t, a, b, tol)))
         if change == "mutate-t":
             assert again.min_value == pytest.approx(2.0 * first.min_value, rel=1e-12)
+
+    def test_certified_semidefinite_hit_factors_and_warns_nothing(self, count_linalg):
+        t, a, b = SHARED_OPERATORS["psd"]()
+        solve(QpProblem(t, a, b))
+        # the range of t and a W: the note's two decisions were never made
+        assert len(minimizers._memo.spectra) == 2
+        counts = count_linalg()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hit = solve(QpProblem(t, a, fresh_rhs(t, a, seed=1)))
+        assert counts == dict.fromkeys(counts, 0)
+        assert [d.code for d in hit.diagnostics] == ["reduced_rank"]
 
     def test_hit_still_rejects_infeasible_rhs(self):
         t, a, b = random_pd_problem(6, 6, seed=7)
@@ -909,6 +932,120 @@ def _random_unitary(rng, n, complex_entries):
     if complex_entries:
         g = g + 1j * rng.standard_normal((n, n))
     return np.linalg.qr(g)[0]
+
+
+def _planted_case(rng, complex_entries, m_vs_rank, edge):
+    """A singular `t` of rank r, with m below, at or above r, and a constraint to match.
+
+    The nonzero eigenvalues of `t` are equal or spread over [1, 100].  Row 0
+    of `a` may lie at a cosine δ in [1e-13, 1e-1] to the range of `t`,
+    drawn near `edge`, the cosine ratio at which a rank decision drops a
+    value or warns, half of the time; its part along that range is then
+    small or as long as the other rows.  The rows may be graded over 1e±10,
+    and `t` and `a` are each scaled by 1e-150, 1 or 1e150.  `b` is the
+    image of a point in the range of `t`, or, above rank, now and then a
+    generic (infeasible) `b`.
+    """
+    n = int(rng.integers(5, 31))
+    r = int(rng.integers(2, n - 1))
+    m = {"below": r - 1, "equal": r, "above": r + 1}[m_vs_rank]
+    q = _random_unitary(rng, n, complex_entries)
+    lam = np.zeros(n)
+    lam[:r] = 10.0 ** rng.uniform(0.0, 2.0, 1 if rng.random() < 0.5 else r)
+    t = (q * lam) @ q.conj().T
+    t = (t + t.conj().T) / 2
+    a = rng.standard_normal((m, n))
+    if complex_entries:
+        a = a + 1j * rng.standard_normal((m, n))
+    if rng.random() < 0.7:
+        if rng.random() < 0.5:
+            delta = min(edge * 10.0 ** rng.uniform(-1.0, 3.0), 0.1)
+        else:
+            delta = 10.0 ** rng.uniform(-13.0, -1.0)
+        # the row, or its part along the range of t, as long as the other rows
+        size = np.sqrt(n) / (delta if rng.random() < 0.5 else 1.0)
+        a[0] = size * (delta * q[:, 0] + np.sqrt(1.0 - delta**2) * q[:, -1]).conj()
+    if rng.random() < 0.3:
+        a *= np.logspace(-10.0, 10.0, m)[rng.permutation(m), None]
+    t = t * rng.choice([1e-150, 1.0, 1e150])
+    a = a * rng.choice([1e-150, 1.0, 1e150])
+    if m_vs_rank == "above" and rng.random() < 0.3:
+        return t, a, a @ rng.standard_normal(n)
+    return t, a, a @ (q[:, :r] @ rng.standard_normal(r))
+
+
+class TestConditioningCertificate:
+    """The certificate skips the conditioning note only where it changes nothing."""
+
+    @staticmethod
+    def run(p, method, certificate, monkeypatch):
+        """Everything a caller sees of one cold solve, and what the note's code did.
+
+        The log holds the certificate's verdict, the memo's `spectra` and,
+        when the note's code ran, its notes and the number of warnings it
+        raised.
+        """
+        log = {}
+        conditioning = minimizers._complement_conditioning
+        with monkeypatch.context() as m, warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+
+            def certified(*args):
+                log["certified"] = certificate(*args)
+                return log["certified"]
+
+            def spied(*args):
+                before = len(caught)
+                notes = conditioning(*args)
+                log["conditioning"] = (notes, len(caught) - before)
+                return notes
+
+            m.setattr(minimizers, "_memo", None)
+            m.setattr(minimizers, "_conditioning_certified", certified)
+            m.setattr(minimizers, "_complement_conditioning", spied)
+            try:
+                r = solve(p, method)
+                seen = (
+                    r.xhat.dtype,
+                    r.xhat.shape,
+                    r.xhat.tobytes(),
+                    r.min_value,
+                    r.feasibility_residual,
+                    r.method,
+                    [(d.code, d.message, d.value) for d in r.diagnostics],
+                )
+            except QfminError as exc:
+                seen = (type(exc), str(exc))
+            log["spectra"] = minimizers._memo and minimizers._memo.spectra
+        return (seen, [(w.category, str(w.message)) for w in caught]), log
+
+    def test_matches_the_uncertified_solve(self, monkeypatch):
+        rng = np.random.default_rng(20260418)
+        certificate = minimizers._conditioning_certified
+        tally = {"certified": 0, "fallback": 0, "noted": 0, "warned": 0}
+        for draw in range(24):
+            for complex_entries in (False, True):
+                for m_vs_rank in ("below", "equal", "above"):
+                    rtol = (None, 1e-6, 1e-3)[draw % 3]
+                    edge = max(WARN_RATIO, rtol or 0.0)
+                    t, a, b = _planted_case(rng, complex_entries, m_vs_rank, edge)
+                    p = QpProblem(t, a, b, ToleranceConfig(rtol=rtol))
+                    for method in (Method.AUTO, Method.PSD_COMPLEMENT):
+                        case = (draw, complex_entries, m_vs_rank, rtol, method)
+                        got, log = self.run(p, method, certificate, monkeypatch)
+                        want, exact = self.run(p, method, lambda *args: False, monkeypatch)
+                        assert got == want, case
+                        notes, warned = exact["conditioning"]
+                        if log["certified"]:
+                            assert (notes, warned) == ([], 0), case
+                            # nor does either skipped decision drop a value
+                            assert len(exact["spectra"]) == len(log["spectra"]) + 2, case
+                            for sigma, dim in exact["spectra"][-2:]:
+                                assert rank_decide(sigma, p.tol, dim=dim).rank == sigma.size, case
+                        tally["certified" if log["certified"] else "fallback"] += 1
+                        tally["noted"] += bool(notes)
+                        tally["warned"] += bool(warned)
+        assert min(tally.values()) >= 5, tally
 
 
 def _invariance_case(seed, n, m, psd, complex_entries):
