@@ -215,7 +215,8 @@ class _Factors:
     for a definite `t`, the range for a singular one), and `u`, `v`, `g` are
     the `_row_factors` of ``a W``.  `spectra` lists the ``(sigma, dim)`` of
     every rank decision the miss made, in order, replayed on a hit so that
-    it warns as the miss did.
+    it warns as the miss did.  A decision that `_certified_inverse` showed
+    to keep every value without a warning is not made, so not listed.
     """
 
     t: np.ndarray
@@ -287,22 +288,64 @@ def _inverse_root(eig: EigResult, cls: SpectrumClass, decide) -> tuple[np.ndarra
     return (q / np.sqrt(w)) @ q.conj().T, q
 
 
-def _row_factors(x: np.ndarray, decide, inverse: bool = False):
-    """``(rank, u, v, g)`` with ``pinv(x) = v @ g``; `b` is in range iff `u` admits it.
+def _certified_inverse(r: np.ndarray, tau: float):
+    """``(g, s)``: ``g = R^{-*}`` or None, and ``s = 1 / ||g||_F`` if that certifies full rank.
+
+    ``σ_max(R) <= ||R||_F`` and ``σ_min(R) >= s``, so ``||R||_F τ <= s``
+    and ``s > CERTIFICATE_MARGIN * ABS_FLOOR`` keep every singular value
+    of `R` above a rank threshold ``rtol σ_max`` and the warning ratio
+    when ``τ = CERTIFICATE_MARGIN * max(WARN_RATIO, rtol)``; the margin
+    also covers the ``O(m eps σ_max)`` by which computed singular values
+    differ.  As ``σ_min <= min|r_ii|`` and ``σ_max >= max|r_ii|``, a
+    diagonal that spans more than ``1 / τ`` cannot be certified and is
+    not inverted; nor is an empty `R`.  A NaN or inf in `g` fails the test.
+    """
+    diag = np.abs(np.diagonal(r))
+    if not (diag.size and diag.min() > tau * diag.max()):
+        return None, None
+    try:
+        g = np.linalg.inv(r.conj().T)
+    except np.linalg.LinAlgError:
+        return None, None
+    s = 1.0 / fro_norm(g)
+    if fro_norm(r) * tau <= s and s > CERTIFICATE_MARGIN * ABS_FLOOR:
+        return g, s
+    return g, None
+
+
+def _row_factors(x: np.ndarray, decide, cfg: ToleranceConfig | None = None):
+    """``(rank, u, v, g, s)`` with ``pinv(x) = v @ g``; `b` is in range iff `u` admits it.
 
     A guarded QR ``x* = Q R`` and the singular values of `R` (those of `x`)
     make the one rank decision.  Full row rank gives ``u = None`` (every
     `b` is in range), ``v = Q`` and ``g = R^{-*}``; otherwise the guarded
     SVD ``R = U_R Σ V_R*`` gives ``u = V_R``, ``v = Q U_R``, ``g = Σ^{-1} u*``.
-    `g` is None unless `inverse`.
+    `s` is a lower bound on the smallest kept singular value of `x`.
+
+    `g` is None unless `cfg`, the tolerances `decide` applies, is given.
+    ``R^{-*}`` is then taken first, and where `_certified_inverse` shows
+    that `decide` would keep all m values and not warn, the decision is
+    neither made nor passed to `decide`, and ``s = 1 / ||R^{-*}||_F``;
+    otherwise ``s`` is the exact smallest kept value.
     """
     q, r = qr(as_matrix(x).conj().T)
-    k = decide(np.linalg.svd(r, compute_uv=False), max(x.shape)).rank
-    if k == x.shape[0]:
-        return k, None, q, np.linalg.inv(r.conj().T) if inverse else None
+    m, dim = x.shape[0], max(x.shape)
+    g = None
+    if cfg is not None:
+        tau = CERTIFICATE_MARGIN * max(WARN_RATIO, cfg.effective_rtol(dim))
+        g, s = _certified_inverse(r, tau)
+        if s is not None:
+            return m, None, q, g, s
+    decision = decide(np.linalg.svd(r, compute_uv=False), dim)
+    k = decision.rank
+    if k == m:
+        if cfg is not None and g is None:
+            g = np.linalg.inv(r.conj().T)
+        return k, None, q, g, decision.sigma_kept_min
     fact = svd(r, full_matrices=False)
     u = fact.v[:, :k]
-    return k, u, q @ fact.u[:, :k], (u / fact.sigma[:k]).conj().T if inverse else None
+    g = (u / fact.sigma[:k]).conj().T if cfg is not None else None
+    return k, u, q @ fact.u[:, :k], g, decision.sigma_kept_min
 
 
 def _factorize(p: QpProblem, gate) -> _Factors:
@@ -325,10 +368,9 @@ def _factorize(p: QpProblem, gate) -> _Factors:
 
     w, q = _range_eigenpairs(eig, cls, decide)
     root = q / np.sqrt(w)
-    rank, u, v, g = _row_factors(p.a @ root, decide, inverse=True)
+    rank, u, v, g, s = _row_factors(p.a @ root, decide, cfg)
     notes = [_constraint_note(p, rank)]
-    # spectra[-1] holds the singular values of a W, the last decision made
-    if cls is SpectrumClass.PSD_SINGULAR and not _conditioning_certified(p, rank, spectra[-1][0], w):
+    if cls is SpectrumClass.PSD_SINGULAR and not _conditioning_certified(p, rank, s, w):
         notes.extend(_complement_conditioning(p, q, decide))
     return _Factors(
         # copied last, once the factorizations have freed their workspace,
@@ -423,7 +465,7 @@ def _cor1_xhat(p: QpProblem) -> np.ndarray | None:
     """
     if p.a.shape[0] != p.a.shape[1]:
         return None
-    _, u, v, g = _row_factors(p.a, lambda s, d: rank_decide(s, p.tol, dim=d), inverse=True)
+    _, u, v, g, _ = _row_factors(p.a, lambda s, d: rank_decide(s, p.tol, dim=d), p.tol)
     if u is not None and not all(lat_invariant(SubspaceBasis(s, p.dim), p.t) for s in (u, v)):
         return None
     if u is not None and not _in_range(u, p.b):
@@ -476,13 +518,13 @@ def minimize_psd_complement(p: QpProblem) -> MinimizationResult:
     return _apply(p, _factors(p, _require_singular_psd), Method.PSD_COMPLEMENT)
 
 
-def _conditioning_certified(p: QpProblem, rank: int, sigma: np.ndarray, w: np.ndarray) -> bool:
+def _conditioning_certified(p: QpProblem, rank: int, s: float, w: np.ndarray) -> bool:
     """Whether `_complement_conditioning` can neither drop a value, warn nor note.
 
-    `sigma` are the singular values of ``a W`` and `w` the kept eigenvalues
-    of `t`.  With full row rank ``m <= r``, ``a Q_r = (a W) Λ_r^{1/2}``
-    gives ``σ_min(a Q_r) >= s √λ_min`` for ``s = σ_min(a W)``.  As `Q_r`
-    has orthonormal columns, ``σ_min(a) / σ_max(a)`` and, through
+    `s` is a lower bound on ``σ_min(a W)`` (`_row_factors`) and `w` the
+    kept eigenvalues of `t`.  With full row rank ``m <= r``,
+    ``a Q_r = (a W) Λ_r^{1/2}`` gives ``σ_min(a Q_r) >= s √λ_min``.  As
+    `Q_r` has orthonormal columns, ``σ_min(a) / σ_max(a)`` and, through
     ``a Q_r = R_a* (V_a* Q_r)``, every principal-angle cosine (at most 1)
     are at least ``L = s √λ_min / ||a||_F``.  So when `L` clears the
     thresholds of both rank decisions and of the warning by
@@ -492,7 +534,7 @@ def _conditioning_certified(p: QpProblem, rank: int, sigma: np.ndarray, w: np.nd
     m = p.a.shape[0]
     if rank == 0 or rank != m:
         return False
-    bound = float(sigma[m - 1] * np.sqrt(w[0]))
+    bound = float(s * np.sqrt(w[0]))
     # m <= r <= n, so n is the larger dimension of a as well as of V_a* Q_r
     tau = CERTIFICATE_MARGIN * max(WARN_RATIO, p.tol.effective_rtol(p.dim))
     return bound > CERTIFICATE_MARGIN * ABS_FLOOR and bound / fro_norm(p.a) >= tau

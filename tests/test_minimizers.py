@@ -37,7 +37,7 @@ from qfmin import (
     try_cor1_shortcut,
 )
 from qfmin import minimizers
-from qfmin.config import FEAS_TOL, HTOL, WARN_RATIO, ToleranceConfig
+from qfmin.config import CERTIFICATE_MARGIN, FEAS_TOL, HTOL, WARN_RATIO, ToleranceConfig
 from qfmin.dense_core import fro_norm, svd
 from qfmin.l2_models import diag_operator, DiagonalSpec, harmonic_b, left_shift
 from qfmin.pinv_ops import rank_decide
@@ -542,23 +542,24 @@ def cold_memo(monkeypatch):
 class TestFactorizationCounts:
     """numpy.linalg calls made by one AUTO solve: one eigh of t, one QR of (a W)*.
 
-    A full-row-rank ``a W`` needs the values-only SVD of R for its rank and
-    ``inv(R*)`` for its pseudoinverse, and no singular vectors.
+    A full-row-rank ``a W`` needs ``inv(R*)`` for its pseudoinverse and no
+    singular vectors; where ``||R||_F ||R^{-*}||_F`` certifies its rank, as
+    here, it needs no values-only SVD of R either.
     """
 
     def test_definite_rectangular_constraint(self, count_linalg):
         p = QpProblem(*random_pd_problem(12, 6, seed=5))
         counts = count_linalg()
         solve(p)
-        assert counts == {"eigh": 1, "svd": 0, "qr": 1, "inv": 1, "solve": 0, "svdvals": 1}
+        assert counts == {"eigh": 1, "svd": 0, "qr": 1, "inv": 1, "solve": 0, "svdvals": 0}
 
     def test_semidefinite(self, count_linalg):
         p = QpProblem(*random_psd_problem(12, 6, rank=9, seed=5))
         counts = count_linalg()
         solve(p)
-        # sigma_min(a W) certifies the psd_product_conditioning note absent,
-        # so a is not factored for it
-        assert counts == {"eigh": 1, "svd": 0, "qr": 1, "inv": 1, "solve": 0, "svdvals": 1}
+        # 1 / ||R^{-*}||_F <= sigma_min(a W) certifies both the rank of a W and
+        # the psd_product_conditioning note absent, so a is not factored for it
+        assert counts == {"eigh": 1, "svd": 0, "qr": 1, "inv": 1, "solve": 0, "svdvals": 0}
 
     def test_semidefinite_without_a_certificate(self, count_linalg):
         # a row at cosine 1e-9 to the range of t: the second QR and two more
@@ -575,8 +576,9 @@ class TestFactorizationCounts:
         p = QpProblem(*random_pd_problem(12, 12, seed=5))
         counts = count_linalg()
         r = solve(p)
-        # the shortcut's pinv(a) b takes a second QR, of the invertible a*
-        assert counts == {"eigh": 1, "svd": 0, "qr": 2, "inv": 2, "solve": 0, "svdvals": 2}
+        # the shortcut's pinv(a) b takes a second QR, of the invertible a*;
+        # both ranks are certified
+        assert counts == {"eigh": 1, "svd": 0, "qr": 2, "inv": 2, "solve": 0, "svdvals": 0}
         assert r.diagnostics[-1].value is not None
 
     def test_square_root_reference(self, count_linalg):
@@ -629,9 +631,10 @@ class TestFactorMemo:
         b2 = fresh_rhs(t, a, seed=1)
         counts = count_linalg()
         hit = solve(QpProblem(t, a, b2))
-        # a square a keeps the shortcut's factors of a on every solve
+        # a square a keeps the shortcut's factors of a on every solve; its
+        # rank is certified
         each = 1 if case == "pd-square" else 0
-        assert counts == {"eigh": 0, "svd": 0, "qr": each, "inv": each, "solve": 0, "svdvals": each}
+        assert counts == {"eigh": 0, "svd": 0, "qr": each, "inv": each, "solve": 0, "svdvals": 0}
         monkeypatch.setattr(minimizers, "_memo", None)
         assert_same_result(hit, solve(QpProblem(t, a, b2)))
 
@@ -672,8 +675,9 @@ class TestFactorMemo:
     def test_certified_semidefinite_hit_factors_and_warns_nothing(self, count_linalg):
         t, a, b = SHARED_OPERATORS["psd"]()
         solve(QpProblem(t, a, b))
-        # the range of t and a W: the note's two decisions were never made
-        assert len(minimizers._memo.spectra) == 2
+        # the range of t: the rank of a W was certified, and the note's two
+        # decisions were never made
+        assert len(minimizers._memo.spectra) == 1
         counts = count_linalg()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -826,12 +830,14 @@ class TestFactorMemo:
         assert counts["eigh"] == 1
 
 
-def svd_row_factors(x, decide, inverse=False):
+def svd_row_factors(x, decide, cfg=None):
     """The thin-SVD construction that `_row_factors` replaced, kept as its reference."""
     fact = svd(x, full_matrices=False)
-    k = decide(fact.sigma, max(x.shape)).rank
+    decision = decide(fact.sigma, max(x.shape))
+    k = decision.rank
     u, v = fact.u[:, :k], fact.v[:, :k]
-    return k, u, v, (u / fact.sigma[:k]).conj().T if inverse else None
+    g = (u / fact.sigma[:k]).conj().T if cfg is not None else None
+    return k, u, v, g, decision.sigma_kept_min
 
 
 def observed(p, method):
@@ -974,6 +980,16 @@ def _planted_case(rng, complex_entries, m_vs_rank, edge):
     return t, a, a @ (q[:, :r] @ rng.standard_normal(r))
 
 
+def outcome(p, method):
+    """All that ``solve(p, method)`` returns, `x` to the byte, or its error class and message."""
+    try:
+        r = solve(p, method)
+    except QfminError as exc:
+        return type(exc), str(exc)
+    diagnostics = [(d.code, d.message, d.value) for d in r.diagnostics]
+    return r.xhat.dtype, r.xhat.shape, r.xhat.tobytes(), r.min_value, r.feasibility_residual, r.method, diagnostics
+
+
 class TestConditioningCertificate:
     """The certificate skips the conditioning note only where it changes nothing."""
 
@@ -1003,19 +1019,7 @@ class TestConditioningCertificate:
             m.setattr(minimizers, "_memo", None)
             m.setattr(minimizers, "_conditioning_certified", certified)
             m.setattr(minimizers, "_complement_conditioning", spied)
-            try:
-                r = solve(p, method)
-                seen = (
-                    r.xhat.dtype,
-                    r.xhat.shape,
-                    r.xhat.tobytes(),
-                    r.min_value,
-                    r.feasibility_residual,
-                    r.method,
-                    [(d.code, d.message, d.value) for d in r.diagnostics],
-                )
-            except QfminError as exc:
-                seen = (type(exc), str(exc))
+            seen = outcome(p, method)
             log["spectra"] = minimizers._memo and minimizers._memo.spectra
         return (seen, [(w.category, str(w.message)) for w in caught]), log
 
@@ -1046,6 +1050,138 @@ class TestConditioningCertificate:
                         tally["noted"] += bool(notes)
                         tally["warned"] += bool(warned)
         assert min(tally.values()) >= 5, tally
+
+
+def _planted_row_case(rng, kind, complex_entries, edges):
+    """A feasible problem whose ``a W`` has planted singular values, of condition number κ.
+
+    `t` is definite (`kind` "pd", or "square" for m = n) or of rank r
+    ("psd"), with its nonzero eigenvalues spread over [1, 100].  ``a W``
+    is ``U Σ V*`` with ``Σ`` graded from 1 to ``1/κ``; κ is drawn within
+    1.5 decades of one of `edges` half of the time, else anywhere in
+    [1, 1e13].  A singular `t` adds a random part of `a` along its kernel,
+    which ``a W`` does not see.  `t` and `a` are each scaled by 1e-150, 1
+    or 1e150, and `b` is the image of a point in the range of `t`.
+    """
+    n = int(rng.integers(3, 31))
+    r = int(rng.integers(2, n)) if kind == "psd" else n
+    m = n if kind == "square" else int(rng.integers(1, r + 1))
+    q = _random_unitary(rng, n, complex_entries)
+    lam = np.zeros(n)
+    lam[:r] = 10.0 ** rng.uniform(0.0, 2.0, r)
+    t = (q * lam) @ q.conj().T
+    if rng.random() < 0.5:
+        kappa = min(rng.choice(edges) * 10.0 ** rng.uniform(-1.5, 1.5), 1e13)
+    else:
+        kappa = 10.0 ** rng.uniform(0.0, 13.0)
+    grades = np.sort(np.r_[0.0, 1.0, rng.random(m - 2)]) if m > 1 else np.zeros(1)
+    u, v = _random_unitary(rng, m, complex_entries), _random_unitary(rng, r, complex_entries)
+    aw = (u * kappa**-grades) @ v[:m]
+    a = (aw * np.sqrt(lam[:r])) @ q[:, :r].conj().T
+    if r < n:
+        a = a + rng.standard_normal((m, n - r)) @ q[:, r:].conj().T
+    t = (t + t.conj().T) / 2 * rng.choice([1e-150, 1.0, 1e150])
+    a = a * rng.choice([1e-150, 1.0, 1e150])
+    return t, a, a @ (q[:, :r] @ rng.standard_normal(r))
+
+
+class TestRankCertificate:
+    """``||R||_F ||R^{-*}||_F`` stands in for the rank decision of R only where it changes nothing."""
+
+    @staticmethod
+    def run(p, method, refuse, monkeypatch):
+        """Everything a caller sees of one cold solve, and the certificate's verdicts.
+
+        With `refuse` every certificate is refused, which runs the path
+        without it, and each verdict also records whether the rank decision
+        then made kept every value and whether it stayed quiet.
+        """
+        verdicts = []
+        certificate = minimizers._certified_inverse
+        decide = minimizers.rank_decide
+        with monkeypatch.context() as m, warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+
+            def certified(r, tau):
+                g, s = certificate(r, tau)
+                verdicts.append([s is not None])
+                return (g, None) if refuse else (g, s)
+
+            def spied(sigma, cfg, dim=None):
+                before = len(caught)
+                decision = decide(sigma, cfg, dim=dim)
+                if refuse and verdicts and len(verdicts[-1]) == 1:
+                    verdicts[-1] += [decision.rank == sigma.size, len(caught) == before]
+                return decision
+
+            m.setattr(minimizers, "_memo", None)
+            m.setattr(minimizers, "_certified_inverse", certified)
+            m.setattr(minimizers, "rank_decide", spied)
+            seen = outcome(p, method)
+        return (seen, [(w.category, str(w.message)) for w in caught]), verdicts
+
+    def test_matches_the_uncertified_solve(self, monkeypatch):
+        rng = np.random.default_rng(20261018)
+        tally = {"certified": 0, "refused-quiet": 0, "dropped": 0, "warned": 0}
+        for draw in range(18):
+            rtol = (None, 1e-6, 1e-3)[draw % 3]
+            effective = rtol or 30 * np.finfo(np.float64).eps
+            # the certificate's edge, the warning's and the rank threshold's
+            edges = [1.0 / (CERTIFICATE_MARGIN * max(WARN_RATIO, effective)), 1.0 / WARN_RATIO, 1.0 / effective]
+            for kind in ("pd", "psd", "square"):
+                for complex_entries in (False, True):
+                    t, a, b = _planted_row_case(rng, kind, complex_entries, edges)
+                    p = QpProblem(t, a, b, ToleranceConfig(rtol=rtol))
+                    route = Method.PSD_COMPLEMENT if kind == "psd" else Method.POSDEF_DIAG
+                    for method in (Method.AUTO, route):
+                        case = (draw, kind, complex_entries, rtol, method)
+                        got, verdicts = self.run(p, method, False, monkeypatch)
+                        want, exact = self.run(p, method, True, monkeypatch)
+                        assert got == want, case
+                        assert verdicts == [v[:1] for v in exact], case
+                        for passed, kept, quiet in exact:
+                            # never where the exact decision drops a value or warns
+                            assert not passed or (kept and quiet), case
+                            tally["certified"] += passed
+                            tally["refused-quiet"] += not passed and kept and quiet
+                            tally["dropped"] += not kept
+                            tally["warned"] += not quiet
+        assert min(tally.values()) >= 5, tally
+
+    @pytest.mark.parametrize(
+        "t, a, b, verdicts",
+        [
+            pytest.param(np.eye(3), np.zeros((0, 3)), np.zeros(0), [False], id="zero-rows"),
+            pytest.param(np.eye(3), np.zeros((2, 3)), np.zeros(2), [False], id="zero-a"),
+            # R has an exact zero on its diagonal, so it is not inverted
+            pytest.param(np.eye(3), np.array([[1.0, 2, 0], [2, 4, 0]]), np.array([3.0, 6]), [False], id="singular-r"),
+            # R near 1e-309: the inverses of a W and of the square a overflow;
+            # b = 0 is feasible at rank 0, so the shortcut runs
+            pytest.param(np.eye(2), 1e-309 * np.array([[1.0, 0.3], [0.2, 1]]), np.zeros(2), [False] * 2, id="tiny-r"),
+            # R near 1e-300: its finite inverse bounds σ_min below the floor
+            pytest.param(np.eye(2), 1e-300 * np.array([[1.0, 0.3], [0.2, 1]]), np.zeros(2), [False] * 2, id="floor-r"),
+            # W = 1e100 I, so R^{-*} is near 1e-100
+            pytest.param(1e-200 * np.eye(3), np.array([[1.0, 2, 0], [0, 1, 1]]), np.ones(2), [True], id="tiny-t"),
+        ],
+    )
+    def test_edge_inputs(self, t, a, b, verdicts, monkeypatch):
+        p = QpProblem(t, a, b)
+        got, seen = self.run(p, Method.AUTO, False, monkeypatch)
+        want, _ = self.run(p, Method.AUTO, True, monkeypatch)
+        assert got == want
+        assert seen == [[v] for v in verdicts]
+
+    def test_inverse_without_a_certificate(self):
+        tau = 1e-5
+        # an empty or zero R is not inverted, and a singular one raises in inv
+        for r in (np.zeros((0, 0)), np.zeros((2, 2)), np.ones((2, 2))):
+            assert minimizers._certified_inverse(r, tau) == (None, None)
+        # an inverse with inf, or with NaN, entries certifies nothing
+        for r, bad in ((1e-309 * np.eye(2), np.isinf), (1e-309 * np.array([[1.0, 0.3], [0, 1]]), np.isnan)):
+            g, s = minimizers._certified_inverse(r, tau)
+            assert bad(g).any() and s is None
+        g, s = minimizers._certified_inverse(1e-200 * np.eye(2), tau)
+        assert np.array_equal(g, 1e200 * np.eye(2)) and s == 1e-200 / np.sqrt(2)
 
 
 def _invariance_case(seed, n, m, psd, complex_entries):
