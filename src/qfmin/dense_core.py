@@ -1,4 +1,4 @@
-"""Dense matrix values and the three factorizations the rest of the library uses.
+"""Dense matrix values and the guarded factorizations the rest of the library uses.
 
 Matrices and vectors are plain numpy arrays in float64 or complex128,
 validated on entry (finite values, consistent shapes).  All operations are
@@ -17,7 +17,8 @@ from .errors import DimensionMismatchError, FactorizationError, NotHermitianErro
 
 # Hermitian pre-check, ``||a - a*|| <= HTOL * ||a||``.
 HTOL = 1e-10
-# Factorization guard (SVD, QR and eigendecomposition), relative to ||a||.
+# Factorization guard (SVD, QR, eigendecomposition, Cholesky and the
+# triangular inverse), relative to ||a||.
 KTOL = 1e-10
 # The guard multiplies the factors into _PROBES Gaussian probes drawn from
 # _PROBE_SEED and divides KTOL by _PROBE_C = 10 sqrt(2/pi), the constant of
@@ -31,6 +32,9 @@ _PROBE_C = 10 * math.sqrt(2 / math.pi)
 # The stdlib generator, not numpy.random: numpy imports that on first use,
 # which costs a process about 18 ms and 5.6 MB of peak RSS.
 _probe_block = np.empty((0, _PROBES))
+# Largest diagonal block that `tri_inv` hands to np.linalg.inv; above it the
+# recursion's work is matrix products.
+_TRI_BLOCK = 128
 
 
 def as_matrix(a) -> np.ndarray:
@@ -199,16 +203,27 @@ def qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q, r
 
 
-def eigh(a) -> EigResult:
-    """Hermitian eigendecomposition with ascending eigenvalues.
+@dataclass(frozen=True)
+class Hermitian:
+    """A square matrix that passed the Hermitian gate (`hermitian`).
 
-    This is the library's one Hermitian gate: NotHermitianError unless
-    ``||a - a*|| <= HTOL * ||a||``, taken as ``a/2 - a*/2`` against
-    ``||a/2||`` where a part of `a` is above half the float64 maximum.
-    The input is then symmetrized as ``a - (a - a*) / 2``, which cannot
-    overflow, before factorization so
-    the returned factors are exactly consistent, and the probe guard checks
-    them against that symmetrized matrix.
+    `sym` is its symmetrized form, the matrix `eigh` and `cholesky` factor,
+    and `norm` the Frobenius norm of the input, which may have overflowed
+    to inf.
+    """
+
+    sym: np.ndarray
+    norm: float
+
+
+def hermitian(a) -> Hermitian:
+    """The library's one Hermitian gate.
+
+    NotHermitianError unless ``||a - a*|| <= HTOL * ||a||``, taken as
+    ``a/2 - a*/2`` against ``||a/2||`` where a part of `a` is above half the
+    float64 maximum.  The input is then symmetrized as ``a - (a - a*) / 2``,
+    which cannot overflow, so that the factors of `sym` are exactly
+    consistent.
     """
     arr = as_matrix(a)
     if arr.shape[0] != arr.shape[1]:
@@ -226,11 +241,81 @@ def eigh(a) -> EigResult:
     if not halve:
         sym *= 0.5
     np.subtract(arr, sym, out=sym)
+    return Hermitian(sym=sym, norm=norm)
+
+
+def eigh(a) -> EigResult:
+    """Hermitian eigendecomposition with ascending eigenvalues.
+
+    `a` is gated by `hermitian` unless it is already a `Hermitian`.  The
+    probe guard checks the factors against the symmetrized matrix they
+    are of.
+    """
+    h = a if isinstance(a, Hermitian) else hermitian(a)
     try:
-        w, q = np.linalg.eigh(sym)
+        w, q = np.linalg.eigh(h.sym)
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(f"eigh did not converge: {exc}") from exc
     # q* z is the conjugate of q^T z for the real probes z.  ||t|| stands
     # for ||sym||, from which the symmetrization moves it by at most HTOL / 2.
-    _guard("eigendecomposition", lambda z: q @ (w[:, None] * (q.T @ z).conj()), sym, norm)
+    _guard("eigendecomposition", lambda z: q @ (w[:, None] * (q.T @ z).conj()), h.sym, h.norm)
     return EigResult(q=q, eigenvalues=w)
+
+
+def cholesky(h: Hermitian) -> np.ndarray:
+    """Lower triangular `l` with ``h.sym = l l*``, with the probe guard.
+
+    FactorizationError where the backend finds `sym` not positive definite
+    or the factor fails the guard.
+    """
+    try:
+        l = np.linalg.cholesky(h.sym)
+    except np.linalg.LinAlgError as exc:
+        raise FactorizationError(f"Cholesky factorization failed: {exc}") from exc
+    # l* z is the conjugate of l^T z for the real probes z
+    _guard("Cholesky", lambda z: l @ (l.T @ z).conj(), h.sym, h.norm)
+    return l
+
+
+def _tri_inv(l: np.ndarray) -> np.ndarray:
+    n = l.shape[0]
+    if n <= _TRI_BLOCK:
+        return np.linalg.inv(l)
+    k = n // 2
+    x = np.zeros_like(l)
+    x[:k, :k] = _tri_inv(l[:k, :k])
+    x[k:, k:] = _tri_inv(l[k:, k:])
+    x[k:, :k] = -(x[k:, k:] @ (l[k:, :k] @ x[:k, :k]))
+    return x
+
+
+def tri_inv(l: np.ndarray) -> np.ndarray:
+    """The inverse `x` of a lower triangular `l`, with a probe check.
+
+    A 2x2 block recursion: ``x11 = l11^{-1}``, ``x22 = l22^{-1}`` and
+    ``x21 = -x22 (l21 x11)``, down to diagonal blocks of at most
+    `_TRI_BLOCK`, which np.linalg.inv inverts; an `l` that small gets
+    np.linalg.inv's result itself.  FactorizationError where a block is
+    singular, or unless ``||l (x Z) - Z|| / sqrt(k) <= (KTOL / c) ||l|| ||x||``
+    on the probes, the form of the right-residual bound of a stable
+    inverse (Higham, Accuracy and Stability of Numerical Algorithms, §14.2).
+    An inverse that overflowed holds inf or NaN; it is returned unchecked,
+    and the caller refuses it by its norm.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            x = _tri_inv(l)
+        except np.linalg.LinAlgError as exc:
+            raise FactorizationError(f"triangular inverse failed: {exc}") from exc
+        x_norm = fro_norm(x)
+        if not x_norm < np.inf:
+            return x
+        z = _probes(l.shape[0])
+        residual = l @ (x @ z)
+        residual -= z
+        err = fro_norm(residual) / math.sqrt(_PROBES)
+    if not err <= KTOL / _PROBE_C * (fro_norm(l) * x_norm):
+        raise FactorizationError(
+            f"triangular inverse probe residual {err:.3e} exceeds {KTOL / _PROBE_C:.1e} * ||l|| ||x||"
+        )
+    return x

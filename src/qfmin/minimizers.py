@@ -1,10 +1,13 @@
 """Constrained minimizers for quadratic forms ``<x, T x>`` under ``A x = b``.
 
-One kernel computes ``x = W pinv(A W) b``, ``W = Q_r Λ_r^{-1/2}``, from one
-eigendecomposition of T (only its range for a singular semidefinite T, which
-minimizes over the orthogonal complement of the kernel) and one QR
-``(A W)* = Q R``: ``pinv(A W) = Q R^{-*}`` when ``A W`` has full row rank,
-otherwise an SVD of the small R.  Those factors depend on ``(T, A)`` only,
+One kernel computes ``x = W pinv(A W) b`` for a factor with
+``W W* = T^+``: ``W = L^{-*}`` from a Cholesky factorization ``T = L L*``
+where it certifies T positive definite, otherwise ``W = Q_r Λ_r^{-1/2}`` from
+one eigendecomposition of T (only its range for a singular semidefinite T,
+which minimizes over the orthogonal complement of the kernel).  Any such W
+gives the same x, as ``pinv(A W U) = U* pinv(A W)`` for unitary U.  One QR
+``(A W)* = Q R`` follows: ``pinv(A W) = Q R^{-*}`` when ``A W`` has full row
+rank, otherwise an SVD of the small R.  Those factors depend on ``(T, A)`` only,
 so the last operator's are kept and a further ``b`` needs no factorization,
 only O(n^2 + nm) work to recognise the operator and apply them.  The
 square-root route ``T^{-1/2} pinv(A T^{-1/2}) b`` stays literal and uncached
@@ -27,10 +30,23 @@ from .config import (
     WARN_RATIO,
     ToleranceConfig,
 )
-from .dense_core import EigResult, as_matrix, as_vector, eigh, fro_norm, qr, svd
+from .dense_core import (
+    EigResult,
+    Hermitian,
+    as_matrix,
+    as_vector,
+    cholesky,
+    eigh,
+    fro_norm,
+    hermitian,
+    qr,
+    svd,
+    tri_inv,
+)
 from .errors import (
     Diagnostic,
     DimensionMismatchError,
+    FactorizationError,
     InfeasibleError,
     InfeasibleOnComplementError,
     NotPositiveDefiniteError,
@@ -74,7 +90,8 @@ class QpProblem:
     """A quadratic form `t`, constraint matrix `a` and right-hand side `b`.
 
     Shapes and finite entries are checked here; whether `t` is Hermitian
-    is decided by the route, in the guarded `eigh` it factors `t` with.
+    is decided by the route, in the gate `hermitian` that runs before `t`
+    is factored.
     `a` may be rectangular.
     """
 
@@ -210,10 +227,11 @@ class _Factors:
     """Everything a solve takes from ``(t, a, tol)`` alone.
 
     `t` and `a` are private copies: with `tol` they are the memo's key.  `t`
-    is copied from the array that `eigh` gated, so a hit needs no gate.
-    `root` is ``W = q Λ^{-1/2}`` from the kept eigenpairs of `t` (all of them
-    for a definite `t`, the range for a singular one), and `u`, `v`, `g` are
-    the `_row_factors` of ``a W``.  `spectra` lists the ``(sigma, dim)`` of
+    is copied from the array that `hermitian` gated, so a hit needs no gate.
+    `root` is ``W = L^{-*}`` where `_cholesky_root` certified `t` definite,
+    else ``W = q Λ^{-1/2}`` from the kept eigenpairs of `t` (all of them for
+    a definite `t`, the range for a singular one), and `u`, `v`, `g` are the
+    `_row_factors` of ``a W``.  `spectra` lists the ``(sigma, dim)`` of
     every rank decision the miss made, in order, replayed on a hit so that
     it warns as the miss did.  A decision that `_certified_inverse` showed
     to keep every value without a warning is not made, so not listed.
@@ -304,8 +322,8 @@ def _certified_inverse(r: np.ndarray, tau: float):
     if not (diag.size and diag.min() > tau * diag.max()):
         return None, None
     try:
-        g = np.linalg.inv(r.conj().T)
-    except np.linalg.LinAlgError:
+        g = tri_inv(r.conj().T)
+    except FactorizationError:
         return None, None
     s = 1.0 / fro_norm(g)
     if fro_norm(r) * tau <= s and s > CERTIFICATE_MARGIN * ABS_FLOOR:
@@ -340,7 +358,7 @@ def _row_factors(x: np.ndarray, decide, cfg: ToleranceConfig | None = None):
     k = decision.rank
     if k == m:
         if cfg is not None and g is None:
-            g = np.linalg.inv(r.conj().T)
+            g = tri_inv(r.conj().T)
         return k, None, q, g, decision.sigma_kept_min
     fact = svd(r, full_matrices=False)
     u = fact.v[:, :k]
@@ -348,17 +366,57 @@ def _row_factors(x: np.ndarray, decide, cfg: ToleranceConfig | None = None):
     return k, u, q @ fact.u[:, :k], g, decision.sigma_kept_min
 
 
-def _factorize(p: QpProblem, gate) -> _Factors:
-    """One guarded `eigh` of `t` and the `_row_factors` of ``a W``.
+def _cholesky_root(h: Hermitian, cfg: ToleranceConfig) -> np.ndarray | None:
+    """``W = L^{-*}`` from ``t = L L*`` where that certifies `t` positive definite, else None.
 
-    For a singular `t` only the range is kept (`_range_eigenpairs`), and
-    the conditioning of that reduction is noted; its factorization of `a`
-    is skipped when the factors in hand certify that it would note and
-    warn nothing (`_conditioning_certified`).
+    `classify_spectrum` calls `t` definite when its least eigenvalue clears
+    ``pd_tol``, or else ``rtol_eff(n) λ_max <= rtol_eff(n) ||t||_F``, and
+    `eigh` finds each eigenvalue to about ``n eps ||t||``.  With
+    ``s = 1 / ||L^{-1}||_F <= σ_min(L)``, ``λ_min(t) = σ_min(L)^2 >= s^2``.
+    So where ``s^2`` clears `CERTIFICATE_MARGIN` times the largest of that
+    gate, ``n eps ||t||_F`` and `ABS_FLOOR`, `eigh` would call `t` definite
+    too; the margin also covers the rounding of `L` and of its inverse.
+    None, and the caller takes `eigh`, for a non-positive diagonal, a
+    Cholesky or inverse that fails, pivots with ``1 / Σ |L_ii|^{-2}`` below
+    that bound (the diagonal of ``L^{-1}`` is ``1 / L_ii``, so
+    ``s^2 <= 1 / Σ |L_ii|^{-2} <= min |L_ii|^2``, and the inverse is
+    skipped), an inverse with inf or NaN entries, or an `s` below the bound.
+    """
+    diag = np.real(np.diagonal(h.sym))
+    if not (diag.size and diag.min() > 0):
+        return None
+    n = diag.size
+    pd_gate = cfg.pd_tol if cfg.pd_tol is not None else cfg.effective_rtol(n) * h.norm
+    # n eps ||t||, the default rank rule's, bounds the rounding of eigh
+    bound = CERTIFICATE_MARGIN * max(pd_gate, DEFAULT_TOL.effective_rtol(n) * h.norm, ABS_FLOOR)
+    try:
+        l = cholesky(h)
+        with np.errstate(over="ignore"):  # a tiny pivot's inf refuses below
+            if not 1.0 / float(np.sum(np.abs(np.diagonal(l)) ** -2.0)) > bound:
+                return None
+        x = tri_inv(l)
+    except FactorizationError:
+        return None
+    s = 1.0 / fro_norm(x)
+    return x.conj().T if s * s > bound else None
+
+
+def _factorize(p: QpProblem, gate) -> _Factors:
+    """One Hermitian gate of `t`, its factor `W`, and the `_row_factors` of ``a W``.
+
+    `W` is ``L^{-*}`` where `_cholesky_root` certifies `t` definite, and
+    otherwise comes from one guarded `eigh` of the gated `t`.  For a
+    singular `t` only the range is kept (`_range_eigenpairs`), and the
+    conditioning of that reduction is noted; its factorization of `a` is
+    skipped when the factors in hand certify that it would note and warn
+    nothing (`_conditioning_certified`).
     """
     cfg = p.tol
-    eig = eigh(p.t)
-    cls = classify_spectrum(eig.eigenvalues, cfg)
+    h = hermitian(p.t)
+    root = _cholesky_root(h, cfg)
+    eig = eigh(h) if root is None else None
+    del h  # the symmetrized t is not needed past the factorizations
+    cls = SpectrumClass.POSITIVE_DEFINITE if eig is None else classify_spectrum(eig.eigenvalues, cfg)
     gate(cls)
     spectra = []
 
@@ -366,8 +424,9 @@ def _factorize(p: QpProblem, gate) -> _Factors:
         spectra.append((sigma, dim))
         return rank_decide(sigma, cfg, dim=dim)
 
-    w, q = _range_eigenpairs(eig, cls, decide)
-    root = q / np.sqrt(w)
+    if eig is not None:
+        w, q = _range_eigenpairs(eig, cls, decide)
+        root = q / np.sqrt(w)
     rank, u, v, g, s = _row_factors(p.a @ root, decide, cfg)
     notes = [_constraint_note(p, rank)]
     if cls is SpectrumClass.PSD_SINGULAR and not _conditioning_certified(p, rank, s, w):

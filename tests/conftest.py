@@ -3,7 +3,7 @@ import pytest
 
 # Every numpy.linalg factorization or solve the library can call; a new one
 # has to join this list, so that none goes uncounted.
-LINALG_CALLS = ("eigh", "svd", "qr", "inv", "solve")
+LINALG_CALLS = ("eigh", "cholesky", "svd", "qr", "inv", "solve")
 
 
 @pytest.fixture

@@ -358,7 +358,7 @@ class TestCheck:
         # report factors only A, by one thin SVD, then takes the singular
         # values of the product and of V_A* Q_r, the sines to N(A); both
         # angles here are below pi/4, where no cosine is needed
-        assert calls == {"eigh": 1, "svd": 1, "qr": 0, "inv": 0, "solve": 0, "svdvals": 2}
+        assert calls == {"eigh": 1, "cholesky": 0, "svd": 1, "qr": 0, "inv": 0, "solve": 0, "svdvals": 2}
 
     def test_non_hermitian_factors_once(self, tmp_path, capsys, count_linalg):
         path = write(tmp_path, {"t": [[1, 1e-9], [0, 1e-12]], "a": [[1, 0]], "b": [1]})
@@ -368,7 +368,7 @@ class TestCheck:
         doc = json.loads(out)
         assert (doc["ep"], doc["rank"], doc["positivity_class"]) == (True, 2, "non-hermitian")
         assert [d["code"] for d in doc["diagnostics"]] == ["ill_conditioning"]
-        assert calls == {"eigh": 0, "svd": 1, "qr": 0, "inv": 0, "solve": 0, "svdvals": 0}
+        assert calls == {"eigh": 0, "cholesky": 0, "svd": 1, "qr": 0, "inv": 0, "solve": 0, "svdvals": 0}
 
     def test_definite_t_near_the_float64_limit(self, tmp_path, capsys):
         t = (1e308 * np.array([[1.0, 0.5], [0.5, 1.0]])).tolist()

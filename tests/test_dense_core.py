@@ -19,7 +19,7 @@ from qfmin import (
     svd,
 )
 from qfmin import dense_core
-from qfmin.dense_core import fro_norm, qr
+from qfmin.dense_core import cholesky, fro_norm, hermitian, qr, tri_inv
 
 EXAMPLE2_Q = np.array([[14.0, 20, 28], [20, 83, 40], [28, 40, 56]])
 
@@ -142,14 +142,21 @@ def _draw(rng, shape, complex_entries):
 
 
 def _operand(rng, name, shape, complex_entries):
-    """A random input for the factorization `name`, Hermitian for eigh."""
+    """A random input for the factorization `name`: Hermitian for eigh, definite for cholesky."""
     a = _draw(rng, shape, complex_entries)
+    if name == "cholesky":
+        return a @ a.conj().T / shape[0] + np.eye(shape[0])
     return (a + a.conj().T) / 2 if name == "eigh" else a
 
 
 def _guarded(name, a):
-    """The guarded factorization `name` of `a`: the thin SVD, the QR or eigh."""
-    factor = {"svd": lambda x: svd(x, full_matrices=False), "qr": lambda x: qr(as_matrix(x)), "eigh": eigh}
+    """The guarded factorization `name` of `a`: the thin SVD, the QR, eigh or Cholesky."""
+    factor = {
+        "svd": lambda x: svd(x, full_matrices=False),
+        "qr": lambda x: qr(as_matrix(x)),
+        "eigh": eigh,
+        "cholesky": lambda x: cholesky(hermitian(x)),
+    }
     return factor[name](a)
 
 
@@ -158,18 +165,18 @@ class TestProbeGuard:
 
     @pytest.mark.parametrize("n", [3, 64, 257])
     @pytest.mark.parametrize("complex_entries", [False, True])
-    @pytest.mark.parametrize("name", ["svd", "qr", "eigh"])
+    @pytest.mark.parametrize("name", ["svd", "qr", "eigh", "cholesky"])
     @pytest.mark.parametrize("size", [1.01, 2.0])
     def test_a_rank_one_error_past_the_tolerance_fails(
         self, monkeypatch, size, name, complex_entries, n
     ):
         # The backend factors a + E, ||E|| = size * KTOL ||a||, Hermitian for
-        # eigh, which a full reconstruction would reject.  The probes miss it
+        # eigh and Cholesky, which a full reconstruction would reject.  The probes miss it
         # with probability P(chi2_8 <= pi / (25 size^2)), below 6.2e-7 (README).
         rng = np.random.default_rng(n)
         a = _operand(rng, name, (n, n), complex_entries)
         u = _draw(rng, n, complex_entries)
-        v = u if name == "eigh" else _draw(rng, n, complex_entries)
+        v = u if name in ("eigh", "cholesky") else _draw(rng, n, complex_entries)
         error = np.outer(u, v.conj())
         error *= size * dense_core.KTOL * fro_norm(a) / fro_norm(error)
         backend = getattr(np.linalg, name)
@@ -179,7 +186,7 @@ class TestProbeGuard:
 
     @pytest.mark.parametrize("n", [3, 64, 257])
     @pytest.mark.parametrize("complex_entries", [False, True])
-    @pytest.mark.parametrize("name", ["svd", "qr", "eigh"])
+    @pytest.mark.parametrize("name", ["svd", "qr", "eigh", "cholesky"])
     def test_sound_factors_pass_with_a_hundredfold_margin(
         self, monkeypatch, name, complex_entries, n
     ):
@@ -192,7 +199,14 @@ class TestProbeGuard:
     @pytest.mark.parametrize("complex_entries", [False, True])
     @pytest.mark.parametrize(
         "name, shape",
-        [("eigh", (30, 30)), ("svd", (30, 30)), ("svd", (30, 12)), ("qr", (30, 30)), ("qr", (30, 12))],
+        [
+            ("eigh", (30, 30)),
+            ("svd", (30, 30)),
+            ("svd", (30, 12)),
+            ("qr", (30, 30)),
+            ("qr", (30, 12)),
+            ("cholesky", (30, 30)),
+        ],
     )
     def test_sound_factors_pass_at_every_scale(self, name, shape, complex_entries, scale):
         rng = np.random.default_rng(shape[1])
@@ -202,7 +216,7 @@ class TestProbeGuard:
             _guarded(name, a)
 
     @pytest.mark.parametrize("complex_entries", [False, True])
-    @pytest.mark.parametrize("name", ["svd", "qr", "eigh"])
+    @pytest.mark.parametrize("name", ["svd", "qr", "eigh", "cholesky"])
     def test_one_guard_allocates_a_few_probe_blocks(self, monkeypatch, name, complex_entries):
         n = 400
         rng = np.random.default_rng(7)
@@ -332,3 +346,86 @@ class TestEigh:
         assert np.all(np.diff(res.eigenvalues) >= 0)
         product = (res.q * res.eigenvalues) @ adjoint(res.q)
         assert np.linalg.norm(product - h) <= 1e-12 * np.linalg.norm(h)
+
+
+def _graded_factor(n, complex_entries, cond):
+    """A lower triangular factor whose rows, and so its diagonal, are graded from 1 to ``1/cond``.
+
+    ``diag(logspace(0, -log10 cond)) C`` for the Cholesky factor `C` of a
+    well-conditioned random definite matrix, so cond(l) is within a factor
+    3 of `cond`.
+    """
+    rng = np.random.default_rng(n)
+    g = _draw(rng, (n, n), complex_entries)
+    c = np.linalg.cholesky(g @ g.conj().T / n + np.eye(n))
+    return np.logspace(0.0, -np.log10(cond), n)[:, None] * c
+
+
+class TestTriInv:
+    """The blocked triangular inverse against np.linalg.inv.
+
+    The bounds are those of a stable inverse (Higham, §14.2): the right
+    residual ``||l x - I||_F <= n eps ||l||_F ||x||_F``, and so
+    ``||x - l^{-1}||_F <= n eps cond(l) ||l^{-1}||_F``.  Over the cases
+    below the residual stayed below 0.04 and the gap below 0.23 of
+    ``eps ||l|| ||x||`` and ``eps cond(l) ||l^{-1}||``.
+    """
+
+    @pytest.mark.parametrize("cond", [1.0, 1e6, 1e12])
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    @pytest.mark.parametrize("n", [1, 127, 128, 129, 300])
+    def test_matches_inv(self, n, complex_entries, cond):
+        l = _graded_factor(n, complex_entries, cond)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            x = tri_inv(l)
+        ref = np.linalg.inv(l)
+        if n <= dense_core._TRI_BLOCK:
+            # one block: np.linalg.inv's own result
+            assert np.array_equal(x, ref)
+        assert np.array_equal(np.triu(x, 1), np.zeros_like(x))
+        assert fro_norm(l @ x - np.eye(n)) <= n * _EPS * fro_norm(l) * fro_norm(x)
+        assert fro_norm(x - ref) <= n * _EPS * np.linalg.cond(l) * fro_norm(ref)
+
+    def test_a_corrupted_block_fails_the_check(self, monkeypatch):
+        # n = 300 splits into four diagonal blocks of 75; the second is
+        # returned with one entry off by 1e-6 of its norm
+        l = _graded_factor(300, False, 1.0)
+        backend, blocks = np.linalg.inv, []
+
+        def corrupted(x):
+            y = backend(x)
+            blocks.append(x.shape)
+            if len(blocks) == 2:
+                y[-1, 0] += 1e-6 * fro_norm(y)
+            return y
+
+        monkeypatch.setattr(np.linalg, "inv", corrupted)
+        with pytest.raises(FactorizationError, match="probe residual"):
+            tri_inv(l)
+        assert blocks == [(75, 75)] * 4
+
+    def test_a_singular_block_raises(self):
+        l = _graded_factor(300, False, 1.0)
+        l[200, 200] = 0.0
+        with pytest.raises(FactorizationError, match="triangular inverse failed"):
+            tri_inv(l)
+
+    def test_an_overflowed_inverse_is_returned_unchecked(self):
+        # 1 / 1e-309 is inf: the caller refuses it by its norm
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            x = tri_inv(1e-309 * np.eye(2))
+        assert np.isinf(x).any()
+
+
+class TestCholesky:
+    def test_factors_the_gated_matrix(self):
+        t = EXAMPLE2_Q + np.eye(3)
+        l = cholesky(hermitian(t))
+        assert np.array_equal(l, np.linalg.cholesky(t))
+
+    @pytest.mark.parametrize("t", [np.diag([1.0, -1.0]), np.ones((2, 2))], ids=["indefinite", "singular"])
+    def test_not_definite_raises(self, t):
+        with pytest.raises(FactorizationError, match="Cholesky factorization failed"):
+            cholesky(hermitian(t))

@@ -17,7 +17,7 @@ SRC = pathlib.Path(qfmin.__file__).parent
 
 
 def _unguarded_calls(tree):
-    """Calls of np.linalg.eigh, np.linalg.qr and of np.linalg.svd with vectors."""
+    """Calls of np.linalg.eigh, np.linalg.cholesky, np.linalg.qr and of np.linalg.svd with vectors."""
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
@@ -34,7 +34,7 @@ def _unguarded_calls(tree):
             k.arg == "compute_uv" and isinstance(k.value, ast.Constant) and k.value.value is False
             for k in node.keywords
         )
-        if func.attr in ("eigh", "qr") or (func.attr == "svd" and not values_only):
+        if func.attr in ("eigh", "cholesky", "qr") or (func.attr == "svd" and not values_only):
             yield f"np.linalg.{func.attr} at line {node.lineno}"
 
 
@@ -50,6 +50,7 @@ def test_the_check_sees_dense_core_calls():
     tree = ast.parse((SRC / "dense_core.py").read_text(encoding="utf-8"))
     assert {call.split(" ")[0] for call in _unguarded_calls(tree)} == {
         "np.linalg.eigh",
+        "np.linalg.cholesky",
         "np.linalg.qr",
         "np.linalg.svd",
     }
@@ -86,7 +87,9 @@ def test_the_product_check_sees_a_reconstruction():
         for node in ast.walk(ast.parse((SRC / "dense_core.py").read_text(encoding="utf-8")))
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_guard"
     ]
-    assert len(guards) == 3
+    # SVD, QR, eigendecomposition and Cholesky; the triangular inverse
+    # checks its residual against the identity, with no _guard call
+    assert len(guards) == 4
     old = ast.parse('_guard("QR", q @ r, a, KTOL, n)\n_guard("E", lambda z: ((q * w) @ q.T) @ z, a, n)')
     assert [p.split(" at ")[0] for p in _formed_products(old)] == ["q @ r", "q * w @ q.T"]
 

@@ -36,9 +36,9 @@ from qfmin import (
     solve,
     try_cor1_shortcut,
 )
-from qfmin import minimizers
+from qfmin import dense_core, minimizers
 from qfmin.config import CERTIFICATE_MARGIN, FEAS_TOL, HTOL, WARN_RATIO, ToleranceConfig
-from qfmin.dense_core import fro_norm, svd
+from qfmin.dense_core import eigh, fro_norm, svd
 from qfmin.l2_models import diag_operator, DiagonalSpec, harmonic_b, left_shift
 from qfmin.pinv_ops import rank_decide
 
@@ -540,18 +540,22 @@ def cold_memo(monkeypatch):
 
 @pytest.mark.usefixtures("cold_memo")
 class TestFactorizationCounts:
-    """numpy.linalg calls made by one AUTO solve: one eigh of t, one QR of (a W)*.
+    """numpy.linalg calls made by one AUTO solve: one factorization of t, one QR of (a W)*.
 
-    A full-row-rank ``a W`` needs ``inv(R*)`` for its pseudoinverse and no
-    singular vectors; where ``||R||_F ||R^{-*}||_F`` certifies its rank, as
-    here, it needs no values-only SVD of R either.
+    A definite t is factored by Cholesky, whose triangular factor of at
+    most 128 rows is inverted by one inv; a singular one, after a Cholesky
+    that fails or whose pivot rules it out, by eigh.  A full-row-rank
+    ``a W`` needs ``inv(R*)`` for its pseudoinverse and no singular
+    vectors; where ``||R||_F ||R^{-*}||_F`` certifies its rank, as here, it
+    needs no values-only SVD of R either.
     """
 
     def test_definite_rectangular_constraint(self, count_linalg):
         p = QpProblem(*random_pd_problem(12, 6, seed=5))
         counts = count_linalg()
         solve(p)
-        assert counts == {"eigh": 1, "svd": 0, "qr": 1, "inv": 1, "solve": 0, "svdvals": 0}
+        # 1 / ||L^{-1}||_F certifies t definite, so no eigh
+        assert counts == {"eigh": 0, "cholesky": 1, "svd": 0, "qr": 1, "inv": 2, "solve": 0, "svdvals": 0}
 
     def test_semidefinite(self, count_linalg):
         p = QpProblem(*random_psd_problem(12, 6, rank=9, seed=5))
@@ -559,17 +563,18 @@ class TestFactorizationCounts:
         solve(p)
         # 1 / ||R^{-*}||_F <= sigma_min(a W) certifies both the rank of a W and
         # the psd_product_conditioning note absent, so a is not factored for it
-        assert counts == {"eigh": 1, "svd": 0, "qr": 1, "inv": 1, "solve": 0, "svdvals": 0}
+        assert counts == {"eigh": 1, "cholesky": 1, "svd": 0, "qr": 1, "inv": 1, "solve": 0, "svdvals": 0}
 
     def test_semidefinite_without_a_certificate(self, count_linalg):
         # a row at cosine 1e-9 to the range of t: the second QR and two more
         # values-only SVDs give the row space of a and its cosines to the
-        # range of t, for the note, which needs no inverse
+        # range of t, for the note, which needs no inverse; the zero on the
+        # diagonal of t rules out a Cholesky factorization before it runs
         t, a = np.diag([1.0, 1.0, 0.0]), np.array([[1.0, 0.0, 0.0], [0.0, 1e-9, 1.0]])
         counts = count_linalg()
         with pytest.warns(IllConditioningWarning):
             r = solve(QpProblem(t, a, a @ np.array([1.0, 1.0, 0.0])))
-        assert counts == {"eigh": 1, "svd": 0, "qr": 2, "inv": 1, "solve": 0, "svdvals": 3}
+        assert counts == {"eigh": 1, "cholesky": 0, "svd": 0, "qr": 2, "inv": 1, "solve": 0, "svdvals": 3}
         assert r.diagnostics[-1].code == "psd_product_conditioning"
 
     def test_definite_square_constraint(self, count_linalg):
@@ -577,8 +582,8 @@ class TestFactorizationCounts:
         counts = count_linalg()
         r = solve(p)
         # the shortcut's pinv(a) b takes a second QR, of the invertible a*;
-        # both ranks are certified
-        assert counts == {"eigh": 1, "svd": 0, "qr": 2, "inv": 2, "solve": 0, "svdvals": 0}
+        # both ranks are certified, and so is the class of t
+        assert counts == {"eigh": 0, "cholesky": 1, "svd": 0, "qr": 2, "inv": 3, "solve": 0, "svdvals": 0}
         assert r.diagnostics[-1].value is not None
 
     def test_square_root_reference(self, count_linalg):
@@ -586,7 +591,7 @@ class TestFactorizationCounts:
         p = QpProblem(*random_pd_problem(12, 6, seed=5))
         counts = count_linalg()
         minimize_posdef(p)
-        assert counts == {"eigh": 1, "svd": 1, "qr": 0, "inv": 0, "solve": 0, "svdvals": 0}
+        assert counts == {"eigh": 1, "cholesky": 0, "svd": 1, "qr": 0, "inv": 0, "solve": 0, "svdvals": 0}
 
     def test_square_shortcut_leaves_the_memo_alone(self, count_linalg):
         # the class gate needs the eigenvalues of t and the shortcut the
@@ -595,7 +600,7 @@ class TestFactorizationCounts:
         p = truncated_problem(8)
         counts = count_linalg()
         assert try_cor1_shortcut(p) is not None
-        assert counts == {"eigh": 1, "svd": 1, "qr": 1, "inv": 0, "solve": 0, "svdvals": 1}
+        assert counts == {"eigh": 1, "cholesky": 0, "svd": 1, "qr": 1, "inv": 0, "solve": 0, "svdvals": 1}
         assert minimizers._memo is None
 
 
@@ -634,7 +639,7 @@ class TestFactorMemo:
         # a square a keeps the shortcut's factors of a on every solve; its
         # rank is certified
         each = 1 if case == "pd-square" else 0
-        assert counts == {"eigh": 0, "svd": 0, "qr": each, "inv": each, "solve": 0, "svdvals": 0}
+        assert counts == {"eigh": 0, "cholesky": 0, "svd": 0, "qr": each, "inv": each, "solve": 0, "svdvals": 0}
         monkeypatch.setattr(minimizers, "_memo", None)
         assert_same_result(hit, solve(QpProblem(t, a, b2)))
 
@@ -648,7 +653,7 @@ class TestFactorMemo:
         assert diag.method is Method.POSDEF_DIAG
         # the square-root reference never reads the memo
         minimize_posdef(QpProblem(t, a, b))
-        assert counts == {"eigh": 1, "svd": 1, "qr": 0, "inv": 0, "solve": 0, "svdvals": 0}
+        assert counts == {"eigh": 1, "cholesky": 0, "svd": 1, "qr": 0, "inv": 0, "solve": 0, "svdvals": 0}
 
     @pytest.mark.parametrize(
         "change",
@@ -666,7 +671,8 @@ class TestFactorMemo:
             tol = tol.with_overrides(rtol=1e-13)
         counts = count_linalg()
         again = solve(QpProblem(t, a, b, tol))
-        assert counts["eigh"] == 1
+        # a definite t misses by its certified Cholesky factorization
+        assert (counts["cholesky"], counts["eigh"]) == (1, 0)
         monkeypatch.setattr(minimizers, "_memo", None)
         assert_same_result(again, solve(QpProblem(t, a, b, tol)))
         if change == "mutate-t":
@@ -721,7 +727,7 @@ class TestFactorMemo:
         p = QpProblem(*random_pd_problem(12, 6, seed=5))
         counts = count_linalg()
         assert try_cor1_shortcut(p) is None
-        assert counts == {"eigh": 1, "svd": 0, "qr": 0, "inv": 0, "solve": 0, "svdvals": 0}
+        assert counts == {"eigh": 1, "cholesky": 0, "svd": 0, "qr": 0, "inv": 0, "solve": 0, "svdvals": 0}
         assert minimizers._memo is None
         with pytest.raises(NotPositiveDefiniteError):
             try_cor1_shortcut(QpProblem(EXAMPLE2_Q, EXAMPLE2_A, EXAMPLE2_B))
@@ -742,16 +748,18 @@ class TestFactorMemo:
     def gated(self, monkeypatch):
         """The live list of shapes the Hermitian gate ran on.
 
-        The gate is the first step of `eigh`, and nothing else runs it.
+        The gate is `dense_core.hermitian`, which `_factorize` calls and
+        `eigh` calls on an ungated matrix; both bindings are counted.
         """
         shapes = []
-        factor = minimizers.eigh
+        gate = dense_core.hermitian
 
         def counted(x):
             shapes.append(np.shape(x))
-            return factor(x)
+            return gate(x)
 
-        monkeypatch.setattr(minimizers, "eigh", counted)
+        monkeypatch.setattr(dense_core, "hermitian", counted)
+        monkeypatch.setattr(minimizers, "hermitian", counted)
         return shapes
 
     def test_hit_skips_the_hermitian_gate(self, gated, monkeypatch):
@@ -820,6 +828,16 @@ class TestFactorMemo:
         solve(QpProblem(t, np.array([[1.0, 0.0]]), np.array([scale])))
         check_hermitian_gate_at(scale)
 
+    @pytest.mark.parametrize("case", ["pd", "psd"])
+    def test_a_miss_gates_t_once(self, gated, count_linalg, case):
+        t, a, b = SHARED_OPERATORS[case]()
+        counts = count_linalg()
+        solve(QpProblem(t, a, b))
+        # the certified Cholesky factor needs no eigh; the singular t, whose
+        # Cholesky factorization fails, is factored by eigh from the same gate
+        assert gated == [t.shape]
+        assert (counts["cholesky"], counts["eigh"]) == ((1, 0) if case == "pd" else (1, 1))
+
     def test_failed_factor_stage_releases_the_slot(self, count_linalg):
         t, a, b = random_pd_problem(8, 3, seed=9)
         solve(QpProblem(t, a, b))
@@ -827,7 +845,7 @@ class TestFactorMemo:
             solve(QpProblem(np.diag([1.0, -1.0]), np.ones((1, 2)), np.ones(1)))
         counts = count_linalg()
         solve(QpProblem(t, a, b))
-        assert counts["eigh"] == 1
+        assert (counts["cholesky"], counts["eigh"]) == (1, 0)
 
 
 def svd_row_factors(x, decide, cfg=None):
@@ -1182,6 +1200,167 @@ class TestRankCertificate:
             assert bad(g).any() and s is None
         g, s = minimizers._certified_inverse(1e-200 * np.eye(2), tau)
         assert np.array_equal(g, 1e200 * np.eye(2)) and s == 1e-200 / np.sqrt(2)
+
+
+def _definite_case(rng, complex_entries):
+    """A feasible problem whose `t` has a planted definite spectrum, and that spectrum.
+
+    n ≤ 30 and m ≤ n, square now and then.  The eigenvalues of `t` are
+    graded from 1 down to ``1/κ``, with κ from 1 to 1e14, and `t` is scaled
+    by 1e-150, 1 or 1e150.  `b` is the image of a random point.
+    """
+    n = int(rng.integers(2, 31))
+    m = n if rng.random() < 0.2 else int(rng.integers(1, n + 1))
+    q = _random_unitary(rng, n, complex_entries)
+    lam = 10.0 ** -(rng.uniform(0.0, 14.0) * np.sort(np.r_[0.0, 1.0, rng.random(n - 2)]))
+    scale = rng.choice([1e-150, 1.0, 1e150])
+    t = (q * lam) @ q.conj().T
+    t = (t + t.conj().T) / 2 * scale
+    a = rng.standard_normal((m, n))
+    if complex_entries:
+        a = a + 1j * rng.standard_normal((m, n))
+    return t, a, a @ rng.standard_normal(n), lam * scale
+
+
+class TestDefiniteCertificate:
+    """``1 / ||L^{-1}||_F`` stands in for the eigenvalues of a definite `t` only where it changes nothing.
+
+    ``W = L^{-*}`` and ``W = Q Λ^{-1/2}`` differ by a unitary factor, so
+    the two give the same method, diagnostics, warnings and errors.  `x`
+    and the minimum agree to rounding: both factorizations are backward
+    stable, so each `x` is within about ``eps cond(t)`` of the exact one,
+    and the bound on their gap is 1e-12 relative, or ``eps cond(t)`` where
+    that is larger.  Over the sweep below the gap stayed below 0.24 times
+    that bound.
+    """
+
+    @staticmethod
+    def run(p, method, refuse, monkeypatch):
+        """What a caller sees of one cold solve, `x` and the minimum, and the certificate's verdicts."""
+        verdicts = []
+        certificate = minimizers._cholesky_root
+        with monkeypatch.context() as m, warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            warnings.simplefilter("error", RuntimeWarning)
+
+            def certified(h, cfg):
+                root = certificate(h, cfg)
+                verdicts.append(root is not None)
+                return None if refuse else root
+
+            m.setattr(minimizers, "_memo", None)
+            m.setattr(minimizers, "_cholesky_root", certified)
+            try:
+                r = solve(p, method)
+            except QfminError as exc:
+                seen, values = (type(exc), str(exc)), None
+            else:
+                # the shortcut's gap to x is a rounding-level number of its own
+                notes = [
+                    (d.code, d.message, d.value is None if d.code == "cor1_shortcut" else d.value)
+                    for d in r.diagnostics
+                ]
+                seen, values = (r.method, notes), (r.xhat, r.min_value)
+        return (seen, [(w.category, str(w.message)) for w in caught]), values, verdicts
+
+    def test_matches_the_eigh_solve(self, monkeypatch):
+        rng = np.random.default_rng(20261019)
+        tally = {"certified": 0, "refused-definite": 0, "refused-singular": 0}
+        for draw in range(60):
+            complex_entries = draw % 2 == 1
+            t, a, b, lam = _definite_case(rng, complex_entries)
+            pd_tol = None
+            if draw % 3 == 2:
+                # around the least eigenvalue: above it, eigh calls t singular
+                pd_tol = float(lam.min() * 10.0 ** rng.uniform(-4.0, 1.0))
+            rtol = (None, 1e-10, None, 1e-6)[draw % 4]
+            p = QpProblem(t, a, b, ToleranceConfig(rtol=rtol, pd_tol=pd_tol))
+            kappa = lam.max() / lam.min()
+            bound = max(1e-12, _EPS * kappa)
+            definite = classify_spectrum(eigh(p.t).eigenvalues, p.tol) is SpectrumClass.POSITIVE_DEFINITE
+            for method in (Method.AUTO, Method.POSDEF_DIAG):
+                case = (draw, complex_entries, rtol, pd_tol, method)
+                got, x, verdicts = self.run(p, method, False, monkeypatch)
+                want, ref, _ = self.run(p, method, True, monkeypatch)
+                assert got == want, case
+                assert verdicts == [verdicts[0]] and (definite or not verdicts[0]), case
+                if ref is not None:
+                    assert fro_norm(x[0] - ref[0]) <= bound * fro_norm(ref[0]), case
+                    assert abs(x[1] - ref[1]) <= bound * abs(ref[1]), case
+                if verdicts[0]:
+                    tally["certified"] += 1
+                else:
+                    tally["refused-definite" if definite else "refused-singular"] += 1
+        assert min(tally.values()) >= 5, tally
+
+    @pytest.mark.parametrize(
+        "t, a, b, certified",
+        [
+            # the diagonal rules out a Cholesky factorization before it runs
+            pytest.param(np.diag([1.0, 0.0, 2.0]), np.array([[1.0, 1, 1]]), np.ones(1), False, id="zero-diagonal"),
+            pytest.param(np.diag([1.0, -1.0]), np.ones((1, 2)), np.ones(1), False, id="negative-diagonal"),
+            # singular, and the Cholesky factorization meets a zero pivot
+            pytest.param(np.ones((2, 2)), np.array([[1.0, 0.0]]), np.ones(1), False, id="cholesky-raises"),
+            # singular to rtol: the factorization succeeds with the pivot 2^-25
+            pytest.param(
+                np.array([[1.0, 1.0], [1.0, 1.0 + 2.0**-50]]), np.array([[1.0, 0.0]]), np.ones(1), False, id="tiny-pivot"
+            ),
+            pytest.param(1e-200 * np.eye(3), np.array([[1.0, 2, 0], [0, 1, 1]]), np.ones(2), True, id="tiny-t"),
+            # 1e-300 I: s^2 = 1e-300 / 3 is below CERTIFICATE_MARGIN * ABS_FLOOR
+            pytest.param(1e-300 * np.eye(3), np.array([[1.0, 2, 0], [0, 1, 1]]), np.ones(2), False, id="floor-t"),
+            pytest.param(
+                1e300 * np.array([[2.0, 1.0], [1.0, 3.0]]), np.array([[1.0, 1.0]]), np.ones(1), True, id="huge-t"
+            ),
+            pytest.param(
+                1e308 * np.array([[1.0, 0.5], [0.5, 1.0]]), np.array([[1.0, 1.0]]), np.ones(1), True, id="near-max-t"
+            ),
+            # ||t||_F overflows, so the gate's bound is inf
+            pytest.param(
+                1.5e308 * np.array([[1.0, 0.5], [0.5, 1.0]]), np.array([[1.0, 1.0]]), np.ones(1), False, id="norm-overflows"
+            ),
+        ],
+    )
+    def test_edge_inputs(self, t, a, b, certified, monkeypatch, count_linalg):
+        # each run turns RuntimeWarning into an error
+        p = QpProblem(t, a, b)
+        counts = count_linalg()
+        for method in (Method.AUTO, Method.POSDEF_DIAG, Method.PSD_COMPLEMENT):
+            before = dict(counts)
+            got, x, verdicts = self.run(p, method, False, monkeypatch)
+            ran = {name: counts[name] - before[name] for name in counts}
+            want, ref, _ = self.run(p, method, True, monkeypatch)
+            assert got == want, method
+            assert verdicts == [certified], method
+            if ref is not None:
+                assert fro_norm(x[0] - ref[0]) <= 1e-12 * fro_norm(ref[0])
+            # the diagonal refuses before the Cholesky, a certificate needs no eigh
+            assert ran["cholesky"] == (t.diagonal().min() > 0), method
+            assert ran["eigh"] == (not certified), method
+        if certified:
+            # a definite t is not sent down the singular route
+            assert got[0][0] is NotSingularError
+
+    def test_the_bound_covers_the_rounding_of_eigh(self, monkeypatch):
+        # with pd_tol = 1e-300 and λ_min = 1e-17 ||t||, the factorization
+        # gives s^2 = 3.5e-17, but eigh finds λ_min = -5.3e-17 and calls t
+        # singular; only the n eps ||t|| term of the bound refuses
+        rng = np.random.default_rng(7)
+        q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+        t = (q * np.logspace(0.0, -17.0, 4)) @ q.T
+        p = QpProblem((t + t.T) / 2, np.ones((1, 4)), np.ones(1), ToleranceConfig(pd_tol=1e-300))
+        got, _, verdicts = self.run(p, Method.AUTO, False, monkeypatch)
+        want, _, _ = self.run(p, Method.AUTO, True, monkeypatch)
+        assert (verdicts, got) == ([False], want)
+        assert got[0][0] is Method.PSD_COMPLEMENT
+
+    def test_tiny_pivot_skips_the_inverse(self, monkeypatch):
+        inverted = []
+        factor = minimizers.tri_inv
+        monkeypatch.setattr(minimizers, "tri_inv", lambda l: inverted.append(l.shape) or factor(l))
+        t = np.array([[1.0, 1.0], [1.0, 1.0 + 2.0**-50]])
+        r = solve(QpProblem(t, np.array([[1.0, 0.0]]), np.ones(1)))
+        assert r.method is Method.PSD_COMPLEMENT
+        assert inverted == [(1, 1)]  # R* of a W only
 
 
 def _invariance_case(seed, n, m, psd, complex_entries):
