@@ -2,7 +2,7 @@
 
 Solves min <x, T x> subject to A x = b three ways:
 
-* a strictly positive definite T, where the eigenbasis and square-root
+* a strictly positive definite T, where the factor-kernel and square-root
   routes agree and an independent saddle-point solver confirms the value;
 * a commuting constraint, where the solution collapses to pinv(A) b;
 * a singular positive semidefinite T (loaded from a problem file), where
@@ -39,14 +39,14 @@ def definite_case():
     b = a @ rng.standard_normal(5)
     p = QpProblem(t=t, a=a, b=b)
 
-    via_eig = minimize_posdef_diag(p)
+    via_kernel = minimize_posdef_diag(p)
     via_root = minimize_posdef(p)
     oracle = kkt_solve(t, a, b)
-    print(f"  eigenbasis route   min {via_eig.min_value:.12f}")
-    print(f"  square-root route  min {via_root.min_value:.12f}")
-    print(f"  saddle-point check min {oracle.min_value:.12f} "
+    print(f"  factor-kernel route min {via_kernel.min_value:.12f}")
+    print(f"  square-root route   min {via_root.min_value:.12f}")
+    print(f"  saddle-point check  min {oracle.min_value:.12f} "
           f"(kkt residual {oracle.kkt_residual:.1e})")
-    print(f"  routes differ in x by {np.linalg.norm(via_eig.xhat - via_root.xhat):.1e}")
+    print(f"  routes differ in x by {np.linalg.norm(via_kernel.xhat - via_root.xhat):.1e}")
 
 
 def shortcut_case():

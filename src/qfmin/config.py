@@ -25,9 +25,9 @@ LAT_TOL = 1e-10
 COMMUTE_TOL = 1e-10
 # Kept-singular-value ratio below which an ill-conditioning warning is raised.
 WARN_RATIO = 1e-8
-# Factor by which the bound that certifies the PSD conditioning note absent
-# must clear the thresholds it stands in for; it covers the O(n eps ||A||)
-# rounding of forming ``A W``.
+# Factor by which a certificate's bound must clear the thresholds it stands
+# in for, and ABS_FLOOR: the one rule of `minimizers._certifies`.  It covers
+# the rounding that the bounds leave out.
 CERTIFICATE_MARGIN = 1e3
 
 

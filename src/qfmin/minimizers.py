@@ -306,29 +306,35 @@ def _inverse_root(eig: EigResult, cls: SpectrumClass, decide) -> tuple[np.ndarra
     return (q / np.sqrt(w)) @ q.conj().T, q
 
 
-def _certified_inverse(r: np.ndarray, tau: float):
+def _certifies(bound: float, *gates: float) -> bool:
+    """The one certificate rule: whether ``bound > CERTIFICATE_MARGIN * max(gates, ABS_FLOOR)``.
+
+    Every certificate decides here, so a refusal here runs the uncertified path everywhere.
+    """
+    return bound > CERTIFICATE_MARGIN * max(*gates, ABS_FLOOR)
+
+
+def _certified_inverse(r: np.ndarray, ratio: float):
     """``(g, s)``: ``g = R^{-*}`` or None, and ``s = 1 / ||g||_F`` if that certifies full rank.
 
-    ``σ_max(R) <= ||R||_F`` and ``σ_min(R) >= s``, so ``||R||_F τ <= s``
-    and ``s > CERTIFICATE_MARGIN * ABS_FLOOR`` keep every singular value
-    of `R` above a rank threshold ``rtol σ_max`` and the warning ratio
-    when ``τ = CERTIFICATE_MARGIN * max(WARN_RATIO, rtol)``; the margin
-    also covers the ``O(m eps σ_max)`` by which computed singular values
-    differ.  As ``σ_min <= min|r_ii|`` and ``σ_max >= max|r_ii|``, a
-    diagonal that spans more than ``1 / τ`` cannot be certified and is
-    not inverted; nor is an empty `R`.  A NaN or inf in `g` fails the test.
+    ``σ_max(R) <= ||R||_F`` and ``σ_min(R) >= s``, so where `s`
+    `_certifies` against ``ratio ||R||_F``, with ``ratio = max(WARN_RATIO,
+    rtol)``, every singular value of `R` clears a rank threshold
+    ``rtol σ_max`` and the warning ratio; the margin also covers the
+    ``O(m eps σ_max)`` by which computed singular values differ.  As
+    ``s <= σ_min <= min|r_ii|`` and ``σ_max >= max|r_ii|``, a diagonal
+    that fails the same rule against ``ratio max|r_ii|`` is not inverted;
+    nor is an empty `R`.  A NaN or inf in `g` fails the test.
     """
     diag = np.abs(np.diagonal(r))
-    if not (diag.size and diag.min() > tau * diag.max()):
+    if not (diag.size and _certifies(diag.min(), ratio * diag.max())):
         return None, None
     try:
         g = tri_inv(r.conj().T)
     except FactorizationError:
         return None, None
     s = 1.0 / fro_norm(g)
-    if fro_norm(r) * tau <= s and s > CERTIFICATE_MARGIN * ABS_FLOOR:
-        return g, s
-    return g, None
+    return g, (s if _certifies(s, ratio * fro_norm(r)) else None)
 
 
 def _row_factors(x: np.ndarray, decide, cfg: ToleranceConfig | None = None):
@@ -350,8 +356,7 @@ def _row_factors(x: np.ndarray, decide, cfg: ToleranceConfig | None = None):
     m, dim = x.shape[0], max(x.shape)
     g = None
     if cfg is not None:
-        tau = CERTIFICATE_MARGIN * max(WARN_RATIO, cfg.effective_rtol(dim))
-        g, s = _certified_inverse(r, tau)
+        g, s = _certified_inverse(r, max(WARN_RATIO, cfg.effective_rtol(dim)))
         if s is not None:
             return m, None, q, g, s
     decision = decide(np.linalg.svd(r, compute_uv=False), dim)
@@ -373,14 +378,14 @@ def _cholesky_root(h: Hermitian, cfg: ToleranceConfig) -> np.ndarray | None:
     ``pd_tol``, or else ``rtol_eff(n) λ_max <= rtol_eff(n) ||t||_F``, and
     `eigh` finds each eigenvalue to about ``n eps ||t||``.  With
     ``s = 1 / ||L^{-1}||_F <= σ_min(L)``, ``λ_min(t) = σ_min(L)^2 >= s^2``.
-    So where ``s^2`` clears `CERTIFICATE_MARGIN` times the largest of that
-    gate, ``n eps ||t||_F`` and `ABS_FLOOR`, `eigh` would call `t` definite
-    too; the margin also covers the rounding of `L` and of its inverse.
-    None, and the caller takes `eigh`, for a non-positive diagonal, a
-    Cholesky or inverse that fails, pivots with ``1 / Σ |L_ii|^{-2}`` below
-    that bound (the diagonal of ``L^{-1}`` is ``1 / L_ii``, so
-    ``s^2 <= 1 / Σ |L_ii|^{-2} <= min |L_ii|^2``, and the inverse is
-    skipped), an inverse with inf or NaN entries, or an `s` below the bound.
+    So where ``s^2`` `_certifies` against that gate and ``n eps ||t||_F``,
+    `eigh` would call `t` definite too; the margin also covers the rounding
+    of `L` and of its inverse.  None, and the caller takes `eigh`, for a
+    non-positive diagonal, a Cholesky or inverse that fails, pivots whose
+    ``1 / Σ |L_ii|^{-2}`` fails the same rule (the diagonal of ``L^{-1}`` is
+    ``1 / L_ii``, so ``s^2 <= 1 / Σ |L_ii|^{-2} <= min |L_ii|^2``, and the
+    inverse is skipped), an inverse with inf or NaN entries, or an `s` that
+    fails it.
     """
     diag = np.real(np.diagonal(h.sym))
     if not (diag.size and diag.min() > 0):
@@ -388,17 +393,17 @@ def _cholesky_root(h: Hermitian, cfg: ToleranceConfig) -> np.ndarray | None:
     n = diag.size
     pd_gate = cfg.pd_tol if cfg.pd_tol is not None else cfg.effective_rtol(n) * h.norm
     # n eps ||t||, the default rank rule's, bounds the rounding of eigh
-    bound = CERTIFICATE_MARGIN * max(pd_gate, DEFAULT_TOL.effective_rtol(n) * h.norm, ABS_FLOOR)
+    gates = (pd_gate, DEFAULT_TOL.effective_rtol(n) * h.norm)
     try:
         l = cholesky(h)
         with np.errstate(over="ignore"):  # a tiny pivot's inf refuses below
-            if not 1.0 / float(np.sum(np.abs(np.diagonal(l)) ** -2.0)) > bound:
+            if not _certifies(1.0 / float(np.sum(np.abs(np.diagonal(l)) ** -2.0)), *gates):
                 return None
         x = tri_inv(l)
     except FactorizationError:
         return None
     s = 1.0 / fro_norm(x)
-    return x.conj().T if s * s > bound else None
+    return x.conj().T if _certifies(s * s, *gates) else None
 
 
 def _factorize(p: QpProblem, gate) -> _Factors:
@@ -474,11 +479,11 @@ def _apply(p: QpProblem, f: _Factors, method: Method) -> MinimizationResult:
 
 
 def minimize_posdef_diag(p: QpProblem) -> MinimizationResult:
-    """Eigenbasis route for positive definite `t`.
+    """Factor-kernel route for positive definite `t`.
 
-    Diagonalizes ``t = q Λ q*``, rescales by ``Λ^{-1/2}`` and reads the
-    minimizer off the minimum-norm solution of the rescaled constraint:
-    ``x = q Λ^{-1/2} pinv(a q Λ^{-1/2}) b``, attaining ``||pinv(.) b||^2``.
+    ``x = W pinv(a W) b`` for ``W W* = t^{-1}``, attaining ``||pinv(a W) b||^2``:
+    ``W = L^{-*}`` where `_cholesky_root` certifies `t` definite, otherwise
+    ``q Λ^{-1/2}`` from one `eigh` of ``t = q Λ q*``.
     """
     return _apply(p, _factors(p, _require_pd), Method.POSDEF_DIAG)
 
@@ -585,18 +590,17 @@ def _conditioning_certified(p: QpProblem, rank: int, s: float, w: np.ndarray) ->
     ``a Q_r = (a W) Λ_r^{1/2}`` gives ``σ_min(a Q_r) >= s √λ_min``.  As
     `Q_r` has orthonormal columns, ``σ_min(a) / σ_max(a)`` and, through
     ``a Q_r = R_a* (V_a* Q_r)``, every principal-angle cosine (at most 1)
-    are at least ``L = s √λ_min / ||a||_F``.  So when `L` clears the
-    thresholds of both rank decisions and of the warning by
-    `CERTIFICATE_MARGIN`, and ``s √λ_min`` clears the absolute floor,
-    the note's factorization of `a` could not change the result.
+    are at least ``L = s √λ_min / ||a||_F``.  So where ``s √λ_min``
+    `_certifies` against ``max(WARN_RATIO, rtol) ||a||_F``, `L` clears the
+    thresholds of both rank decisions and of the warning, and the note's
+    factorization of `a` could not change the result.
     """
     m = p.a.shape[0]
     if rank == 0 or rank != m:
         return False
-    bound = float(s * np.sqrt(w[0]))
     # m <= r <= n, so n is the larger dimension of a as well as of V_a* Q_r
-    tau = CERTIFICATE_MARGIN * max(WARN_RATIO, p.tol.effective_rtol(p.dim))
-    return bound > CERTIFICATE_MARGIN * ABS_FLOOR and bound / fro_norm(p.a) >= tau
+    ratio = max(WARN_RATIO, p.tol.effective_rtol(p.dim))
+    return _certifies(float(s * np.sqrt(w[0])), ratio * fro_norm(p.a))
 
 
 def _complement_conditioning(p: QpProblem, range_t, decide) -> list[Diagnostic]:

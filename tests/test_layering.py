@@ -1,9 +1,9 @@
 """Layering read from the source.
 
-Only dense_core calls the guarded factorizations of numpy.linalg, private
-names cross from one module to another only where listed, and an import
-kept only for the benchmark's tracer is one the tracer wraps and nothing
-else uses.
+Only dense_core calls the guarded factorizations of numpy.linalg, the
+kernel's certificates share one rule, private names cross from one module
+to another only where listed, and an import kept only for the benchmark's
+tracer is one the tracer wraps and nothing else uses.
 """
 
 import ast
@@ -92,6 +92,28 @@ def test_the_product_check_sees_a_reconstruction():
     assert len(guards) == 4
     old = ast.parse('_guard("QR", q @ r, a, KTOL, n)\n_guard("E", lambda z: ((q * w) @ q.T) @ z, a, n)')
     assert [p.split(" at ")[0] for p in _formed_products(old)] == ["q @ r", "q * w @ q.T"]
+
+
+def _margin_reads(tree):
+    """``(top-level definition, name)`` for each read of CERTIFICATE_MARGIN or ABS_FLOOR outside an import."""
+    for top in tree.body:
+        where = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name in ("CERTIFICATE_MARGIN", "ABS_FLOOR"):
+                yield where, name
+
+
+def test_minimizers_certify_by_one_rule():
+    # every certificate in the kernel compares its bound through _certifies,
+    # the one rule and the one place a test refuses them all
+    tree = ast.parse((SRC / "minimizers.py").read_text(encoding="utf-8"))
+    assert set(_margin_reads(tree)) == {("_certifies", "CERTIFICATE_MARGIN"), ("_certifies", "ABS_FLOOR")}
+
+
+def test_the_rule_check_sees_an_inline_margin():
+    old = ast.parse("def _cholesky_root(h, cfg):\n    bound = config.CERTIFICATE_MARGIN * max(gate, ABS_FLOOR)\n")
+    assert set(_margin_reads(old)) == {("_cholesky_root", "CERTIFICATE_MARGIN"), ("_cholesky_root", "ABS_FLOOR")}
 
 
 # (importer, source, name): every private name one qfmin module imports from

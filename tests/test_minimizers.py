@@ -1,4 +1,7 @@
+import itertools
+import re
 import warnings
+from collections import Counter
 from dataclasses import astuple
 
 import numpy as np
@@ -37,8 +40,8 @@ from qfmin import (
     try_cor1_shortcut,
 )
 from qfmin import dense_core, minimizers
-from qfmin.config import CERTIFICATE_MARGIN, FEAS_TOL, HTOL, WARN_RATIO, ToleranceConfig
-from qfmin.dense_core import eigh, fro_norm, svd
+from qfmin.config import ABS_FLOOR, CERTIFICATE_MARGIN, FEAS_TOL, HTOL, WARN_RATIO, ToleranceConfig
+from qfmin.dense_core import fro_norm, svd
 from qfmin.l2_models import diag_operator, DiagonalSpec, harmonic_b, left_shift
 from qfmin.pinv_ops import rank_decide
 
@@ -617,12 +620,12 @@ def fresh_rhs(t, a, seed):
     return a @ x
 
 
-def assert_same_result(r, s):
-    assert np.array_equal(r.xhat, s.xhat)
-    assert r.min_value == s.min_value
-    assert r.feasibility_residual == s.feasibility_residual
-    assert r.method is s.method
-    assert r.diagnostics == s.diagnostics
+def outcome(r):
+    """A solve's whole result, `x` to the byte, or its error class and message."""
+    if isinstance(r, QfminError):
+        return type(r), str(r)
+    notes = [(d.code, d.message, d.value) for d in r.diagnostics]
+    return r.xhat.dtype, r.xhat.shape, r.xhat.tobytes(), r.min_value, r.feasibility_residual, r.method, notes
 
 
 @pytest.mark.usefixtures("cold_memo")
@@ -641,7 +644,7 @@ class TestFactorMemo:
         each = 1 if case == "pd-square" else 0
         assert counts == {"eigh": 0, "cholesky": 0, "svd": 0, "qr": each, "inv": each, "solve": 0, "svdvals": 0}
         monkeypatch.setattr(minimizers, "_memo", None)
-        assert_same_result(hit, solve(QpProblem(t, a, b2)))
+        assert outcome(hit) == outcome(solve(QpProblem(t, a, b2)))
 
     def test_kernel_routes_share_the_memo(self, count_linalg, monkeypatch):
         t, a, b = random_pd_problem(10, 4, seed=3)
@@ -674,7 +677,7 @@ class TestFactorMemo:
         # a definite t misses by its certified Cholesky factorization
         assert (counts["cholesky"], counts["eigh"]) == (1, 0)
         monkeypatch.setattr(minimizers, "_memo", None)
-        assert_same_result(again, solve(QpProblem(t, a, b, tol)))
+        assert outcome(again) == outcome(solve(QpProblem(t, a, b, tol)))
         if change == "mutate-t":
             assert again.min_value == pytest.approx(2.0 * first.min_value, rel=1e-12)
 
@@ -946,7 +949,7 @@ class TestRowFactors:
                 warnings.simplefilter("always")
                 runs.append((solve(p), [(w.category, str(w.message)) for w in caught]))
         (miss, miss_warnings), (hit, hit_warnings) = runs
-        assert_same_result(miss, hit)
+        assert outcome(miss) == outcome(hit)
         assert miss_warnings == hit_warnings
         assert miss_warnings or case != "ill-conditioned"
 
@@ -998,85 +1001,13 @@ def _planted_case(rng, complex_entries, m_vs_rank, edge):
     return t, a, a @ (q[:, :r] @ rng.standard_normal(r))
 
 
-def outcome(p, method):
-    """All that ``solve(p, method)`` returns, `x` to the byte, or its error class and message."""
-    try:
-        r = solve(p, method)
-    except QfminError as exc:
-        return type(exc), str(exc)
-    diagnostics = [(d.code, d.message, d.value) for d in r.diagnostics]
-    return r.xhat.dtype, r.xhat.shape, r.xhat.tobytes(), r.min_value, r.feasibility_residual, r.method, diagnostics
-
-
-class TestConditioningCertificate:
-    """The certificate skips the conditioning note only where it changes nothing."""
-
-    @staticmethod
-    def run(p, method, certificate, monkeypatch):
-        """Everything a caller sees of one cold solve, and what the note's code did.
-
-        The log holds the certificate's verdict, the memo's `spectra` and,
-        when the note's code ran, its notes and the number of warnings it
-        raised.
-        """
-        log = {}
-        conditioning = minimizers._complement_conditioning
-        with monkeypatch.context() as m, warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-
-            def certified(*args):
-                log["certified"] = certificate(*args)
-                return log["certified"]
-
-            def spied(*args):
-                before = len(caught)
-                notes = conditioning(*args)
-                log["conditioning"] = (notes, len(caught) - before)
-                return notes
-
-            m.setattr(minimizers, "_memo", None)
-            m.setattr(minimizers, "_conditioning_certified", certified)
-            m.setattr(minimizers, "_complement_conditioning", spied)
-            seen = outcome(p, method)
-            log["spectra"] = minimizers._memo and minimizers._memo.spectra
-        return (seen, [(w.category, str(w.message)) for w in caught]), log
-
-    def test_matches_the_uncertified_solve(self, monkeypatch):
-        rng = np.random.default_rng(20260418)
-        certificate = minimizers._conditioning_certified
-        tally = {"certified": 0, "fallback": 0, "noted": 0, "warned": 0}
-        for draw in range(24):
-            for complex_entries in (False, True):
-                for m_vs_rank in ("below", "equal", "above"):
-                    rtol = (None, 1e-6, 1e-3)[draw % 3]
-                    edge = max(WARN_RATIO, rtol or 0.0)
-                    t, a, b = _planted_case(rng, complex_entries, m_vs_rank, edge)
-                    p = QpProblem(t, a, b, ToleranceConfig(rtol=rtol))
-                    for method in (Method.AUTO, Method.PSD_COMPLEMENT):
-                        case = (draw, complex_entries, m_vs_rank, rtol, method)
-                        got, log = self.run(p, method, certificate, monkeypatch)
-                        want, exact = self.run(p, method, lambda *args: False, monkeypatch)
-                        assert got == want, case
-                        notes, warned = exact["conditioning"]
-                        if log["certified"]:
-                            assert (notes, warned) == ([], 0), case
-                            # nor does either skipped decision drop a value
-                            assert len(exact["spectra"]) == len(log["spectra"]) + 2, case
-                            for sigma, dim in exact["spectra"][-2:]:
-                                assert rank_decide(sigma, p.tol, dim=dim).rank == sigma.size, case
-                        tally["certified" if log["certified"] else "fallback"] += 1
-                        tally["noted"] += bool(notes)
-                        tally["warned"] += bool(warned)
-        assert min(tally.values()) >= 5, tally
-
-
-def _planted_row_case(rng, kind, complex_entries, edges):
+def _planted_row_case(rng, kind, complex_entries, edges, decades=2.0):
     """A feasible problem whose ``a W`` has planted singular values, of condition number κ.
 
     `t` is definite (`kind` "pd", or "square" for m = n) or of rank r
-    ("psd"), with its nonzero eigenvalues spread over [1, 100].  ``a W``
-    is ``U Σ V*`` with ``Σ`` graded from 1 to ``1/κ``; κ is drawn within
-    1.5 decades of one of `edges` half of the time, else anywhere in
+    ("psd"), with its nonzero eigenvalues spread over [1, 10^decades].
+    ``a W`` is ``U Σ V*`` with ``Σ`` graded from 1 to ``1/κ``; κ is drawn
+    within 1.5 decades of one of `edges` half of the time, else anywhere in
     [1, 1e13].  A singular `t` adds a random part of `a` along its kernel,
     which ``a W`` does not see.  `t` and `a` are each scaled by 1e-150, 1
     or 1e150, and `b` is the image of a point in the range of `t`.
@@ -1086,7 +1017,7 @@ def _planted_row_case(rng, kind, complex_entries, edges):
     m = n if kind == "square" else int(rng.integers(1, r + 1))
     q = _random_unitary(rng, n, complex_entries)
     lam = np.zeros(n)
-    lam[:r] = 10.0 ** rng.uniform(0.0, 2.0, r)
+    lam[:r] = 10.0 ** rng.uniform(0.0, decades, r)
     t = (q * lam) @ q.conj().T
     if rng.random() < 0.5:
         kappa = min(rng.choice(edges) * 10.0 ** rng.uniform(-1.5, 1.5), 1e13)
@@ -1103,116 +1034,19 @@ def _planted_row_case(rng, kind, complex_entries, edges):
     return t, a, a @ (q[:, :r] @ rng.standard_normal(r))
 
 
-class TestRankCertificate:
-    """``||R||_F ||R^{-*}||_F`` stands in for the rank decision of R only where it changes nothing."""
-
-    @staticmethod
-    def run(p, method, refuse, monkeypatch):
-        """Everything a caller sees of one cold solve, and the certificate's verdicts.
-
-        With `refuse` every certificate is refused, which runs the path
-        without it, and each verdict also records whether the rank decision
-        then made kept every value and whether it stayed quiet.
-        """
-        verdicts = []
-        certificate = minimizers._certified_inverse
-        decide = minimizers.rank_decide
-        with monkeypatch.context() as m, warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-
-            def certified(r, tau):
-                g, s = certificate(r, tau)
-                verdicts.append([s is not None])
-                return (g, None) if refuse else (g, s)
-
-            def spied(sigma, cfg, dim=None):
-                before = len(caught)
-                decision = decide(sigma, cfg, dim=dim)
-                if refuse and verdicts and len(verdicts[-1]) == 1:
-                    verdicts[-1] += [decision.rank == sigma.size, len(caught) == before]
-                return decision
-
-            m.setattr(minimizers, "_memo", None)
-            m.setattr(minimizers, "_certified_inverse", certified)
-            m.setattr(minimizers, "rank_decide", spied)
-            seen = outcome(p, method)
-        return (seen, [(w.category, str(w.message)) for w in caught]), verdicts
-
-    def test_matches_the_uncertified_solve(self, monkeypatch):
-        rng = np.random.default_rng(20261018)
-        tally = {"certified": 0, "refused-quiet": 0, "dropped": 0, "warned": 0}
-        for draw in range(18):
-            rtol = (None, 1e-6, 1e-3)[draw % 3]
-            effective = rtol or 30 * np.finfo(np.float64).eps
-            # the certificate's edge, the warning's and the rank threshold's
-            edges = [1.0 / (CERTIFICATE_MARGIN * max(WARN_RATIO, effective)), 1.0 / WARN_RATIO, 1.0 / effective]
-            for kind in ("pd", "psd", "square"):
-                for complex_entries in (False, True):
-                    t, a, b = _planted_row_case(rng, kind, complex_entries, edges)
-                    p = QpProblem(t, a, b, ToleranceConfig(rtol=rtol))
-                    route = Method.PSD_COMPLEMENT if kind == "psd" else Method.POSDEF_DIAG
-                    for method in (Method.AUTO, route):
-                        case = (draw, kind, complex_entries, rtol, method)
-                        got, verdicts = self.run(p, method, False, monkeypatch)
-                        want, exact = self.run(p, method, True, monkeypatch)
-                        assert got == want, case
-                        assert verdicts == [v[:1] for v in exact], case
-                        for passed, kept, quiet in exact:
-                            # never where the exact decision drops a value or warns
-                            assert not passed or (kept and quiet), case
-                            tally["certified"] += passed
-                            tally["refused-quiet"] += not passed and kept and quiet
-                            tally["dropped"] += not kept
-                            tally["warned"] += not quiet
-        assert min(tally.values()) >= 5, tally
-
-    @pytest.mark.parametrize(
-        "t, a, b, verdicts",
-        [
-            pytest.param(np.eye(3), np.zeros((0, 3)), np.zeros(0), [False], id="zero-rows"),
-            pytest.param(np.eye(3), np.zeros((2, 3)), np.zeros(2), [False], id="zero-a"),
-            # R has an exact zero on its diagonal, so it is not inverted
-            pytest.param(np.eye(3), np.array([[1.0, 2, 0], [2, 4, 0]]), np.array([3.0, 6]), [False], id="singular-r"),
-            # R near 1e-309: the inverses of a W and of the square a overflow;
-            # b = 0 is feasible at rank 0, so the shortcut runs
-            pytest.param(np.eye(2), 1e-309 * np.array([[1.0, 0.3], [0.2, 1]]), np.zeros(2), [False] * 2, id="tiny-r"),
-            # R near 1e-300: its finite inverse bounds σ_min below the floor
-            pytest.param(np.eye(2), 1e-300 * np.array([[1.0, 0.3], [0.2, 1]]), np.zeros(2), [False] * 2, id="floor-r"),
-            # W = 1e100 I, so R^{-*} is near 1e-100
-            pytest.param(1e-200 * np.eye(3), np.array([[1.0, 2, 0], [0, 1, 1]]), np.ones(2), [True], id="tiny-t"),
-        ],
-    )
-    def test_edge_inputs(self, t, a, b, verdicts, monkeypatch):
-        p = QpProblem(t, a, b)
-        got, seen = self.run(p, Method.AUTO, False, monkeypatch)
-        want, _ = self.run(p, Method.AUTO, True, monkeypatch)
-        assert got == want
-        assert seen == [[v] for v in verdicts]
-
-    def test_inverse_without_a_certificate(self):
-        tau = 1e-5
-        # an empty or zero R is not inverted, and a singular one raises in inv
-        for r in (np.zeros((0, 0)), np.zeros((2, 2)), np.ones((2, 2))):
-            assert minimizers._certified_inverse(r, tau) == (None, None)
-        # an inverse with inf, or with NaN, entries certifies nothing
-        for r, bad in ((1e-309 * np.eye(2), np.isinf), (1e-309 * np.array([[1.0, 0.3], [0, 1]]), np.isnan)):
-            g, s = minimizers._certified_inverse(r, tau)
-            assert bad(g).any() and s is None
-        g, s = minimizers._certified_inverse(1e-200 * np.eye(2), tau)
-        assert np.array_equal(g, 1e200 * np.eye(2)) and s == 1e-200 / np.sqrt(2)
-
-
-def _definite_case(rng, complex_entries):
-    """A feasible problem whose `t` has a planted definite spectrum, and that spectrum.
+def _definite_case(rng, complex_entries, least=None):
+    """A feasible problem whose `t` has a planted spectrum, and that spectrum.
 
     n ≤ 30 and m ≤ n, square now and then.  The eigenvalues of `t` are
-    graded from 1 down to ``1/κ``, with κ from 1 to 1e14, and `t` is scaled
-    by 1e-150, 1 or 1e150.  `b` is the image of a random point.
+    graded from 1 down to ``1/κ``, with κ from 1 to 1e14; `least`, where
+    given, replaces the last (a negative one makes `t` indefinite).  `t` is
+    scaled by 1e-150, 1 or 1e150, and `b` is the image of a random point.
     """
     n = int(rng.integers(2, 31))
     m = n if rng.random() < 0.2 else int(rng.integers(1, n + 1))
     q = _random_unitary(rng, n, complex_entries)
     lam = 10.0 ** -(rng.uniform(0.0, 14.0) * np.sort(np.r_[0.0, 1.0, rng.random(n - 2)]))
+    lam[-1] = lam[-1] if least is None else least
     scale = rng.choice([1e-150, 1.0, 1e150])
     t = (q * lam) @ q.conj().T
     t = (t + t.conj().T) / 2 * scale
@@ -1222,123 +1056,294 @@ def _definite_case(rng, complex_entries):
     return t, a, a @ rng.standard_normal(n), lam * scale
 
 
-class TestDefiniteCertificate:
-    """``1 / ||L^{-1}||_F`` stands in for the eigenvalues of a definite `t` only where it changes nothing.
+def _planted_draws():
+    rng = np.random.default_rng(20260418)
+    for draw, cplx, m_vs_rank in itertools.product(range(24), (False, True), ("below", "equal", "above")):
+        rtol = (None, 1e-6, 1e-3)[draw % 3]
+        t, a, b = _planted_case(rng, cplx, m_vs_rank, max(WARN_RATIO, rtol or 0.0))
+        yield (draw, cplx, m_vs_rank, rtol), QpProblem(t, a, b, ToleranceConfig(rtol=rtol))
 
-    ``W = L^{-*}`` and ``W = Q Λ^{-1/2}`` differ by a unitary factor, so
-    the two give the same method, diagnostics, warnings and errors.  `x`
-    and the minimum agree to rounding: both factorizations are backward
-    stable, so each `x` is within about ``eps cond(t)`` of the exact one,
-    and the bound on their gap is 1e-12 relative, or ``eps cond(t)`` where
-    that is larger.  Over the sweep below the gap stayed below 0.24 times
-    that bound.
+
+def _planted_row_draws():
+    rng = np.random.default_rng(20261018)
+    for draw, kind, cplx in itertools.product(range(18), ("pd", "psd", "square"), (False, True)):
+        rtol = (None, 1e-6, 1e-3)[draw % 3]
+        effective = rtol or 30 * _EPS
+        # the rank certificate's edge, the warning's and the rank threshold's
+        edges = [1.0 / (CERTIFICATE_MARGIN * max(WARN_RATIO, effective)), 1.0 / WARN_RATIO, 1.0 / effective]
+        t, a, b = _planted_row_case(rng, kind, cplx, edges)
+        yield (draw, kind, cplx, rtol), QpProblem(t, a, b, ToleranceConfig(rtol=rtol))
+
+
+def _definite_draws():
+    rng = np.random.default_rng(20261019)
+    for draw in range(60):
+        t, a, b, lam = _definite_case(rng, draw % 2 == 1)
+        # around the least eigenvalue: above it, eigh calls t singular
+        pd_tol = float(lam.min() * 10.0 ** rng.uniform(-4.0, 1.0)) if draw % 3 == 2 else None
+        tol = ToleranceConfig(rtol=(None, 1e-10, None, 1e-6)[draw % 4], pd_tol=pd_tol)
+        yield (draw, tol), QpProblem(t, a, b, tol)
+
+
+def _added_draws():
+    rng = np.random.default_rng(20261020)
+    for draw in range(24):
+        cplx = draw % 4 >= 2
+        tol = ToleranceConfig(rtol=1e-9, pd_tol=1e-12) if draw % 3 else ToleranceConfig()
+        if draw % 2:
+            t, a, b = _planted_row_case(rng, "pd", cplx, [1e4, 1e8, 1e12], decades=8.0)
+        else:
+            # the least eigenvalue is -1e-14 to -1 times the largest
+            t, a, b, _ = _definite_case(rng, cplx, least=-(10.0 ** -rng.uniform(0.0, 14.0)))
+        yield (draw, cplx, tol), QpProblem(t, a, b, tol)
+
+
+# The corpus of `TestCertificates`: each part's draws, and the tallies that must reach 5 over it.  The
+# first three parts are, draw for draw, the sweeps that checked each certificate on its own; the last adds
+# an indefinite `t`, `pd_tol` and `rtol` set together, and cond(T) up to 1e8 under ``a W`` of κ up to 1e13.
+CERTIFICATE_CORPUS = {
+    "planted": (_planted_draws, ("conditioning certified", "conditioning refused", "noted", "conditioning warned")),
+    "planted-row": (_planted_row_draws, ("rank certified", "rank refused-quiet", "rank dropped", "rank warned")),
+    "definite": (_definite_draws, ("cholesky certified", "cholesky refused-definite", "cholesky refused-singular")),
+    "added": (_added_draws, ("cholesky certified", "cholesky refused-singular", "rank warned")),
+}
+
+
+def _agreement_bound(p):
+    """``max(1e-12, eps (cond(T) + √cond(T) κ(A W)))`` for a definite `t`, κ over the kept values."""
+    w, q = np.linalg.eigh(p.t)
+    sigma = np.linalg.svd(p.a @ (q / np.sqrt(w)), compute_uv=False)
+    kept = sigma[sigma > max(p.tol.effective_rtol(max(p.a.shape)) * sigma.max(initial=0.0), ABS_FLOOR)]
+    kappa = kept[0] / kept[-1] if kept.size else 1.0
+    return max(1e-12, _EPS * (w[-1] / w[0] + np.sqrt(w[-1] / w[0]) * kappa))
+
+
+def _relative_gap(x, ref):
+    gap, size = fro_norm(np.atleast_1d(x - ref)), fro_norm(np.atleast_1d(ref))
+    return gap / size if size else (np.inf if gap else 0.0)
+
+
+_NUMBER = re.compile(r"[-+]?\d+(?:\.\d*)?(?:e[-+]?\d+)?")
+
+
+def _rounding_gap(got, want):
+    """The largest `_relative_gap` of `x`, the minimum and the warnings' values, once all else is equal.
+
+    The method, the diagnostics, `reduced_rank`, the warning classes and
+    texts with their numbers masked, and any error must be equal.
+    """
+    (seen, caught), (ref, ref_caught) = got, want
+    masked = [[(c, _NUMBER.sub("#", text)) for c, text, _ in w] for w in (caught, ref_caught)]
+    assert masked[0] == masked[1]
+    gaps = [_relative_gap(v, u) for (*_, v), (*_, u) in zip(caught, ref_caught) if u is not None]
+    if isinstance(ref, QfminError) or isinstance(seen, QfminError):
+        assert outcome(seen) == outcome(ref)
+        return max(gaps, default=0.0)
+
+    # the shortcut's gap to x is a rounding-level number of its own
+    notes = [[(d.code, d.message, d.value if d.code == "reduced_rank" else d.value is None) for d in r.diagnostics]
+             for r in (seen, ref)]
+    assert (seen.method, notes[0]) == (ref.method, notes[1])
+    return max(gaps + [_relative_gap(seen.xhat, ref.xhat), _relative_gap(seen.min_value, ref.min_value)])
+
+
+# ``(t, a, b, cholesky, rank)``: edge inputs, the verdict of `_cholesky_root`, and those of `_certified_inverse` in AUTO
+CERTIFICATE_EDGES = {
+    # the diagonal rules out a Cholesky factorization before it runs
+    "zero-diagonal": (np.diag([1.0, 0, 2]), np.ones((1, 3)), np.ones(1), False, [True]),
+    "negative-diagonal": (np.diag([1.0, -1.0]), np.ones((1, 2)), np.ones(1), False, []),
+    # singular, and the Cholesky factorization meets a zero pivot
+    "cholesky-raises": (np.ones((2, 2)), np.array([[1.0, 0]]), np.ones(1), False, [True]),
+    # singular to rtol: the factorization succeeds with the pivot 2^-25
+    "tiny-pivot": (np.array([[1.0, 1], [1, 1 + 2.0**-50]]), np.array([[1.0, 0]]), np.ones(1), False, [True]),
+    # W = 1e100 I, so R^{-*} is near 1e-100
+    "tiny-t": (1e-200 * np.eye(3), np.array([[1.0, 2, 0], [0, 1, 1]]), np.ones(2), True, [True]),
+    # 1e-300 I: s^2 = 1e-300 / 3 is below CERTIFICATE_MARGIN * ABS_FLOOR
+    "floor-t": (1e-300 * np.eye(3), np.array([[1.0, 2, 0], [0, 1, 1]]), np.ones(2), False, [True]),
+    "huge-t": (1e300 * np.array([[2.0, 1], [1, 3]]), np.ones((1, 2)), np.ones(1), True, [True]),
+    "near-max-t": (1e308 * np.array([[1.0, 0.5], [0.5, 1]]), np.ones((1, 2)), np.ones(1), True, [True]),
+    # ||t||_F overflows, so the gate's bound is inf
+    "norm-overflows": (1.5e308 * np.array([[1.0, 0.5], [0.5, 1]]), np.ones((1, 2)), np.ones(1), False, []),
+    "zero-rows": (np.eye(3), np.zeros((0, 3)), np.zeros(0), True, [False]),
+    "zero-a": (np.eye(3), np.zeros((2, 3)), np.zeros(2), True, [False]),
+    # R has an exact zero on its diagonal, so it is not inverted
+    "singular-r": (np.eye(3), np.array([[1.0, 2, 0], [2, 4, 0]]), np.array([3.0, 6]), True, [False]),
+    # R near 1e-309: the inverses of a W and of the square a would overflow;
+    # b = 0 is feasible at rank 0, so the shortcut runs
+    "tiny-r": (np.eye(2), 1e-309 * np.array([[1.0, 0.3], [0.2, 1]]), np.zeros(2), True, [False] * 2),
+    # R near 1e-300: its diagonal, and so σ_min, is below the floor
+    "floor-r": (np.eye(2), 1e-300 * np.array([[1.0, 0.3], [0.2, 1]]), np.zeros(2), True, [False] * 2),
+    # R = I minus the ones above its diagonal: the diagonal passes, but
+    # σ_min / σ_max = 1.5e-10 warns, and only ||R^{-*}||_F refuses
+    "flat-diagonal-r": (np.eye(30), np.eye(30) - np.tri(30, k=-1), 1.0 - np.arange(30), True, [False] * 2),
+}
+
+
+class TestCertificates:
+    """Each certificate stands in for a factorization or a decision only where that changes nothing.
+
+    `_cholesky_root` stands in for the `eigh` of a definite `t`,
+    `_certified_inverse` for the values-only SVD of `R`, and
+    `_conditioning_certified` for the factorization of `a` for the PSD
+    note.  All decide by `minimizers._certifies`, so patching it to refuse
+    runs the uncertified path everywhere.  Each problem is solved on a cold
+    memo with every certificate allowed, and with all refused.
+
+    Where the allowed `_cholesky_root` refused, both solves factor with the
+    same `W` and must match to the byte.  Where it certified, the two `W`
+    differ by a unitary factor: all but `x`, the minimum and the warnings'
+    numbers must be equal, and those within ``B = max(1e-12, eps (cond(T)
+    + √cond(T) κ(A W)))``, the first-order bound on the minimum-norm
+    solution (Higham, Accuracy and Stability of Numerical Algorithms,
+    chapters 20-21) up to constants.  Each path factors ``T + E``,
+    ``||E|| <= c eps ||T||``, which moves `x` by ``-Z (Z* T Z)^{-1} Z* E x``
+    (`Z` spanning the null space of `a`), at most ``c eps cond(T) ||x||``,
+    and the minimum ``<x, T x>`` by ``<x, E x>``.  Its QR gives ``y =
+    pinv(A W) b`` to ``c eps κ(A W) ||y||``, which ``x = W y`` scales by at
+    most ``||W|| ||W^{-1}|| = √cond(T)``.  ``A W`` is accurate to ``eps
+    √cond(T)``, so its printed ``σ_min / σ_max`` to κ(A W) times that.  The
+    floor covers the constants at n <= 30.  Over the corpus the largest gap
+    was 0.24 B, and ``max(1e-12, eps cond(T))`` fails on 52 of the 243
+    certified solves.
     """
 
     @staticmethod
     def run(p, method, refuse, monkeypatch):
-        """What a caller sees of one cold solve, `x` and the minimum, and the certificate's verdicts."""
-        verdicts = []
-        certificate = minimizers._cholesky_root
+        """``(result or error, [(category, text, value) of each warning])`` of a cold solve, and a log.
+
+        The log holds each certificate's verdicts in call order, a refused
+        rank certificate with whether the decision it leaves kept every
+        value and stayed quiet, the notes of each `_complement_conditioning`
+        and whether it warned, and the memo's `spectra`.
+        """
+        log = {"cholesky": [], "rank": [], "conditioning": [], "notes": []}
         with monkeypatch.context() as m, warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             warnings.simplefilter("error", RuntimeWarning)
 
-            def certified(h, cfg):
-                root = certificate(h, cfg)
-                verdicts.append(root is not None)
-                return None if refuse else root
+            def spy(name, record):
+                real = getattr(minimizers, name)
 
+                def spied(*args, **kwargs):
+                    before = len(caught)
+                    out = real(*args, **kwargs)
+                    record(out, args[0], len(caught) == before)
+                    return out
+
+                m.setattr(minimizers, name, spied)
+
+            def decided(decision, sigma, quiet):
+                if log["rank"] and log["rank"][-1] == [False]:
+                    log["rank"][-1] += [decision.rank == sigma.size, quiet]
+
+            spy("_cholesky_root", lambda root, *_: log["cholesky"].append(root is not None))
+            spy("_certified_inverse", lambda gs, *_: log["rank"].append([gs[1] is not None]))
+            spy("rank_decide", decided)
+            spy("_conditioning_certified", lambda passed, *_: log["conditioning"].append(passed))
+            spy("_complement_conditioning", lambda notes, _, quiet: log["notes"].append((notes, not quiet)))
             m.setattr(minimizers, "_memo", None)
-            m.setattr(minimizers, "_cholesky_root", certified)
+            if refuse:
+                m.setattr(minimizers, "_certifies", lambda *args: False)
             try:
-                r = solve(p, method)
+                seen = solve(p, method)
             except QfminError as exc:
-                seen, values = (type(exc), str(exc)), None
-            else:
-                # the shortcut's gap to x is a rounding-level number of its own
-                notes = [
-                    (d.code, d.message, d.value is None if d.code == "cor1_shortcut" else d.value)
-                    for d in r.diagnostics
-                ]
-                seen, values = (r.method, notes), (r.xhat, r.min_value)
-        return (seen, [(w.category, str(w.message)) for w in caught]), values, verdicts
+                seen = exc
+            log["spectra"] = minimizers._memo and minimizers._memo.spectra
+        return (seen, [(w.category, str(w.message), getattr(w.message, "value", None)) for w in caught]), log
 
-    def test_matches_the_eigh_solve(self, monkeypatch):
-        rng = np.random.default_rng(20261019)
-        tally = {"certified": 0, "refused-definite": 0, "refused-singular": 0}
-        for draw in range(60):
-            complex_entries = draw % 2 == 1
-            t, a, b, lam = _definite_case(rng, complex_entries)
-            pd_tol = None
-            if draw % 3 == 2:
-                # around the least eigenvalue: above it, eigh calls t singular
-                pd_tol = float(lam.min() * 10.0 ** rng.uniform(-4.0, 1.0))
-            rtol = (None, 1e-10, None, 1e-6)[draw % 4]
-            p = QpProblem(t, a, b, ToleranceConfig(rtol=rtol, pd_tol=pd_tol))
-            kappa = lam.max() / lam.min()
-            bound = max(1e-12, _EPS * kappa)
-            definite = classify_spectrum(eigh(p.t).eigenvalues, p.tol) is SpectrumClass.POSITIVE_DEFINITE
-            for method in (Method.AUTO, Method.POSDEF_DIAG):
-                case = (draw, complex_entries, rtol, pd_tol, method)
-                got, x, verdicts = self.run(p, method, False, monkeypatch)
-                want, ref, _ = self.run(p, method, True, monkeypatch)
-                assert got == want, case
-                assert verdicts == [verdicts[0]] and (definite or not verdicts[0]), case
-                if ref is not None:
-                    assert fro_norm(x[0] - ref[0]) <= bound * fro_norm(ref[0]), case
-                    assert abs(x[1] - ref[1]) <= bound * abs(ref[1]), case
-                if verdicts[0]:
-                    tally["certified"] += 1
-                else:
-                    tally["refused-definite" if definite else "refused-singular"] += 1
-        assert min(tally.values()) >= 5, tally
+    def compare(self, p, method, monkeypatch):
+        """Assert that `p` solves alike with every certificate allowed and refused, and that each verdict held.
 
-    @pytest.mark.parametrize(
-        "t, a, b, certified",
-        [
-            # the diagonal rules out a Cholesky factorization before it runs
-            pytest.param(np.diag([1.0, 0.0, 2.0]), np.array([[1.0, 1, 1]]), np.ones(1), False, id="zero-diagonal"),
-            pytest.param(np.diag([1.0, -1.0]), np.ones((1, 2)), np.ones(1), False, id="negative-diagonal"),
-            # singular, and the Cholesky factorization meets a zero pivot
-            pytest.param(np.ones((2, 2)), np.array([[1.0, 0.0]]), np.ones(1), False, id="cholesky-raises"),
-            # singular to rtol: the factorization succeeds with the pivot 2^-25
-            pytest.param(
-                np.array([[1.0, 1.0], [1.0, 1.0 + 2.0**-50]]), np.array([[1.0, 0.0]]), np.ones(1), False, id="tiny-pivot"
-            ),
-            pytest.param(1e-200 * np.eye(3), np.array([[1.0, 2, 0], [0, 1, 1]]), np.ones(2), True, id="tiny-t"),
-            # 1e-300 I: s^2 = 1e-300 / 3 is below CERTIFICATE_MARGIN * ABS_FLOOR
-            pytest.param(1e-300 * np.eye(3), np.array([[1.0, 2, 0], [0, 1, 1]]), np.ones(2), False, id="floor-t"),
-            pytest.param(
-                1e300 * np.array([[2.0, 1.0], [1.0, 3.0]]), np.array([[1.0, 1.0]]), np.ones(1), True, id="huge-t"
-            ),
-            pytest.param(
-                1e308 * np.array([[1.0, 0.5], [0.5, 1.0]]), np.array([[1.0, 1.0]]), np.ones(1), True, id="near-max-t"
-            ),
-            # ||t||_F overflows, so the gate's bound is inf
-            pytest.param(
-                1.5e308 * np.array([[1.0, 0.5], [0.5, 1.0]]), np.array([[1.0, 1.0]]), np.ones(1), False, id="norm-overflows"
-            ),
-        ],
-    )
-    def test_edge_inputs(self, t, a, b, certified, monkeypatch, count_linalg):
+        Returns the allowed solve and log, and a tally of the verdicts.
+        """
+        got, log = self.run(p, method, False, monkeypatch)
+        want, exact = self.run(p, method, True, monkeypatch)
+        assert len(log["cholesky"]) == len(exact["cholesky"]) <= 1
+        if any(log["cholesky"]):
+            assert _rounding_gap(got, want) <= _agreement_bound(p)
+        else:
+            assert (outcome(got[0]), got[1]) == (outcome(want[0]), want[1])
+        tally = Counter()
+        # a certified class is the class eigh gives
+        definite = classify_spectrum(np.linalg.eigvalsh(p.t), p.tol) is SpectrumClass.POSITIVE_DEFINITE
+        for passed in log["cholesky"]:
+            assert definite or not passed
+            tally[f"cholesky {'certified' if passed else 'refused-definite' if definite else 'refused-singular'}"] += 1
+        # a certified rank: the decision it skipped keeps every value and stays quiet
+        assert len(log["rank"]) == len(exact["rank"])
+        for (passed, *_), (_, kept, quiet) in zip(log["rank"], exact["rank"]):
+            assert not passed or (kept and quiet)
+            tally.update({"rank certified": passed, "rank refused-quiet": not passed and kept and quiet})
+            tally.update({"rank dropped": not kept, "rank warned": not quiet})
+        # a certified conditioning: the note's code notes and warns nothing,
+        # and neither skipped decision drops a value
+        assert len(log["conditioning"]) == len(exact["notes"])
+        for passed, (notes, warned) in zip(log["conditioning"], exact["notes"]):
+            if passed:
+                assert (notes, warned) == ([], False)
+                assert len(exact["spectra"]) == len(log["spectra"]) + 2 + sum(v[0] for v in log["rank"])
+                for sigma, dim in exact["spectra"][-2:]:
+                    assert rank_decide(sigma, p.tol, dim=dim).rank == sigma.size
+            tally.update({"conditioning certified": passed, "conditioning refused": not passed})
+            tally.update({"noted": bool(notes), "conditioning warned": warned})
+        return got, log, tally
+
+    @pytest.mark.parametrize("part", list(CERTIFICATE_CORPUS))
+    def test_matches_the_refused_solve(self, part, monkeypatch):
+        draws, tallies = CERTIFICATE_CORPUS[part]
+        tally = Counter()
+        for case, p in draws():
+            for method in (Method.AUTO, Method.POSDEF_DIAG, Method.PSD_COMPLEMENT):
+                try:
+                    tally += self.compare(p, method, monkeypatch)[2]
+                except AssertionError as exc:
+                    raise AssertionError((*case, method)) from exc
+        assert min(tally[name] for name in tallies) >= 5, tally
+
+    @pytest.mark.parametrize("edge", list(CERTIFICATE_EDGES))
+    def test_edge_inputs(self, edge, monkeypatch, count_linalg):
         # each run turns RuntimeWarning into an error
+        t, a, b, cholesky, rank = CERTIFICATE_EDGES[edge]
         p = QpProblem(t, a, b)
         counts = count_linalg()
         for method in (Method.AUTO, Method.POSDEF_DIAG, Method.PSD_COMPLEMENT):
             before = dict(counts)
-            got, x, verdicts = self.run(p, method, False, monkeypatch)
+            got, _ = self.run(p, method, False, monkeypatch)
             ran = {name: counts[name] - before[name] for name in counts}
-            want, ref, _ = self.run(p, method, True, monkeypatch)
-            assert got == want, method
-            assert verdicts == [certified], method
-            if ref is not None:
-                assert fro_norm(x[0] - ref[0]) <= 1e-12 * fro_norm(ref[0])
+            _, log, _ = self.compare(p, method, monkeypatch)
+            assert log["cholesky"] == [cholesky], method
+            assert method is not Method.AUTO or [v[0] for v in log["rank"]] == rank
             # the diagonal refuses before the Cholesky, a certificate needs no eigh
             assert ran["cholesky"] == (t.diagonal().min() > 0), method
-            assert ran["eigh"] == (not certified), method
-        if certified:
-            # a definite t is not sent down the singular route
-            assert got[0][0] is NotSingularError
+            assert ran["eigh"] == (not cholesky), method
+        # a definite t is not sent down the singular route
+        assert not cholesky or isinstance(got[0], NotSingularError)
+
+    def test_refusing_reaches_every_certificate(self, monkeypatch, count_linalg):
+        psd, pd = QpProblem(*random_psd_problem(12, 6, rank=9, seed=5)), QpProblem(*random_pd_problem(12, 6, seed=5))
+        counts = count_linalg()
+        # a singular t costs what an uncertified psd miss does (TestFactorizationCounts),
+        # plus the Cholesky factorization that its positive diagonal allows
+        self.run(psd, Method.AUTO, True, monkeypatch)
+        assert counts == {"eigh": 1, "cholesky": 1, "svd": 0, "qr": 2, "inv": 1, "solve": 0, "svdvals": 3}
+        # a definite t goes to eigh, and R to its values-only SVD
+        before = dict(counts)
+        self.run(pd, Method.AUTO, True, monkeypatch)
+        ran = {name: counts[name] - before[name] for name in counts}
+        assert ran == {"eigh": 1, "cholesky": 1, "svd": 0, "qr": 1, "inv": 1, "solve": 0, "svdvals": 1}
+
+    def test_inverse_without_a_certificate(self):
+        # an empty or zero R is not inverted, a singular one raises in inv,
+        # and one near 1e-309 has a diagonal below the floor
+        for r in (np.zeros((0, 0)), np.zeros((2, 2)), np.ones((2, 2)), 1e-309 * np.array([[1.0, 0.3], [0, 1]])):
+            assert minimizers._certified_inverse(r, WARN_RATIO) == (None, None)
+        # an inverse with inf, or with NaN, entries certifies nothing
+        inf, nan = 1e-200 * np.array([[1.0, 1e120], [0, 1]]), 1e-200 * np.array([[1.0, 0, 0], [0, 1, 1e120], [0, 0, 1]])
+        for r, bad in ((inf, np.isinf), (nan, np.isnan)):
+            g, s = minimizers._certified_inverse(r, WARN_RATIO)
+            assert bad(g).any() and s is None
+        g, s = minimizers._certified_inverse(1e-200 * np.eye(2), WARN_RATIO)
+        assert np.array_equal(g, 1e200 * np.eye(2)) and s == 1e-200 / np.sqrt(2)
 
     def test_the_bound_covers_the_rounding_of_eigh(self, monkeypatch):
         # with pd_tol = 1e-300 and λ_min = 1e-17 ||t||, the factorization
@@ -1348,10 +1353,8 @@ class TestDefiniteCertificate:
         q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
         t = (q * np.logspace(0.0, -17.0, 4)) @ q.T
         p = QpProblem((t + t.T) / 2, np.ones((1, 4)), np.ones(1), ToleranceConfig(pd_tol=1e-300))
-        got, _, verdicts = self.run(p, Method.AUTO, False, monkeypatch)
-        want, _, _ = self.run(p, Method.AUTO, True, monkeypatch)
-        assert (verdicts, got) == ([False], want)
-        assert got[0][0] is Method.PSD_COMPLEMENT
+        (got, _), log, _ = self.compare(p, Method.AUTO, monkeypatch)
+        assert (log["cholesky"], got.method) == ([False], Method.PSD_COMPLEMENT)
 
     def test_tiny_pivot_skips_the_inverse(self, monkeypatch):
         inverted = []
@@ -1383,10 +1386,6 @@ def _invariance_case(seed, n, m, psd, complex_entries):
         a = a + 1j * rng.standard_normal((m, n))
         z = z + 1j * rng.standard_normal(rank)
     return (t + t.conj().T) / 2, a, a @ (q[:, :rank] @ z)
-
-
-def _relative_gap(x, ref):
-    return fro_norm(x - ref) / fro_norm(ref)
 
 
 invariance_cases = st.builds(
