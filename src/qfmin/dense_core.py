@@ -37,28 +37,26 @@ _probe_block = np.empty((0, _PROBES))
 _TRI_BLOCK = 128
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce `a` to a 2-d float64/complex128 array with finite entries."""
+def _coerce(a, ndim: int, kind: str) -> np.ndarray:
+    """`a` as a contiguous `ndim`-d float64/complex128 array with finite entries."""
     arr = np.asarray(a)
-    if arr.ndim != 2:
-        raise DimensionMismatchError(f"expected a 2-d array, got ndim={arr.ndim}")
+    if arr.ndim != ndim:
+        raise DimensionMismatchError(f"expected a {ndim}-d array, got ndim={arr.ndim}")
     dtype = np.complex128 if np.iscomplexobj(arr) else np.float64
     arr = np.ascontiguousarray(arr, dtype=dtype)
     if arr.size and not np.all(np.isfinite(arr)):
-        raise ValueError("matrix entries must be finite")
+        raise ValueError(f"{kind} entries must be finite")
     return arr
+
+
+def as_matrix(a) -> np.ndarray:
+    """Coerce `a` to a 2-d float64/complex128 array with finite entries."""
+    return _coerce(a, 2, "matrix")
 
 
 def as_vector(b) -> np.ndarray:
     """Coerce `b` to a 1-d float64/complex128 array with finite entries."""
-    arr = np.asarray(b)
-    if arr.ndim != 1:
-        raise DimensionMismatchError(f"expected a 1-d array, got ndim={arr.ndim}")
-    dtype = np.complex128 if np.iscomplexobj(arr) else np.float64
-    arr = np.ascontiguousarray(arr, dtype=dtype)
-    if arr.size and not np.all(np.isfinite(arr)):
-        raise ValueError("vector entries must be finite")
-    return arr
+    return _coerce(b, 1, "vector")
 
 
 # Band in which the plain norm is trusted: its square lies in (1e-300, 1e300),

@@ -85,6 +85,14 @@ class SpectrumClass(enum.Enum):
     INDEFINITE = "indefinite"
 
 
+def _system(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """`a` and `b` coerced, DimensionMismatchError unless `b` has one entry per row of `a`."""
+    arr, vec = as_matrix(a), as_vector(b)
+    if vec.shape[0] != arr.shape[0]:
+        raise DimensionMismatchError(f"b has length {vec.shape[0]} but a has {arr.shape[0]} rows")
+    return arr, vec
+
+
 @dataclass(frozen=True, eq=False)
 class QpProblem:
     """A quadratic form `t`, constraint matrix `a` and right-hand side `b`.
@@ -102,17 +110,12 @@ class QpProblem:
 
     def __post_init__(self):
         t = as_matrix(self.t)
-        a = as_matrix(self.a)
-        b = as_vector(self.b)
+        a, b = _system(self.a, self.b)
         if t.shape[0] != t.shape[1]:
             raise DimensionMismatchError(f"t must be square, got {t.shape}")
         if a.shape[1] != t.shape[0]:
             raise DimensionMismatchError(
                 f"a has {a.shape[1]} columns but t acts on dimension {t.shape[0]}"
-            )
-        if b.shape[0] != a.shape[0]:
-            raise DimensionMismatchError(
-                f"b has length {b.shape[0]} but a has {a.shape[0]} rows"
             )
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "a", a)
@@ -133,9 +136,6 @@ class MinimizationResult:
     method: Method
     diagnostics: tuple[Diagnostic, ...] = field(default_factory=tuple)
 
-    def with_extra_diagnostics(self, extra) -> "MinimizationResult":
-        return replace(self, diagnostics=self.diagnostics + tuple(extra))
-
 
 def quad_value(t, x) -> float:
     """Real quadratic-form value ``<x, t x>`` (Hermitian t)."""
@@ -150,19 +150,13 @@ def min_norm_ls(a, b, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     Solves the normal equations ``a* a u = a* b`` even when ``a x = b`` is
     inconsistent, and returns the unique solution of smallest norm.
     """
-    arr = as_matrix(a)
-    vec = as_vector(b)
-    if vec.shape[0] != arr.shape[0]:
-        raise DimensionMismatchError("b length must match the rows of a")
+    arr, vec = _system(a, b)
     return pinv(arr, cfg) @ vec
 
 
 def feasible(a, b, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Whether `b` lies in the range of `a`, by the kernel's `_in_range` test."""
-    arr = as_matrix(a)
-    vec = as_vector(b)
-    if vec.shape[0] != arr.shape[0]:
-        raise DimensionMismatchError("b length must match the rows of a")
+    arr, vec = _system(a, b)
     return _in_range(range_basis(arr, cfg).basis, vec)
 
 
@@ -314,27 +308,43 @@ def _certifies(bound: float, *gates: float) -> bool:
     return bound > CERTIFICATE_MARGIN * max(*gates, ABS_FLOOR)
 
 
+def _certified_tri_inv(l: np.ndarray, rule):
+    """``(x, s)``: ``x = l^{-1}`` for a lower triangular `l`, and ``s = 1 / ||x||_F <= σ_min(l)`` or None.
+
+    `rule` passes a bound, or its square, through `_certifies`, so it fails
+    every bound below one it fails; `s` is None where it fails.  As
+    ``x_ii = 1 / l_ii``, ``s <= d = (Σ |l_ii|^{-2})^{-1/2} <= min |l_ii|``:
+    where `d` fails, so would `s`, and `l` is not inverted (both None).  So
+    the pre-screen is never weaker than one on ``min |l_ii|`` and never
+    refuses an `l` whose `s` would pass.  `d` is taken on the pivots over
+    the largest, so it cannot overflow; it is 0 for an empty `l` or a zero
+    pivot.  An `x` with inf or NaN entries passes nothing.
+    """
+    pivots = np.abs(np.diagonal(l))
+    top = pivots.max(initial=0.0)
+    with np.errstate(over="ignore", divide="ignore"):  # a tiny pivot's inf gives d = 0
+        d = top / np.sqrt(np.sum((pivots / top) ** -2.0)) if top > 0 else 0.0
+    if not rule(d):
+        return None, None
+    try:
+        x = tri_inv(l)
+    except FactorizationError:
+        return None, None
+    s = 1.0 / fro_norm(x)
+    return x, (s if rule(s) else None)
+
+
 def _certified_inverse(r: np.ndarray, ratio: float):
-    """``(g, s)``: ``g = R^{-*}`` or None, and ``s = 1 / ||g||_F`` if that certifies full rank.
+    """``(g, s)``: ``g = R^{-*}``, and ``s = 1 / ||g||_F`` where it certifies full rank.
 
     ``σ_max(R) <= ||R||_F`` and ``σ_min(R) >= s``, so where `s`
     `_certifies` against ``ratio ||R||_F``, with ``ratio = max(WARN_RATIO,
     rtol)``, every singular value of `R` clears a rank threshold
     ``rtol σ_max`` and the warning ratio; the margin also covers the
-    ``O(m eps σ_max)`` by which computed singular values differ.  As
-    ``s <= σ_min <= min|r_ii|`` and ``σ_max >= max|r_ii|``, a diagonal
-    that fails the same rule against ``ratio max|r_ii|`` is not inverted;
-    nor is an empty `R`.  A NaN or inf in `g` fails the test.
+    ``O(m eps σ_max)`` by which computed singular values differ.
     """
-    diag = np.abs(np.diagonal(r))
-    if not (diag.size and _certifies(diag.min(), ratio * diag.max())):
-        return None, None
-    try:
-        g = tri_inv(r.conj().T)
-    except FactorizationError:
-        return None, None
-    s = 1.0 / fro_norm(g)
-    return g, (s if _certifies(s, ratio * fro_norm(r)) else None)
+    gate = ratio * fro_norm(r)
+    return _certified_tri_inv(r.conj().T, lambda bound: _certifies(bound, gate))
 
 
 def _row_factors(x: np.ndarray, decide, cfg: ToleranceConfig | None = None):
@@ -352,7 +362,9 @@ def _row_factors(x: np.ndarray, decide, cfg: ToleranceConfig | None = None):
     neither made nor passed to `decide`, and ``s = 1 / ||R^{-*}||_F``;
     otherwise ``s`` is the exact smallest kept value.
     """
-    q, r = qr(as_matrix(x).conj().T)
+    if not np.isfinite(x).all():
+        raise FactorizationError("a W overflowed: the constraint rows are too large for the factor of t")
+    q, r = qr(x.conj().T)
     m, dim = x.shape[0], max(x.shape)
     g = None
     if cfg is not None:
@@ -381,11 +393,8 @@ def _cholesky_root(h: Hermitian, cfg: ToleranceConfig) -> np.ndarray | None:
     So where ``s^2`` `_certifies` against that gate and ``n eps ||t||_F``,
     `eigh` would call `t` definite too; the margin also covers the rounding
     of `L` and of its inverse.  None, and the caller takes `eigh`, for a
-    non-positive diagonal, a Cholesky or inverse that fails, pivots whose
-    ``1 / Σ |L_ii|^{-2}`` fails the same rule (the diagonal of ``L^{-1}`` is
-    ``1 / L_ii``, so ``s^2 <= 1 / Σ |L_ii|^{-2} <= min |L_ii|^2``, and the
-    inverse is skipped), an inverse with inf or NaN entries, or an `s` that
-    fails it.
+    non-positive diagonal, a failed Cholesky, or an `L` whose `s`
+    `_certified_tri_inv` does not pass.
     """
     diag = np.real(np.diagonal(h.sym))
     if not (diag.size and diag.min() > 0):
@@ -396,14 +405,10 @@ def _cholesky_root(h: Hermitian, cfg: ToleranceConfig) -> np.ndarray | None:
     gates = (pd_gate, DEFAULT_TOL.effective_rtol(n) * h.norm)
     try:
         l = cholesky(h)
-        with np.errstate(over="ignore"):  # a tiny pivot's inf refuses below
-            if not _certifies(1.0 / float(np.sum(np.abs(np.diagonal(l)) ** -2.0)), *gates):
-                return None
-        x = tri_inv(l)
     except FactorizationError:
         return None
-    s = 1.0 / fro_norm(x)
-    return x.conj().T if _certifies(s * s, *gates) else None
+    x, s = _certified_tri_inv(l, lambda bound: _certifies(bound * bound, *gates))
+    return None if s is None else x.conj().T
 
 
 def _factorize(p: QpProblem, gate) -> _Factors:
@@ -432,7 +437,10 @@ def _factorize(p: QpProblem, gate) -> _Factors:
     if eig is not None:
         w, q = _range_eigenpairs(eig, cls, decide)
         root = q / np.sqrt(w)
-    rank, u, v, g, s = _row_factors(p.a @ root, decide, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):  # _row_factors refuses an overflow
+        aw = p.a @ root
+    rank, u, v, g, s = _row_factors(aw, decide, cfg)
+    del aw  # freed before the rest of the miss allocates
     notes = [_constraint_note(p, rank)]
     if cls is SpectrumClass.PSD_SINGULAR and not _conditioning_certified(p, rank, s, w):
         notes.extend(_complement_conditioning(p, q, decide))
@@ -461,21 +469,25 @@ def _in_range(u: np.ndarray, b: np.ndarray) -> bool:
     return fro_norm(b - u @ (u.conj().T @ b)) <= FEAS_TOL * fro_norm(b)
 
 
+def _require_feasible(u: np.ndarray | None, b: np.ndarray, cls: SpectrumClass) -> None:
+    """The route's InfeasibleError unless `u` is None (full row rank) or `_in_range` admits `b`."""
+    if u is None or _in_range(u, b):
+        return
+    if cls is SpectrumClass.PSD_SINGULAR:
+        raise InfeasibleOnComplementError("no point of the kernel complement satisfies a x = b")
+    raise InfeasibleError("b is not in the range of a; the constraint set is empty")
+
+
+def _result(p: QpProblem, xhat: np.ndarray, min_value: float, method: Method, notes) -> MinimizationResult:
+    """The result of a route, with the residual ``||a xhat - b||``."""
+    return MinimizationResult(xhat, min_value, fro_norm(p.a @ xhat - p.b), method, tuple(notes))
+
+
 def _apply(p: QpProblem, f: _Factors, method: Method) -> MinimizationResult:
     """``x = W pinv(a W) b`` and the minimum ``||pinv(a W) b||^2`` from `f`."""
-    if f.u is not None and not _in_range(f.u, p.b):
-        if f.cls is SpectrumClass.PSD_SINGULAR:
-            raise InfeasibleOnComplementError("no point of the kernel complement satisfies a x = b")
-        raise InfeasibleError("b is not in the range of a; the constraint set is empty")
+    _require_feasible(f.u, p.b, f.cls)
     y = f.v @ (f.g @ p.b)
-    xhat = f.root @ y
-    return MinimizationResult(
-        xhat=xhat,
-        min_value=float(np.real(np.vdot(y, y))),
-        feasibility_residual=fro_norm(p.a @ xhat - p.b),
-        method=method,
-        diagnostics=f.notes,
-    )
+    return _result(p, f.root @ y, float(np.real(np.vdot(y, y))), method, f.notes)
 
 
 def minimize_posdef_diag(p: QpProblem) -> MinimizationResult:
@@ -506,19 +518,11 @@ def minimize_posdef(p: QpProblem) -> MinimizationResult:
     fact, decision = _kept_svd(p.a @ root_inv, cfg)
     r = decision.rank
     u = fact.u[:, :r]
-    if not _in_range(u, p.b):
-        raise InfeasibleError("b is not in the range of a; the constraint set is empty")
+    _require_feasible(u, p.b, cls)
     # applied factor by factor: a formed pinv would spread the roundoff of
     # its 1/sigma_min entries over every direction of y, not only along v_r
     y = fact.v[:, :r] @ ((u.conj().T @ p.b) / fact.sigma[:r])
-    xhat = root_inv @ y
-    return MinimizationResult(
-        xhat=xhat,
-        min_value=float(np.real(np.vdot(y, y))),
-        feasibility_residual=fro_norm(p.a @ xhat - p.b),
-        method=Method.POSDEF,
-        diagnostics=(_constraint_note(p, r),),
-    )
+    return _result(p, root_inv @ y, float(np.real(np.vdot(y, y))), Method.POSDEF, [_constraint_note(p, r)])
 
 
 def _cor1_xhat(p: QpProblem) -> np.ndarray | None:
@@ -532,8 +536,7 @@ def _cor1_xhat(p: QpProblem) -> np.ndarray | None:
     _, u, v, g, _ = _row_factors(p.a, lambda s, d: rank_decide(s, p.tol, dim=d), p.tol)
     if u is not None and not all(lat_invariant(SubspaceBasis(s, p.dim), p.t) for s in (u, v)):
         return None
-    if u is not None and not _in_range(u, p.b):
-        raise InfeasibleError("b is not in the range of a; the constraint set is empty")
+    _require_feasible(u, p.b, SpectrumClass.POSITIVE_DEFINITE)  # t is definite here
     return v @ (g @ p.b)
 
 
@@ -555,21 +558,9 @@ def try_cor1_shortcut(p: QpProblem) -> MinimizationResult | None:
     xhat = _cor1_xhat(p)
     if xhat is None:
         return None
-    return MinimizationResult(
-        xhat=xhat,
-        min_value=quad_value(p.t, xhat),
-        feasibility_residual=fro_norm(p.a @ xhat - p.b),
-        method=Method.COR1_SHORTCUT,
-        diagnostics=(
-            Diagnostic(
-                code="cor1_shortcut",
-                message=(
-                    "column and row spaces of a are invariant under t; "
-                    "minimizer is pinv(a) b"
-                ),
-            ),
-        ),
-    )
+    message = "column and row spaces of a are invariant under t; minimizer is pinv(a) b"
+    note = Diagnostic("cor1_shortcut", message)
+    return _result(p, xhat, quad_value(p.t, xhat), Method.COR1_SHORTCUT, [note])
 
 
 def minimize_psd_complement(p: QpProblem) -> MinimizationResult:
@@ -653,14 +644,8 @@ def solve(p: QpProblem, method: Method = Method.AUTO) -> MinimizationResult:
     result = _apply(p, f, Method.POSDEF)
     shortcut = _cor1_xhat(p)
     if shortcut is None:
-        note = Diagnostic(
-            code="cor1_shortcut",
-            message="range-invariance shortcut not applicable",
-        )
+        note = Diagnostic("cor1_shortcut", "range-invariance shortcut not applicable")
     else:
-        note = Diagnostic(
-            code="cor1_shortcut",
-            message="range-invariance shortcut fired; gap to the full route recorded",
-            value=fro_norm(shortcut - result.xhat),
-        )
-    return result.with_extra_diagnostics([note])
+        message = "range-invariance shortcut fired; gap to the full route recorded"
+        note = Diagnostic("cor1_shortcut", message, fro_norm(shortcut - result.xhat))
+    return replace(result, diagnostics=result.diagnostics + (note,))

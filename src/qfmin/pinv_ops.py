@@ -337,7 +337,7 @@ def principal_angle_diag(a, b, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
 
 
 def lat_invariant(subspace: SubspaceBasis, t) -> bool:
-    """Whether `t` maps the subspace into itself: ``(I - P) t P ≈ 0``."""
+    """Whether `t` maps the subspace with basis `B` into itself: ``t B - B (B* t B) ≈ 0``."""
     arr = as_matrix(t)
     if arr.shape[0] != arr.shape[1]:
         raise DimensionMismatchError("invariance test needs a square matrix")
@@ -346,6 +346,7 @@ def lat_invariant(subspace: SubspaceBasis, t) -> bool:
             f"subspace lives in dimension {subspace.ambient_dim}, "
             f"matrix acts on dimension {arr.shape[0]}"
         )
-    p = subspace.projector()
-    leak = fro_norm((np.eye(arr.shape[0]) - p) @ arr @ p)
+    basis = subspace.basis
+    tb = arr @ basis
+    leak = fro_norm(tb - basis @ (basis.conj().T @ tb))
     return bool(leak <= LAT_TOL * fro_norm(arr))

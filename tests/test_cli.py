@@ -201,6 +201,23 @@ class TestSolve:
         assert proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
 
+    def test_overflowing_a_w_exits_three(self, tmp_path, capsys):
+        # x = [1, 1] with minimum 2e-300, but W = 1e150 I takes a W past the
+        # float64 range; ROADMAP item 1's row equilibration should make it
+        # solve, as it does at a = 1e10 [[1, 1]]
+        doc = {"t": [[1e-300, 0], [0, 1e-300]], "a": [[1e200, 1e200]], "b": [2e200]}
+        path = write(tmp_path, doc)
+        for method in ("auto", "posdef-diag"):
+            code, out, err = run(capsys, "solve", "--problem", path, "--method", method)
+            assert (code, out) == (3, "")
+            assert err == (
+                "qfmin: factorization failure: "
+                "a W overflowed: the constraint rows are too large for the factor of t\n"
+            )
+        code, out, _ = run(capsys, "solve", "--problem", write(tmp_path, {**doc, "a": [[1e10, 1e10]], "b": [2e10]}))
+        assert code == 0
+        assert json.loads(out)["xhat"] == pytest.approx([1.0, 1.0])
+
     def test_wrong_route_for_singular_form_exits_three(self, tmp_path, capsys):
         path = write(tmp_path, SINGULAR_FORM)
         code, _, _ = run(capsys, "solve", "--problem", path, "--method", "posdef")

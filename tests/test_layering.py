@@ -1,8 +1,9 @@
 """Layering read from the source.
 
 Only dense_core calls the guarded factorizations of numpy.linalg, the
-kernel's certificates share one rule, private names cross from one module
-to another only where listed, and an import kept only for the benchmark's
+kernel's certificates share one rule and one certified triangular inverse,
+private names cross from one module to another only where listed, every
+name the benchmark's tracer wraps exists, and an import kept only for the
 tracer is one the tracer wraps and nothing else uses.
 """
 
@@ -116,6 +117,27 @@ def test_the_rule_check_sees_an_inline_margin():
     assert set(_margin_reads(old)) == {("_cholesky_root", "CERTIFICATE_MARGIN"), ("_cholesky_root", "ABS_FLOOR")}
 
 
+def _tri_inv_calls(tree):
+    """The top-level definition around each call of `tri_inv`, by name or as an attribute."""
+    for top in tree.body:
+        for node in ast.walk(top):
+            func = getattr(node, "func", None)
+            if "tri_inv" in (getattr(func, "id", None), getattr(func, "attr", None)):
+                yield getattr(top, "name", "<module>")
+
+
+def test_minimizers_invert_triangles_in_one_place():
+    # a triangular factor is certified through _certified_tri_inv; only the
+    # full-rank branch of _row_factors inverts an R it already decided on
+    tree = ast.parse((SRC / "minimizers.py").read_text(encoding="utf-8"))
+    assert sorted(_tri_inv_calls(tree)) == ["_certified_tri_inv", "_row_factors"]
+
+
+def test_the_triangle_check_sees_an_inline_inverse():
+    old = ast.parse("def _cholesky_root(h, cfg):\n    x = dense_core.tri_inv(cholesky(h))\n")
+    assert list(_tri_inv_calls(old)) == ["_cholesky_root"]
+
+
 # (importer, source, name): every private name one qfmin module imports from
 # another.  A new crossing is a coupling, and joins this list on purpose.
 PRIVATE_IMPORTS = {
@@ -181,6 +203,20 @@ def _kept_bound(tree, lines):
             for alias in node.names:
                 if lines[alias.lineno - 1].rstrip().endswith(KEPT_BOUND):
                     yield alias.asname or alias.name
+
+
+@pytest.mark.parametrize("targets", ["library_targets", "cli_targets"])
+def test_trace_targets_resolve(tracing, targets):
+    # the tracer replaces module attributes by name, so a renamed or unbound
+    # one breaks ``perfbench/run.py --trace 1`` with an AttributeError
+    entries = getattr(tracing, targets)()
+    assert entries
+    missing = [
+        f"{module.__name__}.{attr}"
+        for module, attr, _, _ in entries
+        if not callable(getattr(module, attr, None))
+    ]
+    assert missing == []
 
 
 def test_kept_bound_imports_are_tracer_only(tracing):
