@@ -18,7 +18,7 @@ from .errors import DimensionMismatchError, FactorizationError, NotHermitianErro
 # Hermitian pre-check, ``||a - a*|| <= HTOL * ||a||``.
 HTOL = 1e-10
 # Factorization guard (SVD, QR, eigendecomposition, Cholesky and the
-# triangular inverse), relative to ||a||.
+# triangular inverse), relative to ||a||; ||a||^2 for the R-only QR.
 KTOL = 1e-10
 # The guard multiplies the factors into _PROBES Gaussian probes drawn from
 # _PROBE_SEED and divides KTOL by _PROBE_C = 10 sqrt(2/pi), the constant of
@@ -133,7 +133,7 @@ def _probes(n: int) -> np.ndarray:
     return block[:n]
 
 
-def _guard(name: str, apply, a: np.ndarray, norm: float) -> None:
+def _guard(name: str, apply, a: np.ndarray, norm: float, reference=None) -> None:
     """FactorizationError unless the factors reproduce `a` on `_PROBES` fixed probes.
 
     `apply(z)` multiplies the factors, right to left, into a real block `z`
@@ -141,16 +141,22 @@ def _guard(name: str, apply, a: np.ndarray, norm: float) -> None:
     The test is ``||apply(Z) - a Z|| / sqrt(k) <= (KTOL / c) * ||a||`` on
     probes scaled by `_probe_scale`, written so that a NaN or inf residual
     fails.  `norm` is ``||a||``, which may have overflowed to inf.
+
+    Factors of the Gram ``a* a`` pass `reference(z) = a* (a z)`, which
+    stands for ``a Z``, and are held to ``(KTOL / c) * ||a||^2``.  Their
+    caller scales `a` into the plain-norm band, where the probes are not
+    scaled and ``||a||^2`` cannot overflow (`qr_r`).
     """
     scale = _probe_scale(a, norm)
     z = _probes(a.shape[1]) * scale
     residual = apply(z)
-    residual -= a @ z
+    residual -= a @ z if reference is None else reference(z)
     err = fro_norm(residual) / math.sqrt(_PROBES)
     ref = norm * scale if norm < np.inf else fro_norm(a * scale)
+    ref, unit = (ref, "||a||") if reference is None else (ref * ref, "||a||^2")
     if not err <= KTOL / _PROBE_C * ref:
         raise FactorizationError(
-            f"{name} probe residual {err / scale:.3e} exceeds {KTOL / _PROBE_C:.1e} * ||a||"
+            f"{name} probe residual {err / scale:.3e} exceeds {KTOL / _PROBE_C:.1e} * {unit}"
         )
 
 
@@ -199,6 +205,40 @@ def qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     q, r = np.linalg.qr(a)
     _guard("QR", lambda z: q @ (r @ z), a, fro_norm(a))
     return q, r
+
+
+def qr_r(a: np.ndarray) -> np.ndarray:
+    """`r` of the reduced QR ``a = q r`` of a validated matrix, without `q`, with a Gram probe guard.
+
+    LAPACK's Householder QR is backward stable: `r` is the exact factor of
+    ``a + E = Q r`` for an orthonormal `Q` and ``||E|| <= γ ||a||`` with γ
+    of order ``m n eps`` (Higham, Accuracy and Stability of Numerical
+    Algorithms, Theorem 19.4).  So ``r* r - a* a = a* E + E* a + E* E`` has
+    norm at most ``(2 γ + γ^2) ||a||^2``, and the guard holds ``r* (r Z)``
+    against ``a* (a Z)`` to ``(KTOL / c) ||a||^2``, as strict as a full
+    reconstruction of the Gram to ``KTOL ||a||^2``: a sound `r` passes
+    wherever γ is below ``KTOL / 2``, half the backward error that the
+    guard of `qr` allows.  Outside the plain-norm band `a` and `r` are both
+    multiplied by the power of two of `_probe_scale` first, which is exact
+    and keeps ``||a||^2`` from overflowing or underflowing.  Each adjoint
+    product is the conjugate of a transpose product on a conjugated probe
+    block, so no adjoint of `a` is copied.
+    """
+    r = np.linalg.qr(a, mode="r")
+    norm = fro_norm(a)
+    scale = _probe_scale(a, norm)
+    scaled_r = r
+    if scale != 1.0:
+        a, scaled_r = a * scale, r * scale
+        norm = fro_norm(a)
+    _guard(
+        "R of QR",
+        lambda z: (scaled_r.T @ (scaled_r @ z).conj()).conj(),
+        a,
+        norm,
+        lambda z: (a.T @ (a @ z).conj()).conj(),
+    )
+    return r
 
 
 @dataclass(frozen=True)

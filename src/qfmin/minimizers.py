@@ -5,11 +5,13 @@ One kernel computes ``x = W pinv(A W) b`` for a factor with
 where it certifies T positive definite, otherwise ``W = Q_r Λ_r^{-1/2}`` from
 one eigendecomposition of T (only its range for a singular semidefinite T,
 which minimizes over the orthogonal complement of the kernel).  Any such W
-gives the same x, as ``pinv(A W U) = U* pinv(A W)`` for unitary U.  One QR
-``(A W)* = Q R`` follows: ``pinv(A W) = Q R^{-*}`` when ``A W`` has full row
-rank, otherwise an SVD of the small R.  Those factors depend on ``(T, A)`` only,
-so the last operator's are kept and a further ``b`` needs no factorization,
-only O(n^2 + nm) work to recognise the operator and apply them.  The
+gives the same x, as ``pinv(A W U) = U* pinv(A W)`` for unitary U.  The R of
+``(A W)* = Q R`` follows from a QR that does not form Q: where R certifies
+full row rank, ``pinv(A W) = V G`` with ``V = (A W)* R^{-1}`` formed once
+and ``G`` one Schulz step from ``R^{-*}``; otherwise a full QR and an SVD of
+the small R.  Those factors depend on ``(T, A)`` only, so the last
+operator's are kept and a further ``b`` needs no factorization, only
+O(n^2 + nm) work to recognise the operator and apply them.  The
 square-root route ``T^{-1/2} pinv(A T^{-1/2}) b`` stays literal and uncached
 as an independent reference, a Lat-invariance shortcut collapses the
 solution to ``pinv(A) b``, and ``min_norm_ls`` is the unconstrained baseline.
@@ -40,6 +42,7 @@ from .dense_core import (
     fro_norm,
     hermitian,
     qr,
+    qr_r,
     svd,
     tri_inv,
 )
@@ -225,10 +228,12 @@ class _Factors:
     `root` is ``W = L^{-*}`` where `_cholesky_root` certified `t` definite,
     else ``W = q Λ^{-1/2}`` from the kept eigenpairs of `t` (all of them for
     a definite `t`, the range for a singular one), and `u`, `v`, `g` are the
-    `_row_factors` of ``a W``.  `spectra` lists the ``(sigma, dim)`` of
-    every rank decision the miss made, in order, replayed on a hit so that
-    it warns as the miss did.  A decision that `_certified_inverse` showed
-    to keep every value without a warning is not made, so not listed.
+    `_row_factors` of ``a W``: `v` is ``(a W)* R^{-1}`` where the rank of
+    ``a W`` is certified, else `Q` of its QR or its kept columns.
+    `spectra` lists the ``(sigma, dim)`` of every rank decision the miss
+    made, in order, replayed on a hit so that it warns as the miss did.  A
+    decision that `_certified_inverse` showed to keep every value without a
+    warning is not made, so not listed.
     """
 
     t: np.ndarray
@@ -350,27 +355,39 @@ def _certified_inverse(r: np.ndarray, ratio: float):
 def _row_factors(x: np.ndarray, decide, cfg: ToleranceConfig | None = None):
     """``(rank, u, v, g, s)`` with ``pinv(x) = v @ g``; `b` is in range iff `u` admits it.
 
-    A guarded QR ``x* = Q R`` and the singular values of `R` (those of `x`)
-    make the one rank decision.  Full row rank gives ``u = None`` (every
-    `b` is in range), ``v = Q`` and ``g = R^{-*}``; otherwise the guarded
-    SVD ``R = U_R Σ V_R*`` gives ``u = V_R``, ``v = Q U_R``, ``g = Σ^{-1} u*``.
-    `s` is a lower bound on the smallest kept singular value of `x`.
+    With `cfg`, the tolerances `decide` applies, `R` of ``x* = Q R`` comes
+    first from `qr_r`, which does not form `Q`, and ``R^{-*}`` from
+    `_certified_inverse`.  Where that shows that `decide` would keep all m
+    values and not warn, the decision is neither made nor passed to
+    `decide`: ``u = None`` (every `b` is in range), ``v = x* R^{-1}``,
+    formed by one product, ``g = (2 I - v* v) R^{-*}`` and ``s = 1 /
+    ||R^{-*}||_F``.  With `R` from a backward-stable QR, ``v R^{-*} b``
+    alone keeps the accuracy of ``Q R^{-*} b`` for the minimum-norm
+    solution (Paige, Math. Comp. 27, 1973; Björck, Numerical Methods for
+    Least Squares Problems, 1996), but ``x v R^{-*} = I - E`` only to
+    ``||E|| = O(eps κ^2)``, so its residual ``||x y - b||`` grows as
+    ``κ^2``.  ``v g = P (2 I - x P)`` for ``P = v R^{-*}``, as ``R^{-*} x
+    = v*``: one step of Schulz's iteration for a right inverse (Ben-Israel
+    & Cohen, SIAM J. Numer. Anal. 3, 1966), so ``x v g = I - E^2`` and the
+    range of ``v g`` stays that of ``x*``.
 
-    `g` is None unless `cfg`, the tolerances `decide` applies, is given.
-    ``R^{-*}`` is then taken first, and where `_certified_inverse` shows
-    that `decide` would keep all m values and not warn, the decision is
-    neither made nor passed to `decide`, and ``s = 1 / ||R^{-*}||_F``;
-    otherwise ``s`` is the exact smallest kept value.
+    Otherwise a guarded QR ``x* = Q R``, whose `R` is the same LAPACK
+    output, and the singular values of `R` (those of `x`) make the one
+    rank decision; `s` is the exact smallest kept value.  Full row rank
+    gives ``u = None``, ``v = Q`` and ``g = R^{-*}``, the inverse already
+    taken where there is one; otherwise the guarded SVD ``R = U_R Σ V_R*``
+    gives ``u = V_R``, ``v = Q U_R``, ``g = Σ^{-1} u*``.  `g` is None
+    without `cfg`.
     """
-    if not np.isfinite(x).all():
-        raise FactorizationError("a W overflowed: the constraint rows are too large for the factor of t")
-    q, r = qr(x.conj().T)
+    xh = x.conj().T
     m, dim = x.shape[0], max(x.shape)
     g = None
     if cfg is not None:
-        g, s = _certified_inverse(r, max(WARN_RATIO, cfg.effective_rtol(dim)))
+        g, s = _certified_inverse(qr_r(xh), max(WARN_RATIO, cfg.effective_rtol(dim)))
         if s is not None:
-            return m, None, q, g, s
+            v = xh @ g.conj().T
+            return m, None, v, 2 * g - (v.conj().T @ v) @ g, s
+    q, r = qr(xh)
     decision = decide(np.linalg.svd(r, compute_uv=False), dim)
     k = decision.rank
     if k == m:
@@ -381,6 +398,15 @@ def _row_factors(x: np.ndarray, decide, cfg: ToleranceConfig | None = None):
     u = fact.v[:, :k]
     g = (u / fact.sigma[:k]).conj().T if cfg is not None else None
     return k, u, q @ fact.u[:, :k], g, decision.sigma_kept_min
+
+
+def _times_root(a: np.ndarray, root: np.ndarray) -> np.ndarray:
+    """``a W``, FactorizationError where it overflowed."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        aw = a @ root
+    if not np.isfinite(aw).all():
+        raise FactorizationError("a W overflowed: the constraint rows are too large for the factor of t")
+    return aw
 
 
 def _cholesky_root(h: Hermitian, cfg: ToleranceConfig) -> np.ndarray | None:
@@ -437,8 +463,7 @@ def _factorize(p: QpProblem, gate) -> _Factors:
     if eig is not None:
         w, q = _range_eigenpairs(eig, cls, decide)
         root = q / np.sqrt(w)
-    with np.errstate(over="ignore", invalid="ignore"):  # _row_factors refuses an overflow
-        aw = p.a @ root
+    aw = _times_root(p.a, root)
     rank, u, v, g, s = _row_factors(aw, decide, cfg)
     del aw  # freed before the rest of the miss allocates
     notes = [_constraint_note(p, rank)]
@@ -515,7 +540,7 @@ def minimize_posdef(p: QpProblem) -> MinimizationResult:
     cls = classify_spectrum(eig.eigenvalues, cfg)
     _require_pd(cls)
     root_inv, _ = _inverse_root(eig, cls, None)
-    fact, decision = _kept_svd(p.a @ root_inv, cfg)
+    fact, decision = _kept_svd(_times_root(p.a, root_inv), cfg)
     r = decision.rank
     u = fact.u[:, :r]
     _require_feasible(u, p.b, cls)

@@ -13,16 +13,21 @@ def count_linalg(monkeypatch):
     Calling the fixture's value patches them and returns the live counts,
     which grow until the test ends.  An SVD called with ``compute_uv=False``
     computes no singular vectors and counts under ``svdvals``, apart from
-    ``svd``.
+    ``svd``; a QR called with ``mode="r"`` forms no `Q` and counts under
+    ``qr_r``, apart from ``qr``.
     """
 
     def start() -> dict:
-        calls = dict.fromkeys(LINALG_CALLS + ("svdvals",), 0)
+        calls = dict.fromkeys(LINALG_CALLS + ("svdvals", "qr_r"), 0)
         for name in LINALG_CALLS:
 
             def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
-                values_only = _name == "svd" and kwargs.get("compute_uv") is False
-                calls["svdvals" if values_only else _name] += 1
+                key = _name
+                if _name == "svd" and kwargs.get("compute_uv") is False:
+                    key = "svdvals"
+                elif _name == "qr" and kwargs.get("mode") == "r":
+                    key = "qr_r"
+                calls[key] += 1
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)

@@ -207,7 +207,7 @@ class TestSolve:
         # solve, as it does at a = 1e10 [[1, 1]]
         doc = {"t": [[1e-300, 0], [0, 1e-300]], "a": [[1e200, 1e200]], "b": [2e200]}
         path = write(tmp_path, doc)
-        for method in ("auto", "posdef-diag"):
+        for method in ("auto", "posdef-diag", "posdef"):
             code, out, err = run(capsys, "solve", "--problem", path, "--method", method)
             assert (code, out) == (3, "")
             assert err == (
@@ -375,7 +375,7 @@ class TestCheck:
         # report factors only A, by one thin SVD, then takes the singular
         # values of the product and of V_A* Q_r, the sines to N(A); both
         # angles here are below pi/4, where no cosine is needed
-        assert calls == {"eigh": 1, "cholesky": 0, "svd": 1, "qr": 0, "inv": 0, "solve": 0, "svdvals": 2}
+        assert calls == {"eigh": 1, "cholesky": 0, "svd": 1, "qr": 0, "qr_r": 0, "inv": 0, "solve": 0, "svdvals": 2}
 
     def test_non_hermitian_factors_once(self, tmp_path, capsys, count_linalg):
         path = write(tmp_path, {"t": [[1, 1e-9], [0, 1e-12]], "a": [[1, 0]], "b": [1]})
@@ -385,7 +385,7 @@ class TestCheck:
         doc = json.loads(out)
         assert (doc["ep"], doc["rank"], doc["positivity_class"]) == (True, 2, "non-hermitian")
         assert [d["code"] for d in doc["diagnostics"]] == ["ill_conditioning"]
-        assert calls == {"eigh": 0, "cholesky": 0, "svd": 1, "qr": 0, "inv": 0, "solve": 0, "svdvals": 0}
+        assert calls == {"eigh": 0, "cholesky": 0, "svd": 1, "qr": 0, "qr_r": 0, "inv": 0, "solve": 0, "svdvals": 0}
 
     def test_definite_t_near_the_float64_limit(self, tmp_path, capsys):
         t = (1e308 * np.array([[1.0, 0.5], [0.5, 1.0]])).tolist()

@@ -19,7 +19,7 @@ from qfmin import (
     svd,
 )
 from qfmin import dense_core
-from qfmin.dense_core import cholesky, fro_norm, hermitian, qr, tri_inv
+from qfmin.dense_core import cholesky, fro_norm, hermitian, qr, qr_r, tri_inv
 
 EXAMPLE2_Q = np.array([[14.0, 20, 28], [20, 83, 40], [28, 40, 56]])
 
@@ -116,16 +116,17 @@ class TestFroNorm:
         assert fro_norm(np.array([3e-320 + 4e-320j])) == pytest.approx(5e-320, rel=1e-3)
 
 
-@pytest.mark.parametrize("name, factor", [("svd", svd), ("eigh", eigh), ("qr", qr)])
+@pytest.mark.parametrize("name, factor", [("svd", svd), ("eigh", eigh), ("qr", qr), ("qr_r", qr_r)])
 def test_a_nan_in_the_factors_fails_the_guard(monkeypatch, name, factor):
-    backend = getattr(np.linalg, name)
+    backend = getattr(np.linalg, _BACKEND.get(name, name))
 
     def poisoned(*args, **kwargs):
-        factors = [np.array(f) for f in backend(*args, **kwargs)]
+        out = backend(*args, **kwargs)
+        factors = [np.array(f) for f in ((out,) if isinstance(out, np.ndarray) else out)]
         factors[0].flat[0] = np.nan
-        return tuple(factors)
+        return factors[0] if len(factors) == 1 else tuple(factors)
 
-    monkeypatch.setattr(np.linalg, name, poisoned)
+    monkeypatch.setattr(np.linalg, _BACKEND.get(name, name), poisoned)
     with pytest.raises(FactorizationError):
         factor(np.array([[2.0, 1.0], [1.0, 3.0]]))
 
@@ -149,11 +150,16 @@ def _operand(rng, name, shape, complex_entries):
     return (a + a.conj().T) / 2 if name == "eigh" else a
 
 
+# The numpy.linalg function behind each guarded factorization whose name differs from it
+_BACKEND = {"qr_r": "qr"}
+
+
 def _guarded(name, a):
-    """The guarded factorization `name` of `a`: the thin SVD, the QR, eigh or Cholesky."""
+    """The guarded factorization `name` of `a`: the thin SVD, the QR with or without Q, eigh or Cholesky."""
     factor = {
         "svd": lambda x: svd(x, full_matrices=False),
         "qr": lambda x: qr(as_matrix(x)),
+        "qr_r": lambda x: qr_r(as_matrix(x)),
         "eigh": eigh,
         "cholesky": lambda x: cholesky(hermitian(x)),
     }
@@ -165,7 +171,7 @@ class TestProbeGuard:
 
     @pytest.mark.parametrize("n", [3, 64, 257])
     @pytest.mark.parametrize("complex_entries", [False, True])
-    @pytest.mark.parametrize("name", ["svd", "qr", "eigh", "cholesky"])
+    @pytest.mark.parametrize("name", ["svd", "qr", "qr_r", "eigh", "cholesky"])
     @pytest.mark.parametrize("size", [1.01, 2.0])
     def test_a_rank_one_error_past_the_tolerance_fails(
         self, monkeypatch, size, name, complex_entries, n
@@ -173,20 +179,28 @@ class TestProbeGuard:
         # The backend factors a + E, ||E|| = size * KTOL ||a||, Hermitian for
         # eigh and Cholesky, which a full reconstruction would reject.  The probes miss it
         # with probability P(chi2_8 <= pi / (25 size^2)), below 6.2e-7 (README).
+        # The R-only QR is held to its Gram: there E moves a* a by
+        # size * KTOL ||a||^2 to first order, a Hermitian error of rank two
+        # that a full reconstruction of the Gram would reject.
         rng = np.random.default_rng(n)
         a = _operand(rng, name, (n, n), complex_entries)
         u = _draw(rng, n, complex_entries)
         v = u if name in ("eigh", "cholesky") else _draw(rng, n, complex_entries)
         error = np.outer(u, v.conj())
         error *= size * dense_core.KTOL * fro_norm(a) / fro_norm(error)
-        backend = getattr(np.linalg, name)
-        monkeypatch.setattr(np.linalg, name, lambda x, *args, **kw: backend(x + error, *args, **kw))
+        if name == "qr_r":
+            moved = a.conj().T @ error
+            error *= size * dense_core.KTOL * fro_norm(a) ** 2 / fro_norm(moved + moved.conj().T)
+        backend = getattr(np.linalg, _BACKEND.get(name, name))
+        monkeypatch.setattr(
+            np.linalg, _BACKEND.get(name, name), lambda x, *args, **kw: backend(x + error, *args, **kw)
+        )
         with pytest.raises(FactorizationError, match="probe residual"):
             _guarded(name, a)
 
     @pytest.mark.parametrize("n", [3, 64, 257])
     @pytest.mark.parametrize("complex_entries", [False, True])
-    @pytest.mark.parametrize("name", ["svd", "qr", "eigh", "cholesky"])
+    @pytest.mark.parametrize("name", ["svd", "qr", "qr_r", "eigh", "cholesky"])
     def test_sound_factors_pass_with_a_hundredfold_margin(
         self, monkeypatch, name, complex_entries, n
     ):
@@ -205,6 +219,8 @@ class TestProbeGuard:
             ("svd", (30, 12)),
             ("qr", (30, 30)),
             ("qr", (30, 12)),
+            ("qr_r", (30, 30)),
+            ("qr_r", (30, 12)),
             ("cholesky", (30, 30)),
         ],
     )
@@ -216,7 +232,7 @@ class TestProbeGuard:
             _guarded(name, a)
 
     @pytest.mark.parametrize("complex_entries", [False, True])
-    @pytest.mark.parametrize("name", ["svd", "qr", "eigh", "cholesky"])
+    @pytest.mark.parametrize("name", ["svd", "qr", "qr_r", "eigh", "cholesky"])
     def test_one_guard_allocates_a_few_probe_blocks(self, monkeypatch, name, complex_entries):
         n = 400
         rng = np.random.default_rng(7)

@@ -60,14 +60,15 @@ def test_the_check_sees_dense_core_calls():
 def _formed_products(tree):
     """``@`` products in the arguments of a `_guard` call whose right operand is not a probe.
 
-    The guard's `apply` multiplies the factors into the probe block, right
-    to left; an ``@`` with no probe on its right forms a product of factors,
-    the O(n^3) reconstruction the probes replace.
+    The guard's `apply`, and the `reference` of a Gram guard, multiply into
+    the probe block, right to left; an ``@`` with no probe on its right
+    forms a product of factors, the O(n^3) reconstruction the probes
+    replace.
     """
     for call in ast.walk(tree):
         if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "_guard"):
             continue
-        for arg in call.args:
+        for arg in [*call.args, *(k.value for k in call.keywords)]:
             probes = {a.arg for a in arg.args.args} if isinstance(arg, ast.Lambda) else set()
             for node in ast.walk(arg):
                 if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
@@ -88,11 +89,15 @@ def test_the_product_check_sees_a_reconstruction():
         for node in ast.walk(ast.parse((SRC / "dense_core.py").read_text(encoding="utf-8")))
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_guard"
     ]
-    # SVD, QR, eigendecomposition and Cholesky; the triangular inverse
-    # checks its residual against the identity, with no _guard call
-    assert len(guards) == 4
-    old = ast.parse('_guard("QR", q @ r, a, KTOL, n)\n_guard("E", lambda z: ((q * w) @ q.T) @ z, a, n)')
-    assert [p.split(" at ")[0] for p in _formed_products(old)] == ["q @ r", "q * w @ q.T"]
+    # SVD, QR, the R-only QR, eigendecomposition and Cholesky; the
+    # triangular inverse checks its residual against the identity, with no
+    # _guard call
+    assert len(guards) == 5
+    old = ast.parse(
+        '_guard("QR", q @ r, a, KTOL, n)\n_guard("E", lambda z: ((q * w) @ q.T) @ z, a, n)\n'
+        '_guard("R", lambda z: r.T @ (r @ z), a, n, reference=lambda z: (a.T @ a) @ z)'
+    )
+    assert [p.split(" at ")[0] for p in _formed_products(old)] == ["q @ r", "q * w @ q.T", "a.T @ a"]
 
 
 def _margin_reads(tree):

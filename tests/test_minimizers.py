@@ -40,7 +40,7 @@ from qfmin import (
     try_cor1_shortcut,
 )
 from qfmin import dense_core, minimizers
-from qfmin.config import ABS_FLOOR, CERTIFICATE_MARGIN, FEAS_TOL, HTOL, WARN_RATIO, ToleranceConfig
+from qfmin.config import ABS_FLOOR, CERTIFICATE_MARGIN, DEFAULT_TOL, FEAS_TOL, HTOL, WARN_RATIO, ToleranceConfig
 from qfmin.dense_core import fro_norm, svd
 from qfmin.l2_models import diag_operator, DiagonalSpec, harmonic_b, left_shift
 from qfmin.pinv_ops import rank_decide
@@ -543,14 +543,15 @@ def cold_memo(monkeypatch):
 
 @pytest.mark.usefixtures("cold_memo")
 class TestFactorizationCounts:
-    """numpy.linalg calls made by one AUTO solve: one factorization of t, one QR of (a W)*.
+    """numpy.linalg calls made by one AUTO solve: one factorization of t, one R-only QR of (a W)*.
 
     A definite t is factored by Cholesky, whose triangular factor of at
     most 128 rows is inverted by one inv; a singular one, after a Cholesky
-    that fails or whose pivot rules it out, by eigh.  A full-row-rank
-    ``a W`` needs ``inv(R*)`` for its pseudoinverse and no singular
-    vectors; where ``||R||_F ||R^{-*}||_F`` certifies its rank, as here, it
-    needs no values-only SVD of R either.
+    that fails or whose pivot rules it out, by eigh.  The R of ``(a W)*``
+    comes from a QR that forms no Q (``qr_r``), and ``inv(R*)`` from it.
+    Where ``||R||_F ||R^{-*}||_F`` certifies the full row rank of ``a W``,
+    as here, that is all: no Q, no values-only SVD of R.  A refused
+    certificate adds the full QR (``qr``) and the values-only SVD of its R.
     """
 
     def test_definite_rectangular_constraint(self, count_linalg):
@@ -558,7 +559,7 @@ class TestFactorizationCounts:
         counts = count_linalg()
         solve(p)
         # 1 / ||L^{-1}||_F certifies t definite, so no eigh
-        assert counts == {"eigh": 0, "cholesky": 1, "svd": 0, "qr": 1, "inv": 2, "solve": 0, "svdvals": 0}
+        assert counts == {"eigh": 0, "cholesky": 1, "svd": 0, "qr": 0, "qr_r": 1, "inv": 2, "solve": 0, "svdvals": 0}
 
     def test_semidefinite(self, count_linalg):
         p = QpProblem(*random_psd_problem(12, 6, rank=9, seed=5))
@@ -566,27 +567,29 @@ class TestFactorizationCounts:
         solve(p)
         # 1 / ||R^{-*}||_F <= sigma_min(a W) certifies both the rank of a W and
         # the psd_product_conditioning note absent, so a is not factored for it
-        assert counts == {"eigh": 1, "cholesky": 1, "svd": 0, "qr": 1, "inv": 1, "solve": 0, "svdvals": 0}
+        assert counts == {"eigh": 1, "cholesky": 1, "svd": 0, "qr": 0, "qr_r": 1, "inv": 1, "solve": 0, "svdvals": 0}
 
     def test_semidefinite_without_a_certificate(self, count_linalg):
-        # a row at cosine 1e-9 to the range of t: the second QR and two more
-        # values-only SVDs give the row space of a and its cosines to the
-        # range of t, for the note, which needs no inverse; the zero on the
-        # diagonal of t rules out a Cholesky factorization before it runs
+        # a row at cosine 1e-9 to the range of t: the rank certificate
+        # refuses, so the full QR of (a W)* follows its R-only one; a second
+        # full QR and two more values-only SVDs give the row space of a and
+        # its cosines to the range of t, for the note, which needs no
+        # inverse; the zero on the diagonal of t rules out a Cholesky
+        # factorization before it runs
         t, a = np.diag([1.0, 1.0, 0.0]), np.array([[1.0, 0.0, 0.0], [0.0, 1e-9, 1.0]])
         counts = count_linalg()
         with pytest.warns(IllConditioningWarning):
             r = solve(QpProblem(t, a, a @ np.array([1.0, 1.0, 0.0])))
-        assert counts == {"eigh": 1, "cholesky": 0, "svd": 0, "qr": 2, "inv": 1, "solve": 0, "svdvals": 3}
+        assert counts == {"eigh": 1, "cholesky": 0, "svd": 0, "qr": 2, "qr_r": 1, "inv": 1, "solve": 0, "svdvals": 3}
         assert r.diagnostics[-1].code == "psd_product_conditioning"
 
     def test_definite_square_constraint(self, count_linalg):
         p = QpProblem(*random_pd_problem(12, 12, seed=5))
         counts = count_linalg()
         r = solve(p)
-        # the shortcut's pinv(a) b takes a second QR, of the invertible a*;
-        # both ranks are certified, and so is the class of t
-        assert counts == {"eigh": 0, "cholesky": 1, "svd": 0, "qr": 2, "inv": 3, "solve": 0, "svdvals": 0}
+        # the shortcut's pinv(a) b takes a second R-only QR, of the
+        # invertible a*; both ranks are certified, and so is the class of t
+        assert counts == {"eigh": 0, "cholesky": 1, "svd": 0, "qr": 0, "qr_r": 2, "inv": 3, "solve": 0, "svdvals": 0}
         assert r.diagnostics[-1].value is not None
 
     def test_square_root_reference(self, count_linalg):
@@ -594,16 +597,17 @@ class TestFactorizationCounts:
         p = QpProblem(*random_pd_problem(12, 6, seed=5))
         counts = count_linalg()
         minimize_posdef(p)
-        assert counts == {"eigh": 1, "cholesky": 0, "svd": 1, "qr": 0, "inv": 0, "solve": 0, "svdvals": 0}
+        assert counts == {"eigh": 1, "cholesky": 0, "svd": 1, "qr": 0, "qr_r": 0, "inv": 0, "solve": 0, "svdvals": 0}
 
     def test_square_shortcut_leaves_the_memo_alone(self, count_linalg):
         # the class gate needs the eigenvalues of t and the shortcut the
         # factors of a; the kernel's factors are neither made nor stored.
-        # The shift a has rank 8 of 9: its bases come from an SVD of R.
+        # The shift a has rank 8 of 9: its R-only QR refuses the rank
+        # certificate, and its bases come from the full QR and an SVD of R.
         p = truncated_problem(8)
         counts = count_linalg()
         assert try_cor1_shortcut(p) is not None
-        assert counts == {"eigh": 1, "cholesky": 0, "svd": 1, "qr": 1, "inv": 0, "solve": 0, "svdvals": 1}
+        assert counts == {"eigh": 1, "cholesky": 0, "svd": 1, "qr": 1, "qr_r": 1, "inv": 0, "solve": 0, "svdvals": 1}
         assert minimizers._memo is None
 
 
@@ -642,7 +646,7 @@ class TestFactorMemo:
         # a square a keeps the shortcut's factors of a on every solve; its
         # rank is certified
         each = 1 if case == "pd-square" else 0
-        assert counts == {"eigh": 0, "cholesky": 0, "svd": 0, "qr": each, "inv": each, "solve": 0, "svdvals": 0}
+        assert counts == {"eigh": 0, "cholesky": 0, "svd": 0, "qr": 0, "qr_r": each, "inv": each, "solve": 0, "svdvals": 0}
         monkeypatch.setattr(minimizers, "_memo", None)
         assert outcome(hit) == outcome(solve(QpProblem(t, a, b2)))
 
@@ -651,12 +655,12 @@ class TestFactorMemo:
         auto = solve(QpProblem(t, a, b))
         counts = count_linalg()
         diag = minimize_posdef_diag(QpProblem(t, a, b))
-        assert counts["eigh"] == counts["svd"] == counts["qr"] == 0
+        assert counts["eigh"] == counts["svd"] == counts["qr"] == counts["qr_r"] == 0
         assert np.array_equal(diag.xhat, auto.xhat)
         assert diag.method is Method.POSDEF_DIAG
         # the square-root reference never reads the memo
         minimize_posdef(QpProblem(t, a, b))
-        assert counts == {"eigh": 1, "cholesky": 0, "svd": 1, "qr": 0, "inv": 0, "solve": 0, "svdvals": 0}
+        assert counts == {"eigh": 1, "cholesky": 0, "svd": 1, "qr": 0, "qr_r": 0, "inv": 0, "solve": 0, "svdvals": 0}
 
     @pytest.mark.parametrize(
         "change",
@@ -730,7 +734,7 @@ class TestFactorMemo:
         p = QpProblem(*random_pd_problem(12, 6, seed=5))
         counts = count_linalg()
         assert try_cor1_shortcut(p) is None
-        assert counts == {"eigh": 1, "cholesky": 0, "svd": 0, "qr": 0, "inv": 0, "solve": 0, "svdvals": 0}
+        assert counts == {"eigh": 1, "cholesky": 0, "svd": 0, "qr": 0, "qr_r": 0, "inv": 0, "solve": 0, "svdvals": 0}
         assert minimizers._memo is None
         with pytest.raises(NotPositiveDefiniteError):
             try_cor1_shortcut(QpProblem(EXAMPLE2_Q, EXAMPLE2_A, EXAMPLE2_B))
@@ -961,6 +965,67 @@ def _random_unitary(rng, n, complex_entries):
     return np.linalg.qr(g)[0]
 
 
+def _minimum_norm_reference(x, bs, mp):
+    """``x* (x x*)^{-1} b`` for each column `b` of `bs`, with 40 digits, in complex128."""
+    number = mp.mpc if np.iscomplexobj(x) or np.iscomplexobj(bs) else mp.mpf
+    with mp.workdps(40):
+        xm = mp.matrix([[number(v) for v in row] for row in x])
+        xh = xm.transpose_conj()
+        gram = xm * xh
+        ys = [xh * mp.lu_solve(gram, mp.matrix([number(v) for v in b])) for b in bs.T]
+        return np.array([[complex(y[i]) for y in ys] for i in range(x.shape[1])])
+
+
+class TestRowFactorAccuracy:
+    """The certified ``pinv(x) = v g`` keeps the accuracy of ``Q R^{-*}``.
+
+    `x` is 8 by 16 with planted singular values graded from 1 to ``1/κ``,
+    real or complex, and each ``y = pinv(x) b`` is compared with a 40-digit
+    reference.  κ runs in bands up to the rank certificate's edge: every
+    draw up to 1e4 is certified, and every draw at 1e6 refused, as
+    ``||R||_F ||R^{-*}||_F`` must stay below ``1 / (CERTIFICATE_MARGIN
+    WARN_RATIO) = 1e5``.  `b` is the image ``x z`` of a point, as the
+    feasible `b` of a solve is, or a generic vector, which weights `y`
+    toward the least singular value.  Per band, the worst relative error of
+    `y` and the worst relative residual ``||x y - b|| / ||b||`` of the
+    certified factors are at most 3 times those of the refused path's ``Q
+    R^{-*} b`` on the same draws.  Over four seeds of this test they were
+    at most 0.74 and 2.3 times.  Without the Schulz step of `_row_factors`
+    the residual grows as ``eps κ^2``: at 30 by 60, κ = 1e4 and a generic
+    `b`, it read 2.8e-9, against 2.9e-13 through `Q`.
+    """
+
+    def test_certified_factors_keep_the_accuracy_of_q(self, monkeypatch):
+        mp = pytest.importorskip("mpmath").mp
+        rng = np.random.default_rng(20261019)
+        decide = lambda sigma, dim: rank_decide(sigma, DEFAULT_TOL, dim=dim)
+        ratio = max(WARN_RATIO, DEFAULT_TOL.effective_rtol(16))
+        worst = {}
+        for kappa, cplx, _ in itertools.product((1.0, 1e1, 1e2, 1e3, 1e4, 1e6), (False, True), range(3)):
+            left, right = _random_unitary(rng, 8, cplx), _random_unitary(rng, 16, cplx)[:8]
+            x = (left * np.logspace(0.0, -np.log10(kappa), 8)) @ right
+            z = rng.standard_normal((16, 1)) + (1j * rng.standard_normal((16, 1)) if cplx else 0.0)
+            generic = rng.standard_normal((8, 1)) + (1j * rng.standard_normal((8, 1)) if cplx else 0.0)
+            bs = np.hstack([x @ z, generic])
+            certified = minimizers._certified_inverse(dense_core.qr_r(x.conj().T), ratio)[1] is not None
+            assert certified == (kappa < 1e5), kappa
+            if not certified:
+                continue
+            _, _, v, g, _ = minimizers._row_factors(x, decide, DEFAULT_TOL)
+            with monkeypatch.context() as m:
+                m.setattr(minimizers, "_certifies", lambda *args: False)
+                _, _, q, g_q, _ = minimizers._row_factors(x, decide, DEFAULT_TOL)
+            ref = _minimum_norm_reference(x, bs, mp)
+            # per path: the error of y, then the residual, for each b
+            errors = [
+                [(_relative_gap(y, want), _relative_gap(x @ y, b)) for y, want, b in zip((f @ (h @ bs)).T, ref.T, bs.T)]
+                for f, h in ((v, g), (q, g_q))
+            ]
+            worst[kappa] = np.maximum(worst.get(kappa, 0.0), errors)
+        for kappa, (certified, full) in worst.items():
+            assert (certified <= 3 * full).all(), (kappa, certified, full)
+
+
 def _planted_case(rng, complex_entries, m_vs_rank, edge):
     """A singular `t` of rank r, with m below, at or above r, and a constraint to match.
 
@@ -1110,8 +1175,15 @@ CERTIFICATE_CORPUS = {
 
 
 def _agreement_bound(p):
-    """``max(1e-12, eps (cond(T) + √cond(T) κ(A W)))`` for a definite `t`, κ over the kept values."""
+    """``max(1e-12, eps (cond(T) + √cond(T) κ(A W)))``, κ over the kept values.
+
+    cond(T) and `W` are taken on the range of a singular `t`: its
+    eigenvalues above ``rtol λ_max``, floored at ABS_FLOOR.
+    """
     w, q = np.linalg.eigh(p.t)
+    if classify_spectrum(w, p.tol) is not SpectrumClass.POSITIVE_DEFINITE:
+        keep = w > max(p.tol.effective_rtol(w.size) * np.abs(w).max(), ABS_FLOOR)
+        w, q = w[keep], q[:, keep]
     sigma = np.linalg.svd(p.a @ (q / np.sqrt(w)), compute_uv=False)
     kept = sigma[sigma > max(p.tol.effective_rtol(max(p.a.shape)) * sigma.max(initial=0.0), ABS_FLOOR)]
     kappa = kept[0] / kept[-1] if kept.size else 1.0
@@ -1189,22 +1261,34 @@ class TestCertificates:
     runs the uncertified path everywhere.  Each problem is solved on a cold
     memo with every certificate allowed, and with all refused.
 
-    Where the allowed `_cholesky_root` refused, both solves factor with the
-    same `W` and must match to the byte.  Where it certified, the two `W`
-    differ by a unitary factor: all but `x`, the minimum and the warnings'
-    numbers must be equal, and those within ``B = max(1e-12, eps (cond(T)
-    + √cond(T) κ(A W)))``, the first-order bound on the minimum-norm
-    solution (Higham, Accuracy and Stability of Numerical Algorithms,
-    chapters 20-21) up to constants.  Each path factors ``T + E``,
-    ``||E|| <= c eps ||T||``, which moves `x` by ``-Z (Z* T Z)^{-1} Z* E x``
-    (`Z` spanning the null space of `a`), at most ``c eps cond(T) ||x||``,
-    and the minimum ``<x, T x>`` by ``<x, E x>``.  Its QR gives ``y =
-    pinv(A W) b`` to ``c eps κ(A W) ||y||``, which ``x = W y`` scales by at
-    most ``||W|| ||W^{-1}|| = √cond(T)``.  ``A W`` is accurate to ``eps
-    √cond(T)``, so its printed ``σ_min / σ_max`` to κ(A W) times that.  The
-    floor covers the constants at n <= 30.  Over the corpus the largest gap
-    was 0.24 B, and ``max(1e-12, eps cond(T))`` fails on 52 of the 243
-    certified solves.
+    Where no certificate of `_cholesky_root` or `_certified_inverse`
+    passed, both solves take the same factors and must match to the byte.
+    Where the Cholesky certificate passed, the two `W` differ by a unitary
+    factor; where a rank certificate passed, the allowed solve takes ``y =
+    v (g b)`` with ``v = (A W)* R^{-1}`` and ``g`` the Schulz step from
+    ``R^{-*}`` (`_row_factors`), and the refused one ``Q R^{-*} b``, with
+    the same `R`.  Then all but `x`, the minimum and the warnings' numbers
+    must be equal, and those within ``B = max(1e-12, eps (cond(T) + √cond(T)
+    κ(A W)))``, the first-order bound on the minimum-norm solution (Higham,
+    Accuracy and Stability of Numerical Algorithms, chapters 20-21) up to
+    constants, with cond(T) on the range of a singular `t`.  Each path
+    factors ``T + E``, ``||E|| <= c eps ||T||``, which moves `x` by ``-Z
+    (Z* T Z)^{-1} Z* E x`` (`Z` spanning the null space of `a`), at most
+    ``c eps cond(T) ||x||``, and the minimum ``<x, T x>`` by ``<x, E x>``.
+    Its QR gives ``y = pinv(A W) b`` to ``c eps κ(A W) ||y||``, which ``x =
+    W y`` scales by at most ``||W|| ||W^{-1}|| = √cond(T)``.  With `R` from
+    a backward-stable QR, ``(A W)* R^{-1} R^{-*} b`` has an error of that
+    same order ``c eps κ(A W) ||y||`` (Paige, Math. Comp. 27, 1973; Björck,
+    Numerical Methods for Least Squares Problems, 1996), and with the
+    Schulz step it read below that of `Q` (`TestRowFactorAccuracy`); the
+    rank certificate admits only ``κ(A W) <= ||R||_F ||R^{-*}||_F`` below
+    ``1 / (CERTIFICATE_MARGIN max(WARN_RATIO, rtol))``, at most 1e5, where
+    the constant stays small.  ``A W`` is accurate to ``eps √cond(T)``, so
+    its printed ``σ_min / σ_max`` to κ(A W) times that.  The floor covers
+    the constants at n <= 30.  Over the corpus the largest gap was 0.23 B
+    on the 243 solves whose Cholesky certificate passed, and 0.07 B on the
+    140 where only a rank certificate did; ``max(1e-12, eps cond(T))``
+    fails on 52 of the 243.
     """
 
     @staticmethod
@@ -1259,7 +1343,7 @@ class TestCertificates:
         got, log = self.run(p, method, False, monkeypatch)
         want, exact = self.run(p, method, True, monkeypatch)
         assert len(log["cholesky"]) == len(exact["cholesky"]) <= 1
-        if any(log["cholesky"]):
+        if any(log["cholesky"]) or any(passed for passed, *_ in log["rank"]):
             assert _rounding_gap(got, want) <= _agreement_bound(p)
         else:
             assert (outcome(got[0]), got[1]) == (outcome(want[0]), want[1])
@@ -1325,12 +1409,12 @@ class TestCertificates:
         # a singular t costs what an uncertified psd miss does (TestFactorizationCounts),
         # plus the Cholesky factorization that its positive diagonal allows
         self.run(psd, Method.AUTO, True, monkeypatch)
-        assert counts == {"eigh": 1, "cholesky": 1, "svd": 0, "qr": 2, "inv": 1, "solve": 0, "svdvals": 3}
+        assert counts == {"eigh": 1, "cholesky": 1, "svd": 0, "qr": 2, "qr_r": 1, "inv": 1, "solve": 0, "svdvals": 3}
         # a definite t goes to eigh, and R to its values-only SVD
         before = dict(counts)
         self.run(pd, Method.AUTO, True, monkeypatch)
         ran = {name: counts[name] - before[name] for name in counts}
-        assert ran == {"eigh": 1, "cholesky": 1, "svd": 0, "qr": 1, "inv": 1, "solve": 0, "svdvals": 1}
+        assert ran == {"eigh": 1, "cholesky": 1, "svd": 0, "qr": 1, "qr_r": 1, "inv": 1, "solve": 0, "svdvals": 1}
 
     def test_inverse_without_a_certificate(self):
         # an empty or zero R is not inverted, a singular one raises in inv,
