@@ -18,7 +18,7 @@ from .errors import DimensionMismatchError, FactorizationError, NotHermitianErro
 # Hermitian pre-check, ``||a - a*|| <= HTOL * ||a||``.
 HTOL = 1e-10
 # Factorization guard (SVD, QR, eigendecomposition, Cholesky and the
-# triangular inverse), relative to ||a||; ||a||^2 for the R-only QR.
+# triangular inverse), relative to ||a||; ||a||^2 for `qr_r`, held to its Gram.
 KTOL = 1e-10
 # The guard multiplies the factors into _PROBES Gaussian probes drawn from
 # _PROBE_SEED and divides KTOL by _PROBE_C = 10 sqrt(2/pi), the constant of
@@ -208,36 +208,54 @@ def qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def qr_r(a: np.ndarray) -> np.ndarray:
-    """`r` of the reduced QR ``a = q r`` of a validated matrix, without `q`, with a Gram probe guard.
+    """`r` of the reduced QR ``a = q r`` of a validated matrix, without `q`: the Cholesky factor of ``a* a``.
 
-    LAPACK's Householder QR is backward stable: `r` is the exact factor of
-    ``a + E = Q r`` for an orthonormal `Q` and ``||E|| <= γ ||a||`` with γ
-    of order ``m n eps`` (Higham, Accuracy and Stability of Numerical
-    Algorithms, Theorem 19.4).  So ``r* r - a* a = a* E + E* a + E* E`` has
-    norm at most ``(2 γ + γ^2) ||a||^2``, and the guard holds ``r* (r Z)``
+    `r` is the upper triangular factor with a positive diagonal of the Gram
+    ``a* a = r* r``, formed by one product and factored by Cholesky, so
+    the work is all BLAS-3 and no `q` is formed.  Outside the plain-norm
+    band the Gram is formed of `a` times the power of two of
+    `_probe_scale`, which is exact and keeps ``||a||^2`` from overflowing
+    or underflowing, and `r` is divided by it after.  FactorizationError
+    where the Gram is not numerically positive definite, where `r`
+    overflows on the way back, or where it fails the guard.
+
+    The computed Gram of an n by m `a` is ``a* a + E1`` with ``|E1| <= γ_n
+    |a*| |a|``, and its Cholesky factor satisfies ``r* r = a* a + E1 +
+    E2`` with ``|E2| <= γ_{m+1} |r*| |r|`` (Higham, Accuracy and Stability
+    of Numerical Algorithms, Theorem 10.3), γ_k being about ``k eps``.  As
+    ``||r||_F^2 = tr(r* r)``, ``||r* r - a* a||_F`` is at most ``(γ_n +
+    γ_{m+1}) ||a||_F^2`` to first order.  The guard holds ``r* (r Z)``
     against ``a* (a Z)`` to ``(KTOL / c) ||a||^2``, as strict as a full
     reconstruction of the Gram to ``KTOL ||a||^2``: a sound `r` passes
-    wherever γ is below ``KTOL / 2``, half the backward error that the
-    guard of `qr` allows.  Outside the plain-norm band `a` and `r` are both
-    multiplied by the power of two of `_probe_scale` first, which is exact
-    and keeps ``||a||^2`` from overflowing or underflowing.  Each adjoint
-    product is the conjugate of a transpose product on a conjugated probe
-    block, so no adjoint of `a` is copied.
+    wherever ``γ_n + γ_{m+1}`` is below KTOL.  This bounds `r` against the
+    Gram only; ``r^{-1}`` carries the square of the conditioning of `a`,
+    which the caller's certificate has to cover.  Each adjoint product is
+    the conjugate of a transpose product on a conjugated probe block, so
+    no adjoint of `a` is copied.
     """
-    r = np.linalg.qr(a, mode="r")
     norm = fro_norm(a)
     scale = _probe_scale(a, norm)
-    scaled_r = r
     if scale != 1.0:
-        a, scaled_r = a * scale, r * scale
+        a = a * scale
         norm = fro_norm(a)
+    try:
+        # the adjoint of the lower factor; cholesky's `upper=` needs NumPy 2
+        r = np.linalg.cholesky(a.conj().T @ a).conj().T
+    except np.linalg.LinAlgError as exc:
+        raise FactorizationError(f"Cholesky factorization of the Gram failed: {exc}") from exc
     _guard(
-        "R of QR",
-        lambda z: (scaled_r.T @ (scaled_r @ z).conj()).conj(),
+        "R of the Gram",
+        lambda z: (r.T @ (r @ z).conj()).conj(),
         a,
         norm,
         lambda z: (a.T @ (a @ z).conj()).conj(),
     )
+    if scale == 1.0:
+        return r
+    with np.errstate(over="ignore"):
+        r *= 1.0 / scale
+    if not np.isfinite(r).all():
+        raise FactorizationError("R of the Gram overflowed: a column norm of a is above the float64 range")
     return r
 
 

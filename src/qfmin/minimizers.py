@@ -6,15 +6,17 @@ where it certifies T positive definite, otherwise ``W = Q_r Λ_r^{-1/2}`` from
 one eigendecomposition of T (only its range for a singular semidefinite T,
 which minimizes over the orthogonal complement of the kernel).  Any such W
 gives the same x, as ``pinv(A W U) = U* pinv(A W)`` for unitary U.  The R of
-``(A W)* = Q R`` follows from a QR that does not form Q: where R certifies
-full row rank, ``pinv(A W) = V G`` with ``V = (A W)* R^{-1}`` formed once
-and ``G`` one Schulz step from ``R^{-*}``; otherwise a full QR and an SVD of
-the small R.  Those factors depend on ``(T, A)`` only, so the last
-operator's are kept and a further ``b`` needs no factorization, only
-O(n^2 + nm) work to recognise the operator and apply them.  The
-square-root route ``T^{-1/2} pinv(A T^{-1/2}) b`` stays literal and uncached
-as an independent reference, a Lat-invariance shortcut collapses the
-solution to ``pinv(A) b``, and ``min_norm_ls`` is the unconstrained baseline.
+``(A W)* = Q R`` comes first from the Cholesky factor of the Gram
+``(A W) (A W)*``, with no Q: where R, and the defect ``||I - V* V||`` of
+``V = (A W)* R^{-1}``, certify full row rank, ``pinv(A W) = V G`` with V
+formed once and ``G`` one Schulz step from ``R^{-*}``; otherwise a
+Householder QR and an SVD of its small R.  Those factors depend on
+``(T, A)`` only, so the last operator's are kept and a further ``b`` needs
+no factorization, only O(n^2 + nm) work to recognise the operator and
+apply them.  The square-root route ``T^{-1/2} pinv(A T^{-1/2}) b`` stays
+literal and uncached as an independent reference, a Lat-invariance
+shortcut collapses the solution to ``pinv(A) b``, and ``min_norm_ls`` is
+the unconstrained baseline.
 """
 
 from __future__ import annotations
@@ -228,8 +230,9 @@ class _Factors:
     `root` is ``W = L^{-*}`` where `_cholesky_root` certified `t` definite,
     else ``W = q Λ^{-1/2}`` from the kept eigenpairs of `t` (all of them for
     a definite `t`, the range for a singular one), and `u`, `v`, `g` are the
-    `_row_factors` of ``a W``: `v` is ``(a W)* R^{-1}`` where the rank of
-    ``a W`` is certified, else `Q` of its QR or its kept columns.
+    `_row_factors` of ``a W``: `v` is ``(a W)* R^{-1}``, `R` the Cholesky
+    factor of its Gram, where the rank of ``a W`` is certified, else `Q` of
+    its QR or its kept columns.
     `spectra` lists the ``(sigma, dim)`` of every rank decision the miss
     made, in order, replayed on a hit so that it warns as the miss did.  A
     decision that `_certified_inverse` showed to keep every value without a
@@ -339,60 +342,89 @@ def _certified_tri_inv(l: np.ndarray, rule):
     return x, (s if rule(s) else None)
 
 
-def _certified_inverse(r: np.ndarray, ratio: float):
-    """``(g, s)``: ``g = R^{-*}``, and ``s = 1 / ||g||_F`` where it certifies full rank.
+def _certified_inverse(x: np.ndarray, ratio: float):
+    """``(v, g, s)`` with ``pinv(x) = v g`` and ``s <= σ_min(x)`` where they certify full row rank, else None.
 
-    ``σ_max(R) <= ||R||_F`` and ``σ_min(R) >= s``, so where `s`
-    `_certifies` against ``ratio ||R||_F``, with ``ratio = max(WARN_RATIO,
-    rtol)``, every singular value of `R` clears a rank threshold
-    ``rtol σ_max`` and the warning ratio; the margin also covers the
-    ``O(m eps σ_max)`` by which computed singular values differ.
+    `R` is the factor of the Gram ``x x* = R* R`` (`qr_r`), and ``R^{-*}``
+    comes from `_certified_tri_inv`; a Gram whose Cholesky factorization
+    fails certifies nothing.  ``v = x* R^{-1}`` is formed by one product.
+    Were `R` exact, `v` would have orthonormal columns; the computed one
+    carries the error of the Gram, ``F = I - v* v`` of order ``eps
+    κ(x)^2``, and ``x x* = R* (I - F) R``.  With ``f = ||F||_F`` and ``s_R
+    = 1 / ||R^{-*}||_F <= σ_min(R)``:
+
+    - ``σ_min(x)^2 >= σ_min(R)^2 (1 - f)``, so ``s = s_R √(1 - f)``.
+      ``σ_max(x) <= ||x||_F``, so where `s` `_certifies` against ``ratio
+      ||x||_F``, with ``ratio = max(WARN_RATIO, rtol)``, every singular
+      value of `x` clears a rank threshold ``rtol σ_max`` and the warning
+      ratio; the margin also covers the ``O(m eps σ_max)`` by which
+      computed singular values differ.
+    - ``g = (I + F) R^{-*}`` is one step of Schulz's iteration for a right
+      inverse (Ben-Israel & Cohen, SIAM J. Numer. Anal. 3, 1966): ``v g =
+      P (2 I - x P)`` for ``P = v R^{-*}``, and ``x v g = R* (I - F) (I +
+      F) R^{-*} = I - R* F^2 R^{-*}``.  So ``||x v g b - b|| <= κ_F f^2
+      ||b||`` with ``κ_F = ||R||_F / s_R``, and the range of ``v g`` stays
+      that of ``x*``.  The certified path admits every `b`, so that
+      relative residual has to pass the feasibility test that would
+      otherwise judge `b`: ``FEAS_TOL`` `_certifies` against ``κ_F f^2``.
+      The margin covers the rounding of applying `v` and `g` to `b`, of
+      order ``eps κ_F``: about ``2e-11`` at the rank certificate's edge
+      ``κ_F < 1 / (CERTIFICATE_MARGIN WARN_RATIO) = 1e5``, a 450th of
+      ``FEAS_TOL``.
+
+    `f` is tested first, so ``f < 1`` wherever `s` is formed.
     """
-    gate = ratio * fro_norm(r)
-    return _certified_tri_inv(r.conj().T, lambda bound: _certifies(bound, gate))
+    xh = x.conj().T
+    try:
+        r = qr_r(xh)
+    except FactorizationError:
+        return None
+    gate = ratio * fro_norm(x)
+    rinv, s = _certified_tri_inv(r.conj().T, lambda bound: _certifies(bound, gate))
+    if s is None:
+        return None
+    v = xh @ rinv.conj().T
+    # F and g are formed in place: three m by m temporaries fewer
+    step = v.conj().T @ v
+    np.negative(step, out=step)
+    step[np.diag_indices_from(step)] += 1.0
+    f = fro_norm(step)
+    if not _certifies(FEAS_TOL, fro_norm(r) / s * f * f):
+        return None
+    s *= (1.0 - f) ** 0.5
+    if not _certifies(s, gate):
+        return None
+    g = step @ rinv
+    g += rinv
+    return v, g, s
 
 
 def _row_factors(x: np.ndarray, decide, cfg: ToleranceConfig | None = None):
     """``(rank, u, v, g, s)`` with ``pinv(x) = v @ g``; `b` is in range iff `u` admits it.
 
-    With `cfg`, the tolerances `decide` applies, `R` of ``x* = Q R`` comes
-    first from `qr_r`, which does not form `Q`, and ``R^{-*}`` from
-    `_certified_inverse`.  Where that shows that `decide` would keep all m
-    values and not warn, the decision is neither made nor passed to
-    `decide`: ``u = None`` (every `b` is in range), ``v = x* R^{-1}``,
-    formed by one product, ``g = (2 I - v* v) R^{-*}`` and ``s = 1 /
-    ||R^{-*}||_F``.  With `R` from a backward-stable QR, ``v R^{-*} b``
-    alone keeps the accuracy of ``Q R^{-*} b`` for the minimum-norm
-    solution (Paige, Math. Comp. 27, 1973; Björck, Numerical Methods for
-    Least Squares Problems, 1996), but ``x v R^{-*} = I - E`` only to
-    ``||E|| = O(eps κ^2)``, so its residual ``||x y - b||`` grows as
-    ``κ^2``.  ``v g = P (2 I - x P)`` for ``P = v R^{-*}``, as ``R^{-*} x
-    = v*``: one step of Schulz's iteration for a right inverse (Ben-Israel
-    & Cohen, SIAM J. Numer. Anal. 3, 1966), so ``x v g = I - E^2`` and the
-    range of ``v g`` stays that of ``x*``.
+    With `cfg`, the tolerances `decide` applies, `_certified_inverse` runs
+    first.  Where it shows that `decide` would keep all m values and not
+    warn, the decision is neither made nor passed to `decide`: ``u = None``
+    (every `b` is in range) and `v`, `g` and `s` are its own.
 
-    Otherwise a guarded QR ``x* = Q R``, whose `R` is the same LAPACK
-    output, and the singular values of `R` (those of `x`) make the one
-    rank decision; `s` is the exact smallest kept value.  Full row rank
-    gives ``u = None``, ``v = Q`` and ``g = R^{-*}``, the inverse already
-    taken where there is one; otherwise the guarded SVD ``R = U_R Σ V_R*``
+    Otherwise a guarded QR ``x* = Q R`` and the singular values of its `R`
+    (those of `x`) make the one rank decision; `s` is the exact smallest
+    kept value.  Full row rank gives ``u = None``, ``v = Q`` and ``g =
+    R^{-*}``, inverted from this `R`, not the Gram's, whose rounding and
+    diagonal signs differ; otherwise the guarded SVD ``R = U_R Σ V_R*``
     gives ``u = V_R``, ``v = Q U_R``, ``g = Σ^{-1} u*``.  `g` is None
     without `cfg`.
     """
-    xh = x.conj().T
     m, dim = x.shape[0], max(x.shape)
-    g = None
     if cfg is not None:
-        g, s = _certified_inverse(qr_r(xh), max(WARN_RATIO, cfg.effective_rtol(dim)))
-        if s is not None:
-            v = xh @ g.conj().T
-            return m, None, v, 2 * g - (v.conj().T @ v) @ g, s
-    q, r = qr(xh)
+        certified = _certified_inverse(x, max(WARN_RATIO, cfg.effective_rtol(dim)))
+        if certified is not None:
+            return m, None, *certified
+    q, r = qr(x.conj().T)
     decision = decide(np.linalg.svd(r, compute_uv=False), dim)
     k = decision.rank
     if k == m:
-        if cfg is not None and g is None:
-            g = tri_inv(r.conj().T)
+        g = tri_inv(r.conj().T) if cfg is not None else None
         return k, None, q, g, decision.sigma_kept_min
     fact = svd(r, full_matrices=False)
     u = fact.v[:, :k]

@@ -14,7 +14,10 @@ def count_linalg(monkeypatch):
     which grow until the test ends.  An SVD called with ``compute_uv=False``
     computes no singular vectors and counts under ``svdvals``, apart from
     ``svd``; a QR called with ``mode="r"`` forms no `Q` and counts under
-    ``qr_r``, apart from ``qr``.
+    ``qr_r``, apart from ``qr``.  `dense_core.qr_r` takes its `R` from the
+    Cholesky factorization of a Gram, so it counts under ``cholesky``, and
+    a ``qr_r`` count above 0 would be a Householder QR without `Q`, which
+    no route calls.
     """
 
     def start() -> dict:

@@ -151,7 +151,7 @@ def _operand(rng, name, shape, complex_entries):
 
 
 # The numpy.linalg function behind each guarded factorization whose name differs from it
-_BACKEND = {"qr_r": "qr"}
+_BACKEND = {"qr_r": "cholesky"}
 
 
 def _guarded(name, a):
@@ -179,18 +179,14 @@ class TestProbeGuard:
         # The backend factors a + E, ||E|| = size * KTOL ||a||, Hermitian for
         # eigh and Cholesky, which a full reconstruction would reject.  The probes miss it
         # with probability P(chi2_8 <= pi / (25 size^2)), below 6.2e-7 (README).
-        # The R-only QR is held to its Gram: there E moves a* a by
-        # size * KTOL ||a||^2 to first order, a Hermitian error of rank two
-        # that a full reconstruction of the Gram would reject.
+        # The R-only QR factors the Gram a* a, and is held to it: its backend
+        # factors the Gram plus a Hermitian E of norm size * KTOL ||a||^2.
         rng = np.random.default_rng(n)
         a = _operand(rng, name, (n, n), complex_entries)
         u = _draw(rng, n, complex_entries)
-        v = u if name in ("eigh", "cholesky") else _draw(rng, n, complex_entries)
+        v = u if name in ("eigh", "cholesky", "qr_r") else _draw(rng, n, complex_entries)
         error = np.outer(u, v.conj())
-        error *= size * dense_core.KTOL * fro_norm(a) / fro_norm(error)
-        if name == "qr_r":
-            moved = a.conj().T @ error
-            error *= size * dense_core.KTOL * fro_norm(a) ** 2 / fro_norm(moved + moved.conj().T)
+        error *= size * dense_core.KTOL * fro_norm(a) ** (2 if name == "qr_r" else 1) / fro_norm(error)
         backend = getattr(np.linalg, _BACKEND.get(name, name))
         monkeypatch.setattr(
             np.linalg, _BACKEND.get(name, name), lambda x, *args, **kw: backend(x + error, *args, **kw)

@@ -89,7 +89,7 @@ def test_the_product_check_sees_a_reconstruction():
         for node in ast.walk(ast.parse((SRC / "dense_core.py").read_text(encoding="utf-8")))
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_guard"
     ]
-    # SVD, QR, the R-only QR, eigendecomposition and Cholesky; the
+    # SVD, QR, the R of the Gram (qr_r), eigendecomposition and Cholesky; the
     # triangular inverse checks its residual against the identity, with no
     # _guard call
     assert len(guards) == 5

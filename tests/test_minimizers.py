@@ -543,15 +543,17 @@ def cold_memo(monkeypatch):
 
 @pytest.mark.usefixtures("cold_memo")
 class TestFactorizationCounts:
-    """numpy.linalg calls made by one AUTO solve: one factorization of t, one R-only QR of (a W)*.
+    """numpy.linalg calls made by one AUTO solve: one factorization of t, one of the Gram of a W.
 
     A definite t is factored by Cholesky, whose triangular factor of at
     most 128 rows is inverted by one inv; a singular one, after a Cholesky
     that fails or whose pivot rules it out, by eigh.  The R of ``(a W)*``
-    comes from a QR that forms no Q (``qr_r``), and ``inv(R*)`` from it.
-    Where ``||R||_F ||R^{-*}||_F`` certifies the full row rank of ``a W``,
-    as here, that is all: no Q, no values-only SVD of R.  A refused
-    certificate adds the full QR (``qr``) and the values-only SVD of its R.
+    is the factor of a second Cholesky factorization, of the Gram ``(a W)
+    (a W)*`` (`dense_core.qr_r`), and ``inv(R*)`` comes from it.  Where
+    `_certified_inverse` certifies the full row rank of ``a W``, as here,
+    that is all: no QR, no values-only SVD.  A refused certificate adds the
+    full Householder QR (``qr``), the values-only SVD of its R and, for a
+    full rank, the inverse of that R.
     """
 
     def test_definite_rectangular_constraint(self, count_linalg):
@@ -559,19 +561,20 @@ class TestFactorizationCounts:
         counts = count_linalg()
         solve(p)
         # 1 / ||L^{-1}||_F certifies t definite, so no eigh
-        assert counts == {"eigh": 0, "cholesky": 1, "svd": 0, "qr": 0, "qr_r": 1, "inv": 2, "solve": 0, "svdvals": 0}
+        assert counts == {"eigh": 0, "cholesky": 2, "svd": 0, "qr": 0, "qr_r": 0, "inv": 2, "solve": 0, "svdvals": 0}
 
     def test_semidefinite(self, count_linalg):
         p = QpProblem(*random_psd_problem(12, 6, rank=9, seed=5))
         counts = count_linalg()
         solve(p)
-        # 1 / ||R^{-*}||_F <= sigma_min(a W) certifies both the rank of a W and
+        # the lower bound on sigma_min(a W) certifies both the rank of a W and
         # the psd_product_conditioning note absent, so a is not factored for it
-        assert counts == {"eigh": 1, "cholesky": 1, "svd": 0, "qr": 0, "qr_r": 1, "inv": 1, "solve": 0, "svdvals": 0}
+        assert counts == {"eigh": 1, "cholesky": 2, "svd": 0, "qr": 0, "qr_r": 0, "inv": 1, "solve": 0, "svdvals": 0}
 
     def test_semidefinite_without_a_certificate(self, count_linalg):
         # a row at cosine 1e-9 to the range of t: the rank certificate
-        # refuses, so the full QR of (a W)* follows its R-only one; a second
+        # refuses, so the full QR of (a W)* follows the Cholesky factorization
+        # of its Gram; a second
         # full QR and two more values-only SVDs give the row space of a and
         # its cosines to the range of t, for the note, which needs no
         # inverse; the zero on the diagonal of t rules out a Cholesky
@@ -580,16 +583,16 @@ class TestFactorizationCounts:
         counts = count_linalg()
         with pytest.warns(IllConditioningWarning):
             r = solve(QpProblem(t, a, a @ np.array([1.0, 1.0, 0.0])))
-        assert counts == {"eigh": 1, "cholesky": 0, "svd": 0, "qr": 2, "qr_r": 1, "inv": 1, "solve": 0, "svdvals": 3}
+        assert counts == {"eigh": 1, "cholesky": 1, "svd": 0, "qr": 2, "qr_r": 0, "inv": 1, "solve": 0, "svdvals": 3}
         assert r.diagnostics[-1].code == "psd_product_conditioning"
 
     def test_definite_square_constraint(self, count_linalg):
         p = QpProblem(*random_pd_problem(12, 12, seed=5))
         counts = count_linalg()
         r = solve(p)
-        # the shortcut's pinv(a) b takes a second R-only QR, of the
-        # invertible a*; both ranks are certified, and so is the class of t
-        assert counts == {"eigh": 0, "cholesky": 1, "svd": 0, "qr": 0, "qr_r": 2, "inv": 3, "solve": 0, "svdvals": 0}
+        # the shortcut's pinv(a) b takes a second Gram factor, of the
+        # invertible a; both ranks are certified, and so is the class of t
+        assert counts == {"eigh": 0, "cholesky": 3, "svd": 0, "qr": 0, "qr_r": 0, "inv": 3, "solve": 0, "svdvals": 0}
         assert r.diagnostics[-1].value is not None
 
     def test_square_root_reference(self, count_linalg):
@@ -602,12 +605,13 @@ class TestFactorizationCounts:
     def test_square_shortcut_leaves_the_memo_alone(self, count_linalg):
         # the class gate needs the eigenvalues of t and the shortcut the
         # factors of a; the kernel's factors are neither made nor stored.
-        # The shift a has rank 8 of 9: its R-only QR refuses the rank
-        # certificate, and its bases come from the full QR and an SVD of R.
+        # The shift a has rank 8 of 9: the Cholesky factorization of its
+        # Gram refuses the rank certificate, and its bases come from the full
+        # QR and an SVD of R.
         p = truncated_problem(8)
         counts = count_linalg()
         assert try_cor1_shortcut(p) is not None
-        assert counts == {"eigh": 1, "cholesky": 0, "svd": 1, "qr": 1, "qr_r": 1, "inv": 0, "solve": 0, "svdvals": 1}
+        assert counts == {"eigh": 1, "cholesky": 1, "svd": 1, "qr": 1, "qr_r": 0, "inv": 0, "solve": 0, "svdvals": 1}
         assert minimizers._memo is None
 
 
@@ -646,7 +650,7 @@ class TestFactorMemo:
         # a square a keeps the shortcut's factors of a on every solve; its
         # rank is certified
         each = 1 if case == "pd-square" else 0
-        assert counts == {"eigh": 0, "cholesky": 0, "svd": 0, "qr": 0, "qr_r": each, "inv": each, "solve": 0, "svdvals": 0}
+        assert counts == {"eigh": 0, "cholesky": each, "svd": 0, "qr": 0, "qr_r": 0, "inv": each, "solve": 0, "svdvals": 0}
         monkeypatch.setattr(minimizers, "_memo", None)
         assert outcome(hit) == outcome(solve(QpProblem(t, a, b2)))
 
@@ -678,8 +682,9 @@ class TestFactorMemo:
             tol = tol.with_overrides(rtol=1e-13)
         counts = count_linalg()
         again = solve(QpProblem(t, a, b, tol))
-        # a definite t misses by its certified Cholesky factorization
-        assert (counts["cholesky"], counts["eigh"]) == (1, 0)
+        # a definite t misses by its certified Cholesky factorization, and
+        # the rank of a W by the Cholesky factorization of its Gram
+        assert (counts["cholesky"], counts["eigh"]) == (2, 0)
         monkeypatch.setattr(minimizers, "_memo", None)
         assert outcome(again) == outcome(solve(QpProblem(t, a, b, tol)))
         if change == "mutate-t":
@@ -841,9 +846,10 @@ class TestFactorMemo:
         counts = count_linalg()
         solve(QpProblem(t, a, b))
         # the certified Cholesky factor needs no eigh; the singular t, whose
-        # Cholesky factorization fails, is factored by eigh from the same gate
+        # Cholesky factorization fails, is factored by eigh from the same
+        # gate; the second Cholesky factorization is that of the Gram of a W
         assert gated == [t.shape]
-        assert (counts["cholesky"], counts["eigh"]) == ((1, 0) if case == "pd" else (1, 1))
+        assert (counts["cholesky"], counts["eigh"]) == ((2, 0) if case == "pd" else (2, 1))
 
     def test_failed_factor_stage_releases_the_slot(self, count_linalg):
         t, a, b = random_pd_problem(8, 3, seed=9)
@@ -852,7 +858,7 @@ class TestFactorMemo:
             solve(QpProblem(np.diag([1.0, -1.0]), np.ones((1, 2)), np.ones(1)))
         counts = count_linalg()
         solve(QpProblem(t, a, b))
-        assert (counts["cholesky"], counts["eigh"]) == (1, 0)
+        assert (counts["cholesky"], counts["eigh"]) == (2, 0)
 
 
 def svd_row_factors(x, decide, cfg=None):
@@ -966,64 +972,199 @@ def _random_unitary(rng, n, complex_entries):
 
 
 def _minimum_norm_reference(x, bs, mp):
-    """``x* (x x*)^{-1} b`` for each column `b` of `bs`, with 40 digits, in complex128."""
-    number = mp.mpc if np.iscomplexobj(x) or np.iscomplexobj(bs) else mp.mpf
+    """``x* (x x*)^{-1} b`` for each column `b` of `bs`, with 40 digits, in complex128.
+
+    Every part of `x` is an integer times ``2^-k`` for one `k`, so ``x x*``
+    is formed exactly in integers; the system is then solved by Gaussian
+    elimination on arrays of 40-digit numbers.
+    """
+    cplx = np.iscomplexobj(x) or np.iscomplexobj(bs)
+    parts = (x.real, x.imag) if np.iscomplexobj(x) else (x,)
+    k = max(52 - int(np.frexp(p[p != 0])[1].min()) + 1 for p in parts if p.any())
+    ints = [np.array([int(v) for v in np.ldexp(p, k).ravel()], dtype=object).reshape(p.shape) for p in parts]
+    real = sum(p @ p.T for p in ints)
+    imag = ints[1] @ ints[0].T - ints[0] @ ints[1].T if len(ints) == 2 else None
+    number = np.frompyfunc(mp.mpc if cplx else mp.mpf, 1, 1)
     with mp.workdps(40):
-        xm = mp.matrix([[number(v) for v in row] for row in x])
-        xh = xm.transpose_conj()
-        gram = xm * xh
-        ys = [xh * mp.lu_solve(gram, mp.matrix([number(v) for v in b])) for b in bs.T]
-        return np.array([[complex(y[i]) for y in ys] for i in range(x.shape[1])])
+        exact = np.frompyfunc(lambda v: mp.ldexp(mp.mpf(v), -2 * k), 1, 1)
+        gram = exact(real) if imag is None else number(exact(real) + 1j * exact(imag))
+        w, xo = number(bs), number(x)
+        for j in range(gram.shape[0]):
+            pivot_col = gram[j + 1 :, j] / gram[j, j]
+            gram[j + 1 :, j:] -= np.outer(pivot_col, gram[j, j:])
+            w[j + 1 :] -= np.outer(pivot_col, w[j])
+        for j in reversed(range(gram.shape[0])):
+            w[j] = (w[j] - gram[j, j + 1 :] @ w[j + 1 :]) / gram[j, j]
+        return ((xo.T.conj() if cplx else xo.T) @ w).astype(complex)
+
+
+def _planted_rows(rng, m, kappa, cplx):
+    """An m by 2m `x` with singular values graded from 1 to ``1/κ``, and ``[x z, b]`` for a point `z` and a generic `b`."""
+    left, right = _random_unitary(rng, m, cplx), _random_unitary(rng, 2 * m, cplx)[:m]
+    x = (left * np.logspace(0.0, -np.log10(kappa), m)) @ right
+    z = rng.standard_normal((2 * m, 1)) + (1j * rng.standard_normal((2 * m, 1)) if cplx else 0.0)
+    generic = rng.standard_normal((m, 1)) + (1j * rng.standard_normal((m, 1)) if cplx else 0.0)
+    return x, np.hstack([x @ z, generic])
+
+
+def _householder_factors(x):
+    """``(v, g)`` of the certified path on the `R` of LAPACK's Householder QR, as it was before the Gram factor."""
+    r = np.linalg.qr(x.conj().T, mode="r")
+    g = np.linalg.inv(r.conj().T)
+    v = x.conj().T @ g.conj().T
+    return v, 2 * g - (v.conj().T @ v) @ g
+
+
+def _decide(sigma, dim):
+    return rank_decide(sigma, DEFAULT_TOL, dim=dim)
+
+
+def _errors(x, bs, ref, *paths):
+    """Per path ``(v, g)``, per column `b` of `bs`: the relative error of ``y = v g b`` against `ref`, then ``||x y - b|| / ||b||``."""
+    return np.array(
+        [[(_relative_gap(y, want), _relative_gap(x @ y, b)) for y, want, b in zip((v @ (g @ bs)).T, ref.T, bs.T)]
+         for v, g in paths]
+    )
 
 
 class TestRowFactorAccuracy:
     """The certified ``pinv(x) = v g`` keeps the accuracy of ``Q R^{-*}``.
 
-    `x` is 8 by 16 with planted singular values graded from 1 to ``1/κ``,
-    real or complex, and each ``y = pinv(x) b`` is compared with a 40-digit
-    reference.  κ runs in bands up to the rank certificate's edge: every
-    draw up to 1e4 is certified, and every draw at 1e6 refused, as
-    ``||R||_F ||R^{-*}||_F`` must stay below ``1 / (CERTIFICATE_MARGIN
-    WARN_RATIO) = 1e5``.  `b` is the image ``x z`` of a point, as the
-    feasible `b` of a solve is, or a generic vector, which weights `y`
-    toward the least singular value.  Per band, the worst relative error of
-    `y` and the worst relative residual ``||x y - b|| / ||b||`` of the
-    certified factors are at most 3 times those of the refused path's ``Q
-    R^{-*} b`` on the same draws.  Over four seeds of this test they were
-    at most 0.74 and 2.3 times.  Without the Schulz step of `_row_factors`
-    the residual grows as ``eps κ^2``: at 30 by 60, κ = 1e4 and a generic
-    `b`, it read 2.8e-9, against 2.9e-13 through `Q`.
+    `x` is m by 2m with planted singular values graded from 1 to ``1/κ``,
+    real or complex.  `b` is the image ``x z`` of a point, as the feasible
+    `b` of a solve is, or a generic vector, which weights ``y = pinv(x) b``
+    toward the least singular value.  Errors are relative errors of `y`
+    and relative residuals ``||x y - b|| / ||b||``.  κ runs in bands up to
+    the rank certificate's edge: ``||R||_F ||R^{-*}||_F`` below ``1 /
+    (CERTIFICATE_MARGIN WARN_RATIO) = 1e5``, and ``κ_F f^2`` below
+    ``FEAS_TOL / CERTIFICATE_MARGIN`` (`minimizers._certified_inverse`).
+
+    `R` comes from the Gram ``x x*``, so ``R^{-1}`` carries an error of
+    order ``eps κ^2``; the Schulz step squares it away.  Without the step,
+    the residual grew as ``eps κ^2``: with the `R` of a Householder QR, at
+    30 by 60, κ = 1e4 and a generic `b`, it read 2.8e-9, against 2.9e-13
+    through `Q`.
     """
 
     def test_certified_factors_keep_the_accuracy_of_q(self, monkeypatch):
+        # 8 by 16 against a 40-digit reference: every draw up to κ = 1e4 is
+        # certified and every draw at 1e6 refused.  Per band, the certified
+        # factors' worst error and residual are at most 3 times those of the
+        # refused path's Q R^{-*} b on the same draws.  On this seed they read
+        # 0.52 and 1.6 times; over six other seeds, up to 1.3 and 3.6 times,
+        # where the R of a Householder QR read up to 0.76 and 2.3 times.  The
+        # comparison with Householder's R over many draws is the next test.
         mp = pytest.importorskip("mpmath").mp
         rng = np.random.default_rng(20261019)
-        decide = lambda sigma, dim: rank_decide(sigma, DEFAULT_TOL, dim=dim)
         ratio = max(WARN_RATIO, DEFAULT_TOL.effective_rtol(16))
         worst = {}
         for kappa, cplx, _ in itertools.product((1.0, 1e1, 1e2, 1e3, 1e4, 1e6), (False, True), range(3)):
-            left, right = _random_unitary(rng, 8, cplx), _random_unitary(rng, 16, cplx)[:8]
-            x = (left * np.logspace(0.0, -np.log10(kappa), 8)) @ right
-            z = rng.standard_normal((16, 1)) + (1j * rng.standard_normal((16, 1)) if cplx else 0.0)
-            generic = rng.standard_normal((8, 1)) + (1j * rng.standard_normal((8, 1)) if cplx else 0.0)
-            bs = np.hstack([x @ z, generic])
-            certified = minimizers._certified_inverse(dense_core.qr_r(x.conj().T), ratio)[1] is not None
+            x, bs = _planted_rows(rng, 8, kappa, cplx)
+            certified = minimizers._certified_inverse(x, ratio) is not None
             assert certified == (kappa < 1e5), kappa
             if not certified:
                 continue
-            _, _, v, g, _ = minimizers._row_factors(x, decide, DEFAULT_TOL)
+            _, _, v, g, _ = minimizers._row_factors(x, _decide, DEFAULT_TOL)
             with monkeypatch.context() as m:
                 m.setattr(minimizers, "_certifies", lambda *args: False)
-                _, _, q, g_q, _ = minimizers._row_factors(x, decide, DEFAULT_TOL)
-            ref = _minimum_norm_reference(x, bs, mp)
-            # per path: the error of y, then the residual, for each b
-            errors = [
-                [(_relative_gap(y, want), _relative_gap(x @ y, b)) for y, want, b in zip((f @ (h @ bs)).T, ref.T, bs.T)]
-                for f, h in ((v, g), (q, g_q))
-            ]
+                _, _, q, g_q, _ = minimizers._row_factors(x, _decide, DEFAULT_TOL)
+            errors = _errors(x, bs, _minimum_norm_reference(x, bs, mp), (v, g), (q, g_q))
             worst[kappa] = np.maximum(worst.get(kappa, 0.0), errors)
         for kappa, (certified, full) in worst.items():
             assert (certified <= 3 * full).all(), (kappa, certified, full)
+
+    def test_gram_factors_keep_the_accuracy_of_householder_at_m_8(self):
+        # 8 by 16 against a 40-digit reference, over seeds 1 to 8, 48 draws
+        # per band, all certified.  Per band, the worst error of the Gram's
+        # factors is at most 2 times that of the same formula on the R of a
+        # Householder QR, and the worst residual at most 5 times: over 15
+        # disjoint runs of 8 seeds, they read at most 1.67 and 4.0 times.
+        # The residual's tail is the heavier at κ = 1e4: over 720 draws
+        # there, its worst was 2.0 eps κ against Householder's 0.81 eps κ.
+        mp = pytest.importorskip("mpmath").mp
+        ratio = max(WARN_RATIO, DEFAULT_TOL.effective_rtol(16))
+        worst = {}
+        for seed in range(1, 9):
+            rng = np.random.default_rng(seed)
+            for kappa, cplx, _ in itertools.product((1.0, 1e1, 1e2, 1e3, 1e4), (False, True), range(3)):
+                x, bs = _planted_rows(rng, 8, kappa, cplx)
+                assert minimizers._certified_inverse(x, ratio) is not None, kappa
+                _, _, v, g, _ = minimizers._row_factors(x, _decide, DEFAULT_TOL)
+                errors = _errors(x, bs, _minimum_norm_reference(x, bs, mp), (v, g), _householder_factors(x))
+                worst[kappa] = np.maximum(worst.get(kappa, 0.0), errors)
+        for kappa, (gram, house) in worst.items():
+            assert (gram[:, 0] <= 2 * house[:, 0]).all() and (gram[:, 1] <= 5 * house[:, 1]).all(), (kappa, gram, house)
+
+    def test_gram_factors_keep_the_accuracy_of_householder(self):
+        # 40 by 80 against a 40-digit reference, every draw certified.  Per
+        # band, the worst error and residual of the Gram's factors, over its
+        # real and complex draw, are at most 2 times those of the same
+        # formula on the R of a Householder QR.  Over 40 seeds they were at
+        # most 1.61 and 1.62 times; draw by draw the residual's ratio, of two
+        # rounding errors, reached 2.08 on two of them.  3 times those of Q
+        # would not hold for either formula at this size: the residual of
+        # Householder's read 5.7 times Q's at 30 by 60, κ = 1e4.
+        mp = pytest.importorskip("mpmath").mp
+        rng = np.random.default_rng(20261020)
+        ratio = max(WARN_RATIO, DEFAULT_TOL.effective_rtol(80))
+        worst = {}
+        for kappa, cplx in itertools.product((1e1, 1e2, 1e3, 1e4), (False, True)):
+            x, bs = _planted_rows(rng, 40, kappa, cplx)
+            assert minimizers._certified_inverse(x, ratio) is not None, kappa
+            _, _, v, g, _ = minimizers._row_factors(x, _decide, DEFAULT_TOL)
+            errors = _errors(x, bs, _minimum_norm_reference(x, bs, mp), (v, g), _householder_factors(x))
+            worst[kappa] = np.maximum(worst.get(kappa, 0.0), errors)
+        for kappa, (gram, house) in worst.items():
+            assert (gram <= 2 * house).all(), (kappa, gram, house)
+
+    def test_gram_factors_track_q_at_m_200(self, monkeypatch):
+        # 200 by 400 in float64, every draw certified: the gaps of y and of
+        # the residual to those of the refused path's Q R^{-*} b are at most
+        # 2 times those of Householder's R; over four seeds, this one among
+        # them, they were at most 1.03 and 1.21 times
+        rng = np.random.default_rng(20261021)
+        ratio = max(WARN_RATIO, DEFAULT_TOL.effective_rtol(400))
+        for kappa, cplx in itertools.product((1e1, 1e3), (False, True)):
+            x, bs = _planted_rows(rng, 200, kappa, cplx)
+            assert minimizers._certified_inverse(x, ratio) is not None, kappa
+            _, _, v, g, _ = minimizers._row_factors(x, _decide, DEFAULT_TOL)
+            with monkeypatch.context() as m:
+                m.setattr(minimizers, "_certifies", lambda *args: False)
+                _, _, q, g_q, _ = minimizers._row_factors(x, _decide, DEFAULT_TOL)
+            y_q = q @ (g_q @ bs)
+            gram, house = _errors(x, bs, y_q, (v, g), _householder_factors(x))
+            assert (gram <= 2 * house).all(), (kappa, cplx, gram, house)
+
+    def test_a_refused_x_takes_its_inverse_from_its_own_r(self):
+        # κ = 5e4 at 2 by 4: the Gram factor passes its pre-screen and s, but
+        # κ_F f^2 = 1.4e-9 fails the residual gate.  The refused path inverts
+        # the R of its Householder QR, whose rounding and diagonal signs
+        # differ from the Gram's: v g is pinv(x) to rounding
+        x, _ = _planted_rows(np.random.default_rng(1), 2, 5e4, False)
+        ratio = max(WARN_RATIO, DEFAULT_TOL.effective_rtol(4))
+        r = dense_core.qr_r(x.conj().T)
+        _, s = minimizers._certified_tri_inv(r.conj().T, lambda bound: minimizers._certifies(bound, ratio * fro_norm(x)))
+        assert s is not None and minimizers._certified_inverse(x, ratio) is None
+        rank, u, v, g, _ = minimizers._row_factors(x, _decide, DEFAULT_TOL)
+        assert (rank, u) == (2, None)
+        want = np.linalg.pinv(x)
+        assert fro_norm(v @ g - want) <= 1e-9 * fro_norm(want)
+
+    @pytest.mark.parametrize("kappa", [1e2, 1e6], ids=["certified", "refused"])
+    @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+    def test_the_factors_scale_exactly(self, kappa, cplx):
+        # 2^540 x has an ||x||^2 above the float64 range and 2^-540 x one
+        # below it: both take the verdict of x, and v g scales by 2^-k exactly
+        x, _ = _planted_rows(np.random.default_rng(2), 20, kappa, cplx)
+        rank, u, v, g, _ = minimizers._row_factors(x, _decide, DEFAULT_TOL)
+        ratio = max(WARN_RATIO, DEFAULT_TOL.effective_rtol(40))
+        assert (minimizers._certified_inverse(x, ratio) is not None) == (kappa < 1e5)
+        for k in (540, -540):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                got = minimizers._row_factors(x * 2.0**k, _decide, DEFAULT_TOL)
+            assert got[:2] == (rank, u) == (20, None)
+            assert np.array_equal(got[2], v) and np.array_equal(got[3], g * 2.0**-k)
 
 
 def _planted_case(rng, complex_entries, m_vs_rank, edge):
@@ -1265,9 +1406,10 @@ class TestCertificates:
     passed, both solves take the same factors and must match to the byte.
     Where the Cholesky certificate passed, the two `W` differ by a unitary
     factor; where a rank certificate passed, the allowed solve takes ``y =
-    v (g b)`` with ``v = (A W)* R^{-1}`` and ``g`` the Schulz step from
-    ``R^{-*}`` (`_row_factors`), and the refused one ``Q R^{-*} b``, with
-    the same `R`.  Then all but `x`, the minimum and the warnings' numbers
+    v (g b)`` with ``v = (A W)* R^{-1}``, `R` the Cholesky factor of the
+    Gram of ``A W``, and ``g`` the Schulz step from ``R^{-*}``
+    (`_certified_inverse`), and the refused one ``Q R^{-*} b`` from a
+    Householder QR.  Then all but `x`, the minimum and the warnings' numbers
     must be equal, and those within ``B = max(1e-12, eps (cond(T) + √cond(T)
     κ(A W)))``, the first-order bound on the minimum-norm solution (Higham,
     Accuracy and Stability of Numerical Algorithms, chapters 20-21) up to
@@ -1279,16 +1421,17 @@ class TestCertificates:
     W y`` scales by at most ``||W|| ||W^{-1}|| = √cond(T)``.  With `R` from
     a backward-stable QR, ``(A W)* R^{-1} R^{-*} b`` has an error of that
     same order ``c eps κ(A W) ||y||`` (Paige, Math. Comp. 27, 1973; Björck,
-    Numerical Methods for Least Squares Problems, 1996), and with the
-    Schulz step it read below that of `Q` (`TestRowFactorAccuracy`); the
-    rank certificate admits only ``κ(A W) <= ||R||_F ||R^{-*}||_F`` below
-    ``1 / (CERTIFICATE_MARGIN max(WARN_RATIO, rtol))``, at most 1e5, where
-    the constant stays small.  ``A W`` is accurate to ``eps √cond(T)``, so
-    its printed ``σ_min / σ_max`` to κ(A W) times that.  The floor covers
-    the constants at n <= 30.  Over the corpus the largest gap was 0.23 B
-    on the 243 solves whose Cholesky certificate passed, and 0.07 B on the
-    140 where only a rank certificate did; ``max(1e-12, eps cond(T))``
-    fails on 52 of the 243.
+    Numerical Methods for Least Squares Problems, 1996).  The `R` of the
+    Gram is not that, but after the Schulz step its error of `y` read
+    within 2 times that of Householder's `R` (`TestRowFactorAccuracy`);
+    the rank certificate admits only ``κ(A W) <= ||R||_F ||R^{-*}||_F``
+    below ``1 / (CERTIFICATE_MARGIN max(WARN_RATIO, rtol))``, at most 1e5,
+    where the constant stays small.  ``A W`` is accurate to ``eps
+    √cond(T)``, so its printed ``σ_min / σ_max`` to κ(A W) times that.
+    The floor covers the constants at n <= 30.  Over the corpus the largest
+    gap was 0.23 B on the 243 solves whose Cholesky certificate passed,
+    and 0.19 B on the 138 where only a rank certificate did; ``max(1e-12,
+    eps cond(T))`` fails on 52 of the 243.
     """
 
     @staticmethod
@@ -1321,7 +1464,7 @@ class TestCertificates:
                     log["rank"][-1] += [decision.rank == sigma.size, quiet]
 
             spy("_cholesky_root", lambda root, *_: log["cholesky"].append(root is not None))
-            spy("_certified_inverse", lambda gs, *_: log["rank"].append([gs[1] is not None]))
+            spy("_certified_inverse", lambda out, *_: log["rank"].append([out is not None]))
             spy("rank_decide", decided)
             spy("_conditioning_certified", lambda passed, *_: log["conditioning"].append(passed))
             spy("_complement_conditioning", lambda notes, _, quiet: log["notes"].append((notes, not quiet)))
@@ -1392,13 +1535,14 @@ class TestCertificates:
         counts = count_linalg()
         for method in (Method.AUTO, Method.POSDEF_DIAG, Method.PSD_COMPLEMENT):
             before = dict(counts)
-            got, _ = self.run(p, method, False, monkeypatch)
+            got, seen = self.run(p, method, False, monkeypatch)
             ran = {name: counts[name] - before[name] for name in counts}
             _, log, _ = self.compare(p, method, monkeypatch)
             assert log["cholesky"] == [cholesky], method
             assert method is not Method.AUTO or [v[0] for v in log["rank"]] == rank
-            # the diagonal refuses before the Cholesky, a certificate needs no eigh
-            assert ran["cholesky"] == (t.diagonal().min() > 0), method
+            # the diagonal refuses before the Cholesky factorization of t, and
+            # each rank certificate factors a Gram; a certificate needs no eigh
+            assert ran["cholesky"] == (t.diagonal().min() > 0) + len(seen["rank"]), method
             assert ran["eigh"] == (not cholesky), method
         # a definite t is not sent down the singular route
         assert not cholesky or isinstance(got[0], NotSingularError)
@@ -1409,17 +1553,20 @@ class TestCertificates:
         # a singular t costs what an uncertified psd miss does (TestFactorizationCounts),
         # plus the Cholesky factorization that its positive diagonal allows
         self.run(psd, Method.AUTO, True, monkeypatch)
-        assert counts == {"eigh": 1, "cholesky": 1, "svd": 0, "qr": 2, "qr_r": 1, "inv": 1, "solve": 0, "svdvals": 3}
-        # a definite t goes to eigh, and R to its values-only SVD
+        assert counts == {"eigh": 1, "cholesky": 2, "svd": 0, "qr": 2, "qr_r": 0, "inv": 1, "solve": 0, "svdvals": 3}
+        # a definite t goes to eigh, and R to its values-only SVD; each
+        # miss also factors the Gram of a W, for the refused rank certificate
         before = dict(counts)
         self.run(pd, Method.AUTO, True, monkeypatch)
         ran = {name: counts[name] - before[name] for name in counts}
-        assert ran == {"eigh": 1, "cholesky": 1, "svd": 0, "qr": 1, "qr_r": 1, "inv": 1, "solve": 0, "svdvals": 1}
+        assert ran == {"eigh": 1, "cholesky": 2, "svd": 0, "qr": 1, "qr_r": 0, "inv": 1, "solve": 0, "svdvals": 1}
 
     def test_inverse_without_a_certificate(self):
-        # an empty or zero R is not inverted, a singular one raises in inv,
-        # one near 1e-309 has a diagonal below the floor, and a 1e-200
-        # diagonal under a 1e-80 entry fails against ratio ||R||_F
+        # x = R*, whose Gram has the Cholesky factor R.  An empty R is not
+        # inverted; the Gram of a zero R, or of a 1e-200 diagonal under a
+        # 1e-80 entry, is not numerically definite; one near 1e-309 has a
+        # diagonal below the floor; and the pivot 2e-8 that the singular one
+        # leaves, or one of 1e-7 under 1, fails against ratio ||x||_F
         not_inverted = (
             np.zeros((0, 0)),
             np.zeros((2, 2)),
@@ -1427,15 +1574,18 @@ class TestCertificates:
             1e-309 * np.array([[1.0, 0.3], [0, 1]]),
             1e-200 * np.array([[1.0, 1e120], [0, 1]]),
             1e-200 * np.array([[1.0, 0, 0], [0, 1, 1e120], [0, 0, 1]]),
+            np.diag([1.0, 1e-7]),
         )
         for r in not_inverted:
-            assert minimizers._certified_inverse(r, WARN_RATIO) == (None, None)
+            assert minimizers._certified_inverse(r.conj().T, WARN_RATIO) is None
         # an inverse with inf and NaN entries certifies nothing: the diagonal
-        # passes, and the entries 2^(j-i-1) 1e290 of the inverse overflow
-        g, s = minimizers._certified_inverse(1e-290 * (np.eye(64) - np.triu(np.ones((64, 64)), 1)), WARN_RATIO)
+        # passes, and the entries 2^(i-j-1) 1e290 of the inverse overflow
+        l = 1e-290 * (np.eye(64) - np.tri(64, k=-1))
+        g, s = minimizers._certified_tri_inv(l, lambda bound: minimizers._certifies(bound, WARN_RATIO * fro_norm(l)))
         assert np.isinf(g).any() and np.isnan(g).any() and s is None
-        g, s = minimizers._certified_inverse(1e-200 * np.eye(2), WARN_RATIO)
-        assert np.array_equal(g, 1e200 * np.eye(2)) and s == 1e-200 / np.sqrt(2)
+        v, g, s = minimizers._certified_inverse(1e-200 * np.eye(2), WARN_RATIO)
+        assert fro_norm(v @ g - 1e200 * np.eye(2)) <= 4 * _EPS * 1e200
+        assert s == pytest.approx(1e-200 / np.sqrt(2), rel=4 * _EPS)
 
     def test_the_bound_covers_the_rounding_of_eigh(self, monkeypatch):
         # with pd_tol = 1e-300 and λ_min = 1e-17 ||t||, the factorization
