@@ -18,7 +18,7 @@ from .errors import DimensionMismatchError, FactorizationError, NotHermitianErro
 # Hermitian pre-check, ``||a - a*|| <= HTOL * ||a||``.
 HTOL = 1e-10
 # Factorization guard (SVD, QR, eigendecomposition, Cholesky and the
-# triangular inverse), relative to ||a||; ||a||^2 for `qr_r`, held to its Gram.
+# triangular inverse), relative to ||a||.
 KTOL = 1e-10
 # The guard multiplies the factors into _PROBES Gaussian probes drawn from
 # _PROBE_SEED and divides KTOL by _PROBE_C = 10 sqrt(2/pi), the constant of
@@ -133,7 +133,7 @@ def _probes(n: int) -> np.ndarray:
     return block[:n]
 
 
-def _guard(name: str, apply, a: np.ndarray, norm: float, reference=None) -> None:
+def _guard(name: str, apply, a: np.ndarray, norm: float) -> None:
     """FactorizationError unless the factors reproduce `a` on `_PROBES` fixed probes.
 
     `apply(z)` multiplies the factors, right to left, into a real block `z`
@@ -141,23 +141,15 @@ def _guard(name: str, apply, a: np.ndarray, norm: float, reference=None) -> None
     The test is ``||apply(Z) - a Z|| / sqrt(k) <= (KTOL / c) * ||a||`` on
     probes scaled by `_probe_scale`, written so that a NaN or inf residual
     fails.  `norm` is ``||a||``, which may have overflowed to inf.
-
-    Factors of the Gram ``a* a`` pass `reference(z) = a* (a z)`, which
-    stands for ``a Z``, and are held to ``(KTOL / c) * ||a||^2``.  Their
-    caller scales `a` into the plain-norm band, where the probes are not
-    scaled and ``||a||^2`` cannot overflow (`qr_r`).
     """
     scale = _probe_scale(a, norm)
     z = _probes(a.shape[1]) * scale
     residual = apply(z)
-    residual -= a @ z if reference is None else reference(z)
+    residual -= a @ z
     err = fro_norm(residual) / math.sqrt(_PROBES)
     ref = norm * scale if norm < np.inf else fro_norm(a * scale)
-    ref, unit = (ref, "||a||") if reference is None else (ref * ref, "||a||^2")
     if not err <= KTOL / _PROBE_C * ref:
-        raise FactorizationError(
-            f"{name} probe residual {err / scale:.3e} exceeds {KTOL / _PROBE_C:.1e} * {unit}"
-        )
+        raise FactorizationError(f"{name} probe residual {err / scale:.3e} exceeds {KTOL / _PROBE_C:.1e} * ||a||")
 
 
 @dataclass(frozen=True)
@@ -207,65 +199,14 @@ def qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q, r
 
 
-def qr_r(a: np.ndarray) -> np.ndarray:
-    """`r` of the reduced QR ``a = q r`` of a validated matrix, without `q`: the Cholesky factor of ``a* a``.
-
-    `r` is the upper triangular factor with a positive diagonal of the Gram
-    ``a* a = r* r``, formed by one product and factored by Cholesky, so
-    the work is all BLAS-3 and no `q` is formed.  Outside the plain-norm
-    band the Gram is formed of `a` times the power of two of
-    `_probe_scale`, which is exact and keeps ``||a||^2`` from overflowing
-    or underflowing, and `r` is divided by it after.  FactorizationError
-    where the Gram is not numerically positive definite, where `r`
-    overflows on the way back, or where it fails the guard.
-
-    The computed Gram of an n by m `a` is ``a* a + E1`` with ``|E1| <= γ_n
-    |a*| |a|``, and its Cholesky factor satisfies ``r* r = a* a + E1 +
-    E2`` with ``|E2| <= γ_{m+1} |r*| |r|`` (Higham, Accuracy and Stability
-    of Numerical Algorithms, Theorem 10.3), γ_k being about ``k eps``.  As
-    ``||r||_F^2 = tr(r* r)``, ``||r* r - a* a||_F`` is at most ``(γ_n +
-    γ_{m+1}) ||a||_F^2`` to first order.  The guard holds ``r* (r Z)``
-    against ``a* (a Z)`` to ``(KTOL / c) ||a||^2``, as strict as a full
-    reconstruction of the Gram to ``KTOL ||a||^2``: a sound `r` passes
-    wherever ``γ_n + γ_{m+1}`` is below KTOL.  This bounds `r` against the
-    Gram only; ``r^{-1}`` carries the square of the conditioning of `a`,
-    which the caller's certificate has to cover.  Each adjoint product is
-    the conjugate of a transpose product on a conjugated probe block, so
-    no adjoint of `a` is copied.
-    """
-    norm = fro_norm(a)
-    scale = _probe_scale(a, norm)
-    if scale != 1.0:
-        a = a * scale
-        norm = fro_norm(a)
-    try:
-        # the adjoint of the lower factor; cholesky's `upper=` needs NumPy 2
-        r = np.linalg.cholesky(a.conj().T @ a).conj().T
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationError(f"Cholesky factorization of the Gram failed: {exc}") from exc
-    _guard(
-        "R of the Gram",
-        lambda z: (r.T @ (r @ z).conj()).conj(),
-        a,
-        norm,
-        lambda z: (a.T @ (a @ z).conj()).conj(),
-    )
-    if scale == 1.0:
-        return r
-    with np.errstate(over="ignore"):
-        r *= 1.0 / scale
-    if not np.isfinite(r).all():
-        raise FactorizationError("R of the Gram overflowed: a column norm of a is above the float64 range")
-    return r
-
-
 @dataclass(frozen=True)
 class Hermitian:
-    """A square matrix that passed the Hermitian gate (`hermitian`).
+    """A square matrix that passed the Hermitian gate (`hermitian`), or a Gram.
 
     `sym` is its symmetrized form, the matrix `eigh` and `cholesky` factor,
     and `norm` the Frobenius norm of the input, which may have overflowed
-    to inf.
+    to inf.  `gram_cholesky` builds one from a Gram ``a* a``, which is
+    Hermitian by construction and needs no gate.
     """
 
     sym: np.ndarray
@@ -322,7 +263,17 @@ def cholesky(h: Hermitian) -> np.ndarray:
     """Lower triangular `l` with ``h.sym = l l*``, with the probe guard.
 
     FactorizationError where the backend finds `sym` not positive definite
-    or the factor fails the guard.
+    or the factor fails the guard.  The computed factor of an n by n
+    `sym` satisfies ``l l* = sym + E`` with ``|E| <= γ_{n+1} |l| |l*|``
+    (Higham, Accuracy and Stability of Numerical Algorithms, Theorem
+    10.3), γ_k being about ``k eps``.  As ``||l||_F^2 = tr(l l*)`` and
+    ``tr(sym) <= √n ||sym||_F``, ``||E||_F <= γ_{n+1} √n ||sym||_F`` to
+    first order, and the probes read ``||E||_F`` on average: a sound `l`
+    passes the guard wherever ``γ_{n+1} √n`` is below ``KTOL / c``, up to
+    n of about 2,300 by this worst-case bound.  This covers `t` and the
+    Gram of `gram_cholesky` alike.  It bounds `l` against `sym` only: ``l^{-1}``
+    carries the conditioning of `sym`, which the caller's certificate has
+    to cover.
     """
     try:
         l = np.linalg.cholesky(h.sym)
@@ -330,6 +281,32 @@ def cholesky(h: Hermitian) -> np.ndarray:
         raise FactorizationError(f"Cholesky factorization failed: {exc}") from exc
     # l* z is the conjugate of l^T z for the real probes z
     _guard("Cholesky", lambda z: l @ (l.T @ z).conj(), h.sym, h.norm)
+    return l
+
+
+def gram_cholesky(a: np.ndarray) -> np.ndarray:
+    """Lower triangular `l` with ``a* a = l l*``, for a validated `a`: `cholesky` of its Gram.
+
+    One product and one Cholesky factorization, all BLAS-3; `l*` is the `R`
+    of the QR ``a = Q R``, without `Q`.  Outside the plain-norm band the
+    Gram is formed of `a` times the power of two of `_probe_scale`, which
+    is exact and keeps ``||a||^2`` from overflowing or underflowing, and
+    `l` is divided by it after.  FactorizationError where `cholesky` fails
+    on the Gram or `l` overflows on the way back.  The error of forming
+    the Gram is not the guard's: the caller's certificate measures it
+    through ``a l^{-*}``, which it forms anyway.
+    """
+    scale = _probe_scale(a, fro_norm(a))
+    if scale != 1.0:
+        a = a * scale
+    gram = a.conj().T @ a
+    l = cholesky(Hermitian(sym=gram, norm=fro_norm(gram)))
+    if scale == 1.0:
+        return l
+    with np.errstate(over="ignore"):
+        l *= 1.0 / scale
+    if not np.isfinite(l).all():
+        raise FactorizationError("Cholesky factor of the Gram overflowed: a column norm of a is above the float64 range")
     return l
 
 

@@ -42,9 +42,9 @@ from .dense_core import (
     cholesky,
     eigh,
     fro_norm,
+    gram_cholesky,
     hermitian,
     qr,
-    qr_r,
     svd,
     tri_inv,
 )
@@ -345,9 +345,10 @@ def _certified_tri_inv(l: np.ndarray, rule):
 def _certified_inverse(x: np.ndarray, ratio: float):
     """``(v, g, s)`` with ``pinv(x) = v g`` and ``s <= σ_min(x)`` where they certify full row rank, else None.
 
-    `R` is the factor of the Gram ``x x* = R* R`` (`qr_r`), and ``R^{-*}``
-    comes from `_certified_tri_inv`; a Gram whose Cholesky factorization
-    fails certifies nothing.  ``v = x* R^{-1}`` is formed by one product.
+    `R` is the factor of the Gram ``x x* = R* R`` (`gram_cholesky` gives
+    ``R*``), and ``R^{-*}`` comes from `_certified_tri_inv`; a Gram whose
+    Cholesky factorization fails certifies nothing.  ``v = x* R^{-1}`` is
+    formed by one product.
     Were `R` exact, `v` would have orthonormal columns; the computed one
     carries the error of the Gram, ``F = I - v* v`` of order ``eps
     κ(x)^2``, and ``x x* = R* (I - F) R``.  With ``f = ||F||_F`` and ``s_R
@@ -376,11 +377,11 @@ def _certified_inverse(x: np.ndarray, ratio: float):
     """
     xh = x.conj().T
     try:
-        r = qr_r(xh)
+        l = gram_cholesky(xh)
     except FactorizationError:
         return None
     gate = ratio * fro_norm(x)
-    rinv, s = _certified_tri_inv(r.conj().T, lambda bound: _certifies(bound, gate))
+    rinv, s = _certified_tri_inv(l, lambda bound: _certifies(bound, gate))
     if s is None:
         return None
     v = xh @ rinv.conj().T
@@ -389,7 +390,7 @@ def _certified_inverse(x: np.ndarray, ratio: float):
     np.negative(step, out=step)
     step[np.diag_indices_from(step)] += 1.0
     f = fro_norm(step)
-    if not _certifies(FEAS_TOL, fro_norm(r) / s * f * f):
+    if not _certifies(FEAS_TOL, fro_norm(l) / s * f * f):
         return None
     s *= (1.0 - f) ** 0.5
     if not _certifies(s, gate):
@@ -536,7 +537,14 @@ def _require_feasible(u: np.ndarray | None, b: np.ndarray, cls: SpectrumClass) -
 
 
 def _result(p: QpProblem, xhat: np.ndarray, min_value: float, method: Method, notes) -> MinimizationResult:
-    """The result of a route, with the residual ``||a xhat - b||``."""
+    """The result of a route, with the residual ``||a xhat - b||``; FactorizationError for a non-finite `xhat`.
+
+    A `min_value` that overflowed to inf next to a finite `xhat` is kept.
+    """
+    if not np.isfinite(xhat).all():
+        raise FactorizationError(
+            "x is not finite: the minimizer is outside the float64 range or its factors overflowed"
+        )
     return MinimizationResult(xhat, min_value, fro_norm(p.a @ xhat - p.b), method, tuple(notes))
 
 
@@ -683,8 +691,10 @@ def solve(p: QpProblem, method: Method = Method.AUTO) -> MinimizationResult:
 
     AUTO factors `t` once: strictly positive spectra are reported as the
     square-root route, with the invariance shortcut tried for a square `a`
-    and recorded in the diagnostics; singular nonnegative spectra go to the
-    kernel complement; genuinely negative eigenvalues are rejected.  The
+    and recorded in the diagnostics (not applicable where the factors of
+    `a` fail or find `b` infeasible, where `try_cor1_shortcut` raises);
+    singular nonnegative spectra go to the kernel complement; genuinely
+    negative eigenvalues are rejected.  The
     factors are reused while later problems keep the same ``(t, a, tol)``.
     """
     if method is Method.POSDEF_DIAG:
@@ -699,7 +709,12 @@ def solve(p: QpProblem, method: Method = Method.AUTO) -> MinimizationResult:
     if f.cls is SpectrumClass.PSD_SINGULAR:
         return _apply(p, f, Method.PSD_COMPLEMENT)
     result = _apply(p, f, Method.POSDEF)
-    shortcut = _cor1_xhat(p)
+    try:
+        shortcut = _cor1_xhat(p)
+    except (InfeasibleError, FactorizationError):
+        # the factors of a alone can fail or decide a lower rank where
+        # those of a W did not; the note then does not apply
+        shortcut = None
     if shortcut is None:
         note = Diagnostic("cor1_shortcut", "range-invariance shortcut not applicable")
     else:

@@ -13,23 +13,18 @@ def count_linalg(monkeypatch):
     Calling the fixture's value patches them and returns the live counts,
     which grow until the test ends.  An SVD called with ``compute_uv=False``
     computes no singular vectors and counts under ``svdvals``, apart from
-    ``svd``; a QR called with ``mode="r"`` forms no `Q` and counts under
-    ``qr_r``, apart from ``qr``.  `dense_core.qr_r` takes its `R` from the
-    Cholesky factorization of a Gram, so it counts under ``cholesky``, and
-    a ``qr_r`` count above 0 would be a Householder QR without `Q`, which
-    no route calls.
+    ``svd``.  `dense_core.gram_cholesky` factors a Gram, so it counts under
+    ``cholesky``.
     """
 
     def start() -> dict:
-        calls = dict.fromkeys(LINALG_CALLS + ("svdvals", "qr_r"), 0)
+        calls = dict.fromkeys(LINALG_CALLS + ("svdvals",), 0)
         for name in LINALG_CALLS:
 
             def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
                 key = _name
                 if _name == "svd" and kwargs.get("compute_uv") is False:
                     key = "svdvals"
-                elif _name == "qr" and kwargs.get("mode") == "r":
-                    key = "qr_r"
                 calls[key] += 1
                 return _fn(*args, **kwargs)
 

@@ -44,6 +44,21 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_process(*argv):
+    """`qfmin.cli` in a subprocess, where numpy's RuntimeWarning is not an error."""
+    src = os.path.dirname(os.path.dirname(qfmin.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "qfmin.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+
+
+# t = 1e300 I: the column norms of a overflow, and x = [1, 0]
+OVERFLOWING_A = {"t": [[1e300, 0], [0, 1e300]], "a": [[1.5e308, 1.5e308], [1.5e308, -1.5e308]], "b": [1.5e308, 1.5e308]}
+
+
 class TestSolve:
     def test_restricted_example(self, tmp_path, capsys):
         path = write(tmp_path, SINGULAR_FORM)
@@ -186,20 +201,39 @@ class TestSolve:
     @pytest.mark.parametrize("command", ["solve", "check"])
     def test_failed_factorization_guard_exits_three(self, tmp_path, command):
         # the column norms of a overflow, so every factorization of it is nan
-        big = 1.5e308
-        doc = {"t": [[1, 0], [0, 1]], "a": [[big, big], [big, -big]], "b": [big, big]}
-        path = write(tmp_path, doc)
-        src = os.path.dirname(os.path.dirname(qfmin.__file__))
-        proc = subprocess.run(
-            [sys.executable, "-m", "qfmin.cli", command, "--problem", path],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": src},
-        )
+        path = write(tmp_path, {**OVERFLOWING_A, "t": [[1, 0], [0, 1]]})
+        proc = run_process(command, "--problem", path)
         assert (proc.returncode, proc.stdout) == (3, "")
         assert proc.stderr.startswith("qfmin: factorization failure: ")
         assert proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
+
+    def test_a_non_finite_x_exits_three(self, tmp_path):
+        # ||b|| overflows, so the feasibility test admits b, and the
+        # square-root route's pinv(a t^{-1/2}) b overflows
+        proc = run_process("solve", "--problem", write(tmp_path, OVERFLOWING_A), "--method", "posdef")
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == (
+            "qfmin: factorization failure: "
+            "x is not finite: the minimizer is outside the float64 range or its factors overflowed\n"
+        )
+
+    @pytest.mark.parametrize(
+        "doc",
+        [OVERFLOWING_A, {"t": [[1, 0], [0, 1e-10]], "a": [[1, 0], [0, 1e-17]], "b": [1, 1]}],
+        ids=["overflowing-a", "graded-a"],
+    )
+    def test_auto_solves_where_the_shortcut_fails(self, tmp_path, capsys, doc):
+        # the factors of a alone fail (overflowing-a) or find b infeasible
+        # (graded-a), where those of a W solve: the note is not applicable
+        path = write(tmp_path, doc)
+        code, out, _ = run(capsys, "solve", "--problem", path)
+        kernel = run(capsys, "solve", "--problem", path, "--method", "posdef-diag")
+        assert (code, kernel[0]) == (0, 0)
+        auto, diag = json.loads(out), json.loads(kernel[1])
+        assert (auto["method"], auto["xhat"]) == ("posdef", diag["xhat"])
+        note = {"code": "cor1_shortcut", "message": "range-invariance shortcut not applicable", "value": None}
+        assert auto["diagnostics"][1] == note
 
     def test_overflowing_a_w_exits_three(self, tmp_path, capsys):
         # x = [1, 1] with minimum 2e-300, but W = 1e150 I takes a W past the
@@ -375,7 +409,7 @@ class TestCheck:
         # report factors only A, by one thin SVD, then takes the singular
         # values of the product and of V_A* Q_r, the sines to N(A); both
         # angles here are below pi/4, where no cosine is needed
-        assert calls == {"eigh": 1, "cholesky": 0, "svd": 1, "qr": 0, "qr_r": 0, "inv": 0, "solve": 0, "svdvals": 2}
+        assert calls == {"eigh": 1, "cholesky": 0, "svd": 1, "qr": 0, "inv": 0, "solve": 0, "svdvals": 2}
 
     def test_non_hermitian_factors_once(self, tmp_path, capsys, count_linalg):
         path = write(tmp_path, {"t": [[1, 1e-9], [0, 1e-12]], "a": [[1, 0]], "b": [1]})
@@ -385,7 +419,7 @@ class TestCheck:
         doc = json.loads(out)
         assert (doc["ep"], doc["rank"], doc["positivity_class"]) == (True, 2, "non-hermitian")
         assert [d["code"] for d in doc["diagnostics"]] == ["ill_conditioning"]
-        assert calls == {"eigh": 0, "cholesky": 0, "svd": 1, "qr": 0, "qr_r": 0, "inv": 0, "solve": 0, "svdvals": 0}
+        assert calls == {"eigh": 0, "cholesky": 0, "svd": 1, "qr": 0, "inv": 0, "solve": 0, "svdvals": 0}
 
     def test_definite_t_near_the_float64_limit(self, tmp_path, capsys):
         t = (1e308 * np.array([[1.0, 0.5], [0.5, 1.0]])).tolist()

@@ -19,7 +19,7 @@ from qfmin import (
     svd,
 )
 from qfmin import dense_core
-from qfmin.dense_core import cholesky, fro_norm, hermitian, qr, qr_r, tri_inv
+from qfmin.dense_core import cholesky, fro_norm, gram_cholesky, hermitian, qr, tri_inv
 
 EXAMPLE2_Q = np.array([[14.0, 20, 28], [20, 83, 40], [28, 40, 56]])
 
@@ -116,9 +116,10 @@ class TestFroNorm:
         assert fro_norm(np.array([3e-320 + 4e-320j])) == pytest.approx(5e-320, rel=1e-3)
 
 
-@pytest.mark.parametrize("name, factor", [("svd", svd), ("eigh", eigh), ("qr", qr), ("qr_r", qr_r)])
+# the backend of gram_cholesky is np.linalg.cholesky, and its guard that of cholesky
+@pytest.mark.parametrize("name, factor", [("svd", svd), ("eigh", eigh), ("qr", qr), ("cholesky", gram_cholesky)])
 def test_a_nan_in_the_factors_fails_the_guard(monkeypatch, name, factor):
-    backend = getattr(np.linalg, _BACKEND.get(name, name))
+    backend = getattr(np.linalg, name)
 
     def poisoned(*args, **kwargs):
         out = backend(*args, **kwargs)
@@ -126,7 +127,7 @@ def test_a_nan_in_the_factors_fails_the_guard(monkeypatch, name, factor):
         factors[0].flat[0] = np.nan
         return factors[0] if len(factors) == 1 else tuple(factors)
 
-    monkeypatch.setattr(np.linalg, _BACKEND.get(name, name), poisoned)
+    monkeypatch.setattr(np.linalg, name, poisoned)
     with pytest.raises(FactorizationError):
         factor(np.array([[2.0, 1.0], [1.0, 3.0]]))
 
@@ -150,16 +151,12 @@ def _operand(rng, name, shape, complex_entries):
     return (a + a.conj().T) / 2 if name == "eigh" else a
 
 
-# The numpy.linalg function behind each guarded factorization whose name differs from it
-_BACKEND = {"qr_r": "cholesky"}
-
-
 def _guarded(name, a):
-    """The guarded factorization `name` of `a`: the thin SVD, the QR with or without Q, eigh or Cholesky."""
+    """The guarded factorization `name` of `a`: the thin SVD, the QR, eigh, or Cholesky of `a` or of its Gram."""
     factor = {
         "svd": lambda x: svd(x, full_matrices=False),
         "qr": lambda x: qr(as_matrix(x)),
-        "qr_r": lambda x: qr_r(as_matrix(x)),
+        "gram_cholesky": lambda x: gram_cholesky(as_matrix(x)),
         "eigh": eigh,
         "cholesky": lambda x: cholesky(hermitian(x)),
     }
@@ -171,7 +168,7 @@ class TestProbeGuard:
 
     @pytest.mark.parametrize("n", [3, 64, 257])
     @pytest.mark.parametrize("complex_entries", [False, True])
-    @pytest.mark.parametrize("name", ["svd", "qr", "qr_r", "eigh", "cholesky"])
+    @pytest.mark.parametrize("name", ["svd", "qr", "eigh", "cholesky"])
     @pytest.mark.parametrize("size", [1.01, 2.0])
     def test_a_rank_one_error_past_the_tolerance_fails(
         self, monkeypatch, size, name, complex_entries, n
@@ -179,24 +176,21 @@ class TestProbeGuard:
         # The backend factors a + E, ||E|| = size * KTOL ||a||, Hermitian for
         # eigh and Cholesky, which a full reconstruction would reject.  The probes miss it
         # with probability P(chi2_8 <= pi / (25 size^2)), below 6.2e-7 (README).
-        # The R-only QR factors the Gram a* a, and is held to it: its backend
-        # factors the Gram plus a Hermitian E of norm size * KTOL ||a||^2.
+        # gram_cholesky's guard is that of cholesky.
         rng = np.random.default_rng(n)
         a = _operand(rng, name, (n, n), complex_entries)
         u = _draw(rng, n, complex_entries)
-        v = u if name in ("eigh", "cholesky", "qr_r") else _draw(rng, n, complex_entries)
+        v = u if name in ("eigh", "cholesky") else _draw(rng, n, complex_entries)
         error = np.outer(u, v.conj())
-        error *= size * dense_core.KTOL * fro_norm(a) ** (2 if name == "qr_r" else 1) / fro_norm(error)
-        backend = getattr(np.linalg, _BACKEND.get(name, name))
-        monkeypatch.setattr(
-            np.linalg, _BACKEND.get(name, name), lambda x, *args, **kw: backend(x + error, *args, **kw)
-        )
+        error *= size * dense_core.KTOL * fro_norm(a) / fro_norm(error)
+        backend = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda x, *args, **kw: backend(x + error, *args, **kw))
         with pytest.raises(FactorizationError, match="probe residual"):
             _guarded(name, a)
 
     @pytest.mark.parametrize("n", [3, 64, 257])
     @pytest.mark.parametrize("complex_entries", [False, True])
-    @pytest.mark.parametrize("name", ["svd", "qr", "qr_r", "eigh", "cholesky"])
+    @pytest.mark.parametrize("name", ["svd", "qr", "gram_cholesky", "eigh", "cholesky"])
     def test_sound_factors_pass_with_a_hundredfold_margin(
         self, monkeypatch, name, complex_entries, n
     ):
@@ -215,8 +209,8 @@ class TestProbeGuard:
             ("svd", (30, 12)),
             ("qr", (30, 30)),
             ("qr", (30, 12)),
-            ("qr_r", (30, 30)),
-            ("qr_r", (30, 12)),
+            ("gram_cholesky", (30, 30)),
+            ("gram_cholesky", (30, 12)),
             ("cholesky", (30, 30)),
         ],
     )
@@ -228,7 +222,7 @@ class TestProbeGuard:
             _guarded(name, a)
 
     @pytest.mark.parametrize("complex_entries", [False, True])
-    @pytest.mark.parametrize("name", ["svd", "qr", "qr_r", "eigh", "cholesky"])
+    @pytest.mark.parametrize("name", ["svd", "qr", "gram_cholesky", "eigh", "cholesky"])
     def test_one_guard_allocates_a_few_probe_blocks(self, monkeypatch, name, complex_entries):
         n = 400
         rng = np.random.default_rng(7)
@@ -441,3 +435,34 @@ class TestCholesky:
     def test_not_definite_raises(self, t):
         with pytest.raises(FactorizationError, match="Cholesky factorization failed"):
             cholesky(hermitian(t))
+
+
+class TestGramCholesky:
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_factors_the_gram(self, complex_entries):
+        a = _draw(np.random.default_rng(3), (12, 5), complex_entries)
+        assert np.array_equal(gram_cholesky(a), np.linalg.cholesky(a.conj().T @ a))
+
+    @pytest.mark.parametrize("exponent", [-540, -300, 300, 540])
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_the_factor_scales_exactly(self, exponent, complex_entries):
+        # ||a||^2 is past the float64 range at 2^±540: the Gram is formed of
+        # a times a power of two, and the factor divided by it after
+        a = _draw(np.random.default_rng(4), (12, 5), complex_entries)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            l = gram_cholesky(a * 2.0**exponent)
+        assert np.array_equal(l, gram_cholesky(a) * 2.0**exponent)
+
+    def test_a_factor_past_the_float64_range_raises(self):
+        # the first column norm of a is 2.1e308
+        a = 1.5e308 * np.array([[1.0, 0.5], [1.0, -0.5]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(FactorizationError, match="Cholesky factor of the Gram overflowed"):
+                gram_cholesky(a)
+
+    @pytest.mark.parametrize("a", [np.ones((3, 2)), np.zeros((2, 2))], ids=["rank-one", "zero"])
+    def test_a_singular_gram_raises(self, a):
+        with pytest.raises(FactorizationError, match="Cholesky factorization failed"):
+            gram_cholesky(a)

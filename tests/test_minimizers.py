@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qfmin import (
+    Diagnostic,
     DimensionMismatchError,
+    FactorizationError,
     IllConditioningWarning,
     InfeasibleError,
     InfeasibleOnComplementError,
@@ -460,7 +462,44 @@ class TestPsdComplement:
         assert abs(r.min_value - direct) <= 1e-9 * max(1.0, abs(direct))
 
 
+# Square constraints whose own factors fail, or decide a lower rank, where
+# those of a W do not: (t, a, b, the error of try_cor1_shortcut)
+COR1_REFUSALS = {
+    # the column norms of a overflow, so its QR is nan; a W is 1.5e158 [[1, 1], [1, -1]]
+    "overflowing-a": (
+        1e300 * np.eye(2),
+        1.5e308 * np.array([[1.0, 1.0], [1.0, -1.0]]),
+        np.array([1.5e308, 1.5e308]),
+        FactorizationError,
+    ),
+    # a has rank 1 at the default rtol, a W = diag(1, 1e-12) rank 2
+    "graded-a": (np.diag([1.0, 1e-10]), np.diag([1.0, 1e-17]), np.ones(2), InfeasibleError),
+}
+
+
 class TestSolveDispatch:
+    @pytest.mark.parametrize("case", sorted(COR1_REFUSALS))
+    def test_a_refused_shortcut_leaves_the_auto_solve(self, case):
+        t, a, b, error = COR1_REFUSALS[case]
+        p = QpProblem(t, a, b)
+        with pytest.raises(error):
+            try_cor1_shortcut(p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IllConditioningWarning)  # a W of graded-a
+            auto, diag = solve(p), minimize_posdef_diag(p)
+        assert auto.method is Method.POSDEF
+        assert np.array_equal(auto.xhat, diag.xhat)
+        assert auto.diagnostics == diag.diagnostics[:1] + (
+            Diagnostic("cor1_shortcut", "range-invariance shortcut not applicable"),
+        ) + diag.diagnostics[1:]
+
+    def test_a_non_finite_x_raises(self):
+        # ||b|| overflows, so every b passes the feasibility test, and the
+        # square-root route's pinv(a t^{-1/2}) b overflows
+        t, a, b, _ = COR1_REFUSALS["overflowing-a"]
+        with np.errstate(all="ignore"), pytest.raises(FactorizationError, match="x is not finite"):
+            minimize_posdef(QpProblem(t, a, b))
+
     def test_auto_routes_singular_form(self):
         p = QpProblem(t=EXAMPLE2_Q, a=EXAMPLE2_A, b=EXAMPLE2_B)
         auto = solve(p)
@@ -549,7 +588,7 @@ class TestFactorizationCounts:
     most 128 rows is inverted by one inv; a singular one, after a Cholesky
     that fails or whose pivot rules it out, by eigh.  The R of ``(a W)*``
     is the factor of a second Cholesky factorization, of the Gram ``(a W)
-    (a W)*`` (`dense_core.qr_r`), and ``inv(R*)`` comes from it.  Where
+    (a W)*`` (`dense_core.gram_cholesky`), and ``inv(R*)`` comes from it.  Where
     `_certified_inverse` certifies the full row rank of ``a W``, as here,
     that is all: no QR, no values-only SVD.  A refused certificate adds the
     full Householder QR (``qr``), the values-only SVD of its R and, for a
@@ -561,7 +600,7 @@ class TestFactorizationCounts:
         counts = count_linalg()
         solve(p)
         # 1 / ||L^{-1}||_F certifies t definite, so no eigh
-        assert counts == {"eigh": 0, "cholesky": 2, "svd": 0, "qr": 0, "qr_r": 0, "inv": 2, "solve": 0, "svdvals": 0}
+        assert counts == {"eigh": 0, "cholesky": 2, "svd": 0, "qr": 0, "inv": 2, "solve": 0, "svdvals": 0}
 
     def test_semidefinite(self, count_linalg):
         p = QpProblem(*random_psd_problem(12, 6, rank=9, seed=5))
@@ -569,7 +608,7 @@ class TestFactorizationCounts:
         solve(p)
         # the lower bound on sigma_min(a W) certifies both the rank of a W and
         # the psd_product_conditioning note absent, so a is not factored for it
-        assert counts == {"eigh": 1, "cholesky": 2, "svd": 0, "qr": 0, "qr_r": 0, "inv": 1, "solve": 0, "svdvals": 0}
+        assert counts == {"eigh": 1, "cholesky": 2, "svd": 0, "qr": 0, "inv": 1, "solve": 0, "svdvals": 0}
 
     def test_semidefinite_without_a_certificate(self, count_linalg):
         # a row at cosine 1e-9 to the range of t: the rank certificate
@@ -583,7 +622,7 @@ class TestFactorizationCounts:
         counts = count_linalg()
         with pytest.warns(IllConditioningWarning):
             r = solve(QpProblem(t, a, a @ np.array([1.0, 1.0, 0.0])))
-        assert counts == {"eigh": 1, "cholesky": 1, "svd": 0, "qr": 2, "qr_r": 0, "inv": 1, "solve": 0, "svdvals": 3}
+        assert counts == {"eigh": 1, "cholesky": 1, "svd": 0, "qr": 2, "inv": 1, "solve": 0, "svdvals": 3}
         assert r.diagnostics[-1].code == "psd_product_conditioning"
 
     def test_definite_square_constraint(self, count_linalg):
@@ -592,7 +631,7 @@ class TestFactorizationCounts:
         r = solve(p)
         # the shortcut's pinv(a) b takes a second Gram factor, of the
         # invertible a; both ranks are certified, and so is the class of t
-        assert counts == {"eigh": 0, "cholesky": 3, "svd": 0, "qr": 0, "qr_r": 0, "inv": 3, "solve": 0, "svdvals": 0}
+        assert counts == {"eigh": 0, "cholesky": 3, "svd": 0, "qr": 0, "inv": 3, "solve": 0, "svdvals": 0}
         assert r.diagnostics[-1].value is not None
 
     def test_square_root_reference(self, count_linalg):
@@ -600,7 +639,7 @@ class TestFactorizationCounts:
         p = QpProblem(*random_pd_problem(12, 6, seed=5))
         counts = count_linalg()
         minimize_posdef(p)
-        assert counts == {"eigh": 1, "cholesky": 0, "svd": 1, "qr": 0, "qr_r": 0, "inv": 0, "solve": 0, "svdvals": 0}
+        assert counts == {"eigh": 1, "cholesky": 0, "svd": 1, "qr": 0, "inv": 0, "solve": 0, "svdvals": 0}
 
     def test_square_shortcut_leaves_the_memo_alone(self, count_linalg):
         # the class gate needs the eigenvalues of t and the shortcut the
@@ -611,7 +650,7 @@ class TestFactorizationCounts:
         p = truncated_problem(8)
         counts = count_linalg()
         assert try_cor1_shortcut(p) is not None
-        assert counts == {"eigh": 1, "cholesky": 1, "svd": 1, "qr": 1, "qr_r": 0, "inv": 0, "solve": 0, "svdvals": 1}
+        assert counts == {"eigh": 1, "cholesky": 1, "svd": 1, "qr": 1, "inv": 0, "solve": 0, "svdvals": 1}
         assert minimizers._memo is None
 
 
@@ -650,7 +689,7 @@ class TestFactorMemo:
         # a square a keeps the shortcut's factors of a on every solve; its
         # rank is certified
         each = 1 if case == "pd-square" else 0
-        assert counts == {"eigh": 0, "cholesky": each, "svd": 0, "qr": 0, "qr_r": 0, "inv": each, "solve": 0, "svdvals": 0}
+        assert counts == {"eigh": 0, "cholesky": each, "svd": 0, "qr": 0, "inv": each, "solve": 0, "svdvals": 0}
         monkeypatch.setattr(minimizers, "_memo", None)
         assert outcome(hit) == outcome(solve(QpProblem(t, a, b2)))
 
@@ -659,12 +698,12 @@ class TestFactorMemo:
         auto = solve(QpProblem(t, a, b))
         counts = count_linalg()
         diag = minimize_posdef_diag(QpProblem(t, a, b))
-        assert counts["eigh"] == counts["svd"] == counts["qr"] == counts["qr_r"] == 0
+        assert counts["eigh"] == counts["svd"] == counts["qr"] == 0
         assert np.array_equal(diag.xhat, auto.xhat)
         assert diag.method is Method.POSDEF_DIAG
         # the square-root reference never reads the memo
         minimize_posdef(QpProblem(t, a, b))
-        assert counts == {"eigh": 1, "cholesky": 0, "svd": 1, "qr": 0, "qr_r": 0, "inv": 0, "solve": 0, "svdvals": 0}
+        assert counts == {"eigh": 1, "cholesky": 0, "svd": 1, "qr": 0, "inv": 0, "solve": 0, "svdvals": 0}
 
     @pytest.mark.parametrize(
         "change",
@@ -739,7 +778,7 @@ class TestFactorMemo:
         p = QpProblem(*random_pd_problem(12, 6, seed=5))
         counts = count_linalg()
         assert try_cor1_shortcut(p) is None
-        assert counts == {"eigh": 1, "cholesky": 0, "svd": 0, "qr": 0, "qr_r": 0, "inv": 0, "solve": 0, "svdvals": 0}
+        assert counts == {"eigh": 1, "cholesky": 0, "svd": 0, "qr": 0, "inv": 0, "solve": 0, "svdvals": 0}
         assert minimizers._memo is None
         with pytest.raises(NotPositiveDefiniteError):
             try_cor1_shortcut(QpProblem(EXAMPLE2_Q, EXAMPLE2_A, EXAMPLE2_B))
@@ -1142,8 +1181,8 @@ class TestRowFactorAccuracy:
         # differ from the Gram's: v g is pinv(x) to rounding
         x, _ = _planted_rows(np.random.default_rng(1), 2, 5e4, False)
         ratio = max(WARN_RATIO, DEFAULT_TOL.effective_rtol(4))
-        r = dense_core.qr_r(x.conj().T)
-        _, s = minimizers._certified_tri_inv(r.conj().T, lambda bound: minimizers._certifies(bound, ratio * fro_norm(x)))
+        l = dense_core.gram_cholesky(x.conj().T)
+        _, s = minimizers._certified_tri_inv(l, lambda bound: minimizers._certifies(bound, ratio * fro_norm(x)))
         assert s is not None and minimizers._certified_inverse(x, ratio) is None
         rank, u, v, g, _ = minimizers._row_factors(x, _decide, DEFAULT_TOL)
         assert (rank, u) == (2, None)
@@ -1553,13 +1592,13 @@ class TestCertificates:
         # a singular t costs what an uncertified psd miss does (TestFactorizationCounts),
         # plus the Cholesky factorization that its positive diagonal allows
         self.run(psd, Method.AUTO, True, monkeypatch)
-        assert counts == {"eigh": 1, "cholesky": 2, "svd": 0, "qr": 2, "qr_r": 0, "inv": 1, "solve": 0, "svdvals": 3}
+        assert counts == {"eigh": 1, "cholesky": 2, "svd": 0, "qr": 2, "inv": 1, "solve": 0, "svdvals": 3}
         # a definite t goes to eigh, and R to its values-only SVD; each
         # miss also factors the Gram of a W, for the refused rank certificate
         before = dict(counts)
         self.run(pd, Method.AUTO, True, monkeypatch)
         ran = {name: counts[name] - before[name] for name in counts}
-        assert ran == {"eigh": 1, "cholesky": 2, "svd": 0, "qr": 1, "qr_r": 0, "inv": 1, "solve": 0, "svdvals": 1}
+        assert ran == {"eigh": 1, "cholesky": 2, "svd": 0, "qr": 1, "inv": 1, "solve": 0, "svdvals": 1}
 
     def test_inverse_without_a_certificate(self):
         # x = R*, whose Gram has the Cholesky factor R.  An empty R is not
