@@ -39,7 +39,7 @@ from .dense_core import (
     Hermitian,
     as_matrix,
     as_vector,
-    cholesky,
+    cholesky_inverse,
     eigh,
     fro_norm,
     gram_cholesky,
@@ -316,39 +316,38 @@ def _certifies(bound: float, *gates: float) -> bool:
     return bound > CERTIFICATE_MARGIN * max(*gates, ABS_FLOOR)
 
 
-def _certified_tri_inv(l: np.ndarray, rule):
-    """``(x, s)``: ``x = l^{-1}`` for a lower triangular `l`, and ``s = 1 / ||x||_F <= σ_min(l)`` or None.
+def _certified_cholesky(factor, rule):
+    """``(l, x, s)``: lower triangular `l`, ``x = l^{-1}`` and ``s = 1 / ||x||_F <= σ_min(l)``, where `rule` passes `s`, else None.
 
-    `rule` passes a bound, or its square, through `_certifies`, so it fails
-    every bound below one it fails; `s` is None where it fails.  As
-    ``x_ii = 1 / l_ii``, ``s <= d = (Σ |l_ii|^{-2})^{-1/2} <= min |l_ii|``:
-    where `d` fails, so would `s`, and `l` is not inverted (both None).  So
-    the pre-screen is never weaker than one on ``min |l_ii|`` and never
-    refuses an `l` whose `s` would pass.  `d` is taken on the pivots over
-    the largest, so it cannot overflow; it is 0 for an empty `l` or a zero
-    pivot.  An `x` with inf or NaN entries passes nothing.
+    ``factor(admits)`` is the caller's `cholesky_inverse` or `gram_cholesky`
+    call, which returns ``(l, x)`` or None.  `rule` passes a bound, or its
+    square, through `_certifies`, so it fails every bound below one it
+    fails.  It is also the factorization's pivot floor, `admits`: ``d = (Σ
+    |l_ii|^{-2})^{-1/2}`` over the pivots factored so far is at least `s`,
+    as ``x_ii = 1 / l_ii``, and at most ``min |l_ii|``.  Where `d` fails, so
+    would `s`, and the factorization stops at that leaf, before it forms
+    inverse blocks that nothing would use.  So the floor is never weaker
+    than one on ``min |l_ii|`` and never refuses an `l` whose `s` would
+    pass.  A failed factorization, and an `x` with inf or NaN entries, pass
+    nothing.
     """
-    pivots = np.abs(np.diagonal(l))
-    top = pivots.max(initial=0.0)
-    with np.errstate(over="ignore", divide="ignore"):  # a tiny pivot's inf gives d = 0
-        d = top / np.sqrt(np.sum((pivots / top) ** -2.0)) if top > 0 else 0.0
-    if not rule(d):
-        return None, None
     try:
-        x = tri_inv(l)
+        pair = factor(rule)
     except FactorizationError:
-        return None, None
+        pair = None
+    if pair is None:
+        return None
+    l, x = pair
     s = 1.0 / fro_norm(x)
-    return x, (s if rule(s) else None)
+    return (l, x, s) if rule(s) else None
 
 
 def _certified_inverse(x: np.ndarray, ratio: float):
     """``(v, g, s)`` with ``pinv(x) = v g`` and ``s <= σ_min(x)`` where they certify full row rank, else None.
 
-    `R` is the factor of the Gram ``x x* = R* R`` (`gram_cholesky` gives
-    ``R*``), and ``R^{-*}`` comes from `_certified_tri_inv`; a Gram whose
-    Cholesky factorization fails certifies nothing.  ``v = x* R^{-1}`` is
-    formed by one product.
+    `R` is the factor of the Gram ``x x* = R* R``, and `_certified_cholesky`
+    gives ``R*`` and ``R^{-*}``; a Gram whose Cholesky factorization fails
+    certifies nothing.  ``v* = R^{-*} x`` is formed by one product.
     Were `R` exact, `v` would have orthonormal columns; the computed one
     carries the error of the Gram, ``F = I - v* v`` of order ``eps
     κ(x)^2``, and ``x x* = R* (I - F) R``.  With ``f = ||F||_F`` and ``s_R
@@ -375,18 +374,17 @@ def _certified_inverse(x: np.ndarray, ratio: float):
 
     `f` is tested first, so ``f < 1`` wherever `s` is formed.
     """
-    xh = x.conj().T
-    try:
-        l = gram_cholesky(xh)
-    except FactorizationError:
-        return None
     gate = ratio * fro_norm(x)
-    rinv, s = _certified_tri_inv(l, lambda bound: _certifies(bound, gate))
-    if s is None:
+    certified = _certified_cholesky(
+        lambda admits: gram_cholesky(x, admits), lambda bound: _certifies(bound, gate)
+    )
+    if certified is None:
         return None
-    v = xh @ rinv.conj().T
+    l, rinv, s = certified
+    # v*, which needs no conjugated copy of x; v is its conjugate's transpose
+    vh = rinv @ x
     # F and g are formed in place: three m by m temporaries fewer
-    step = v.conj().T @ v
+    step = vh @ vh.conj().T
     np.negative(step, out=step)
     step[np.diag_indices_from(step)] += 1.0
     f = fro_norm(step)
@@ -397,7 +395,9 @@ def _certified_inverse(x: np.ndarray, ratio: float):
         return None
     g = step @ rinv
     g += rinv
-    return v, g, s
+    if np.iscomplexobj(vh):
+        np.conjugate(vh, out=vh)
+    return vh.T, g, s
 
 
 def _row_factors(x: np.ndarray, decide, cfg: ToleranceConfig | None = None):
@@ -452,8 +452,7 @@ def _cholesky_root(h: Hermitian, cfg: ToleranceConfig) -> np.ndarray | None:
     So where ``s^2`` `_certifies` against that gate and ``n eps ||t||_F``,
     `eigh` would call `t` definite too; the margin also covers the rounding
     of `L` and of its inverse.  None, and the caller takes `eigh`, for a
-    non-positive diagonal, a failed Cholesky, or an `L` whose `s`
-    `_certified_tri_inv` does not pass.
+    non-positive diagonal, or where `_certified_cholesky` certifies nothing.
     """
     diag = np.real(np.diagonal(h.sym))
     if not (diag.size and diag.min() > 0):
@@ -462,12 +461,10 @@ def _cholesky_root(h: Hermitian, cfg: ToleranceConfig) -> np.ndarray | None:
     pd_gate = cfg.pd_tol if cfg.pd_tol is not None else cfg.effective_rtol(n) * h.norm
     # n eps ||t||, the default rank rule's, bounds the rounding of eigh
     gates = (pd_gate, DEFAULT_TOL.effective_rtol(n) * h.norm)
-    try:
-        l = cholesky(h)
-    except FactorizationError:
-        return None
-    x, s = _certified_tri_inv(l, lambda bound: _certifies(bound * bound, *gates))
-    return None if s is None else x.conj().T
+    certified = _certified_cholesky(
+        lambda admits: cholesky_inverse(h, admits), lambda bound: _certifies(bound * bound, *gates)
+    )
+    return None if certified is None else certified[1].conj().T
 
 
 def _factorize(p: QpProblem, gate) -> _Factors:

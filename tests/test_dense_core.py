@@ -19,7 +19,7 @@ from qfmin import (
     svd,
 )
 from qfmin import dense_core
-from qfmin.dense_core import cholesky, fro_norm, gram_cholesky, hermitian, qr, tri_inv
+from qfmin.dense_core import cholesky_inverse, fro_norm, gram_cholesky, hermitian, qr, tri_inv
 
 EXAMPLE2_Q = np.array([[14.0, 20, 28], [20, 83, 40], [28, 40, 56]])
 
@@ -116,8 +116,17 @@ class TestFroNorm:
         assert fro_norm(np.array([3e-320 + 4e-320j])) == pytest.approx(5e-320, rel=1e-3)
 
 
+def _no_floor(bound):
+    """A pivot floor for `cholesky_inverse` and `gram_cholesky` that refuses nothing."""
+    return True
+
+
 # the backend of gram_cholesky is np.linalg.cholesky, and its guard that of cholesky
-@pytest.mark.parametrize("name, factor", [("svd", svd), ("eigh", eigh), ("qr", qr), ("cholesky", gram_cholesky)])
+@pytest.mark.parametrize(
+    "name, factor",
+    [("svd", svd), ("eigh", eigh), ("qr", qr), ("cholesky", lambda a: gram_cholesky(a, _no_floor))],
+    ids=["svd-svd", "eigh-eigh", "qr-qr", "cholesky-gram_cholesky"],
+)
 def test_a_nan_in_the_factors_fails_the_guard(monkeypatch, name, factor):
     backend = getattr(np.linalg, name)
 
@@ -152,13 +161,13 @@ def _operand(rng, name, shape, complex_entries):
 
 
 def _guarded(name, a):
-    """The guarded factorization `name` of `a`: the thin SVD, the QR, eigh, or Cholesky of `a` or of its Gram."""
+    """The guarded factorization `name` of `a`: the thin SVD, the QR, eigh, or Cholesky of `a` or of its Gram ``a* a``."""
     factor = {
         "svd": lambda x: svd(x, full_matrices=False),
         "qr": lambda x: qr(as_matrix(x)),
-        "gram_cholesky": lambda x: gram_cholesky(as_matrix(x)),
+        "gram_cholesky": lambda x: gram_cholesky(as_matrix(x).conj().T, _no_floor),
         "eigh": eigh,
-        "cholesky": lambda x: cholesky(hermitian(x)),
+        "cholesky": lambda x: cholesky_inverse(hermitian(x), _no_floor),
     }
     return factor[name](a)
 
@@ -176,15 +185,22 @@ class TestProbeGuard:
         # The backend factors a + E, ||E|| = size * KTOL ||a||, Hermitian for
         # eigh and Cholesky, which a full reconstruction would reject.  The probes miss it
         # with probability P(chi2_8 <= pi / (25 size^2)), below 6.2e-7 (README).
-        # gram_cholesky's guard is that of cholesky.
+        # gram_cholesky's guard is that of cholesky.  The Cholesky backend is
+        # the block recursion, whose leaves are smaller than a: its outermost
+        # call factors a + E.
         rng = np.random.default_rng(n)
         a = _operand(rng, name, (n, n), complex_entries)
         u = _draw(rng, n, complex_entries)
         v = u if name in ("eigh", "cholesky") else _draw(rng, n, complex_entries)
         error = np.outer(u, v.conj())
         error *= size * dense_core.KTOL * fro_norm(a) / fro_norm(error)
-        backend = getattr(np.linalg, name)
-        monkeypatch.setattr(np.linalg, name, lambda x, *args, **kw: backend(x + error, *args, **kw))
+        owner, attr = (dense_core, "_factor_inverse") if name == "cholesky" else (np.linalg, name)
+        backend = getattr(owner, attr)
+
+        def perturbed(x, *args, **kw):
+            return backend(x + error if x.shape == error.shape else x, *args, **kw)
+
+        monkeypatch.setattr(owner, attr, perturbed)
         with pytest.raises(FactorizationError, match="probe residual"):
             _guarded(name, a)
 
@@ -354,6 +370,43 @@ class TestEigh:
         assert np.linalg.norm(product - h) <= 1e-12 * np.linalg.norm(h)
 
 
+def _symmetrized_as_before(a):
+    """`hermitian`'s `sym` by the expression it used to take, ``ref - ref.conj().T``."""
+    halve = np.abs(np.stack([a.real, a.imag])).max() > dense_core._HALF_MAX
+    ref = a * 0.5 if halve else a
+    sym = ref - ref.conj().T
+    if not halve:
+        sym *= 0.5
+    return a - sym
+
+
+class TestHermitian:
+    @pytest.mark.parametrize(
+        "scale, complex_entries",
+        [(1.0, False), (1.0, True), (1e308, False), (1e308, True)],
+        ids=["real", "complex", "halved-real", "halved-complex"],
+    )
+    def test_sym_is_the_old_expression_to_the_bit(self, scale, complex_entries):
+        # the difference is subtracted into a contiguous copy of the
+        # transpose: the same operations on the same operands.  Above half
+        # the float64 maximum the gate works on halves
+        rng = np.random.default_rng(11)
+        a = _draw(rng, (70, 70), complex_entries)
+        a = (a + a.conj().T) / 2 + 1e-12 * _draw(rng, (70, 70), complex_entries)
+        a = a / np.abs(np.stack([a.real, a.imag])).max() * scale
+        assert np.array_equal(hermitian(a).sym, _symmetrized_as_before(a))
+
+    @pytest.mark.parametrize("scale", [2.0, 1.5e308], ids=["plain", "halved"])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_a_one_by_one_input_is_left_as_it_is(self, scale, dtype):
+        # the transpose of a 1 by 1 matrix is contiguous already; the gate
+        # still works on a copy of it, not on the caller's array
+        a = np.array([[scale]], dtype=dtype)
+        h = hermitian(a)
+        assert a[0, 0] == scale and h.sym[0, 0] == scale
+        assert not np.shares_memory(h.sym, a)
+
+
 def _graded_factor(n, complex_entries, cond):
     """A lower triangular factor whose rows, and so its diagonal, are graded from 1 to ``1/cond``.
 
@@ -379,23 +432,24 @@ class TestTriInv:
 
     @pytest.mark.parametrize("cond", [1.0, 1e6, 1e12])
     @pytest.mark.parametrize("complex_entries", [False, True])
-    @pytest.mark.parametrize("n", [1, 127, 128, 129, 300])
+    @pytest.mark.parametrize("n", [1, dense_core._LEAF - 1, dense_core._LEAF, dense_core._LEAF + 1, 300])
     def test_matches_inv(self, n, complex_entries, cond):
         l = _graded_factor(n, complex_entries, cond)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             x = tri_inv(l)
         ref = np.linalg.inv(l)
-        if n <= dense_core._TRI_BLOCK:
-            # one block: np.linalg.inv's own result
+        if n <= dense_core._LEAF:
+            # one leaf: np.linalg.inv's own result
             assert np.array_equal(x, ref)
         assert np.array_equal(np.triu(x, 1), np.zeros_like(x))
         assert fro_norm(l @ x - np.eye(n)) <= n * _EPS * fro_norm(l) * fro_norm(x)
         assert fro_norm(x - ref) <= n * _EPS * np.linalg.cond(l) * fro_norm(ref)
 
     def test_a_corrupted_block_fails_the_check(self, monkeypatch):
-        # n = 300 splits into four diagonal blocks of 75; the second is
-        # returned with one entry off by 1e-6 of its norm
+        # n = 300 halves to 150 and 75, and into eight leaves of 37 and 38
+        # rows (_LEAF = 64); the second is returned with one entry off by
+        # 1e-6 of its norm
         l = _graded_factor(300, False, 1.0)
         backend, blocks = np.linalg.inv, []
 
@@ -409,7 +463,7 @@ class TestTriInv:
         monkeypatch.setattr(np.linalg, "inv", corrupted)
         with pytest.raises(FactorizationError, match="probe residual"):
             tri_inv(l)
-        assert blocks == [(75, 75)] * 4
+        assert blocks == [(37, 37), (38, 38)] * 4
 
     def test_a_singular_block_raises(self):
         l = _graded_factor(300, False, 1.0)
@@ -425,44 +479,141 @@ class TestTriInv:
         assert np.isinf(x).any()
 
 
+def _factored(l):
+    """``l l*``, made exactly Hermitian."""
+    t = l @ l.conj().T
+    return (t + t.conj().T) / 2
+
+
+class TestCholeskyInverse:
+    """The block recursion for ``(l, x)`` against np.linalg.cholesky and `tri_inv`.
+
+    `x` meets `TestTriInv`'s right-residual bound, and the backward error
+    ``||l l* - t||_F`` the docstring's ``n eps κ_2(l) ||t||_F``.  Over the
+    cases below it stayed below 2e-3 of that and within 1.4 times
+    LAPACK's.
+    """
+
+    @pytest.mark.parametrize("cond", [1.0, 1e6, 1e12])
+    @pytest.mark.parametrize(
+        "n, complex_entries",
+        [(dense_core._LEAF + 1, False), (2 * dense_core._LEAF + 1, False), (300, False), (400, True)],
+        ids=["leaf+1", "2leaf+1", "300", "400c"],
+    )
+    def test_matches_the_lapack_factor_and_tri_inv(self, n, complex_entries, cond):
+        t = _factored(_graded_factor(n, complex_entries, cond))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            l, x = cholesky_inverse(hermitian(t), _no_floor)
+        ref = np.linalg.cholesky(t)
+        cond_l = np.linalg.cond(ref)
+        assert np.array_equal(np.triu(l, 1), np.zeros_like(l))
+        assert np.array_equal(np.triu(x, 1), np.zeros_like(x))
+        assert fro_norm(l @ l.conj().T - t) <= n * _EPS * cond_l * fro_norm(t)
+        assert fro_norm(l - ref) <= n * _EPS * cond_l * fro_norm(ref)
+        assert fro_norm(l @ x - np.eye(n)) <= n * _EPS * fro_norm(l) * fro_norm(x)
+        inv = tri_inv(ref)
+        assert fro_norm(x - inv) <= n * _EPS * cond_l * fro_norm(inv)
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_one_leaf_is_lapack_and_inv(self, complex_entries):
+        t = _factored(_graded_factor(dense_core._LEAF, complex_entries, 1e3))
+        l, x = cholesky_inverse(hermitian(t), _no_floor)
+        assert np.array_equal(l, np.linalg.cholesky(t))
+        assert np.array_equal(x, np.linalg.inv(l))
+
+    def test_the_floor_sees_the_pivots_factored_so_far(self):
+        # 2 * _LEAF + 1 rows halve into three leaves, of _LEAF rows and two
+        # of about _LEAF / 2, with the one small pivot, 1e-4, in the second:
+        # each call sees the bound over the leaves so far, and the refusal
+        # stops the recursion there
+        leaf = dense_core._LEAF
+        d = np.ones(2 * leaf + 1)
+        d[leaf + 4] = 1e-8
+        seen = []
+        assert cholesky_inverse(hermitian(np.diag(d)), lambda bound: seen.append(bound) or bound > 1e-3) is None
+        assert seen == [pytest.approx(1 / np.sqrt(leaf)), pytest.approx(1e-4, rel=1e-6)]
+
+    def test_a_refusing_floor_leaves_the_leaf_uninverted(self, count_linalg):
+        counts = count_linalg()
+        assert cholesky_inverse(hermitian(EXAMPLE2_Q + np.eye(3)), lambda bound: False) is None
+        assert (counts["cholesky"], counts["inv"]) == (1, 0)
+
+    def test_a_failed_leaf_raises(self):
+        # the rank-one tail fails in the last leaf
+        n = 2 * dense_core._LEAF + 1
+        t = np.eye(n)
+        t[-2:, -2:] = 1.0
+        with pytest.raises(FactorizationError, match="Cholesky factorization failed"):
+            cholesky_inverse(hermitian(t), _no_floor)
+
+    def test_a_corrupted_leaf_inverse_fails_the_check(self, monkeypatch):
+        # the leaf inverses feed the panels, so an error in one reaches l
+        # too; one of the two checks refuses it
+        t = _factored(_graded_factor(300, False, 1.0))
+        backend, calls = np.linalg.inv, []
+
+        def corrupted(x):
+            y = backend(x)
+            calls.append(x.shape)
+            if len(calls) == 2:
+                y[-1, 0] += 1e-6 * fro_norm(y)
+            return y
+
+        monkeypatch.setattr(np.linalg, "inv", corrupted)
+        with pytest.raises(FactorizationError, match="probe residual"):
+            cholesky_inverse(hermitian(t), _no_floor)
+
+
 class TestCholesky:
     def test_factors_the_gated_matrix(self):
         t = EXAMPLE2_Q + np.eye(3)
-        l = cholesky(hermitian(t))
+        l, x = cholesky_inverse(hermitian(t), _no_floor)
         assert np.array_equal(l, np.linalg.cholesky(t))
+        assert np.array_equal(x, np.linalg.inv(l))
 
     @pytest.mark.parametrize("t", [np.diag([1.0, -1.0]), np.ones((2, 2))], ids=["indefinite", "singular"])
     def test_not_definite_raises(self, t):
         with pytest.raises(FactorizationError, match="Cholesky factorization failed"):
-            cholesky(hermitian(t))
+            cholesky_inverse(hermitian(t), _no_floor)
 
 
 class TestGramCholesky:
     @pytest.mark.parametrize("complex_entries", [False, True])
     def test_factors_the_gram(self, complex_entries):
-        a = _draw(np.random.default_rng(3), (12, 5), complex_entries)
-        assert np.array_equal(gram_cholesky(a), np.linalg.cholesky(a.conj().T @ a))
+        # of the rows: a a* = l l*
+        a = _draw(np.random.default_rng(3), (5, 12), complex_entries)
+        l, x = gram_cholesky(a, _no_floor)
+        assert np.array_equal(l, np.linalg.cholesky(a @ a.conj().T))
+        assert np.array_equal(x, np.linalg.inv(l))
 
     @pytest.mark.parametrize("exponent", [-540, -300, 300, 540])
     @pytest.mark.parametrize("complex_entries", [False, True])
     def test_the_factor_scales_exactly(self, exponent, complex_entries):
         # ||a||^2 is past the float64 range at 2^±540: the Gram is formed of
-        # a times a power of two, and the factor divided by it after
-        a = _draw(np.random.default_rng(4), (12, 5), complex_entries)
+        # a times a power of two, l divided by it after and x multiplied
+        a = _draw(np.random.default_rng(4), (5, 12), complex_entries)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            l = gram_cholesky(a * 2.0**exponent)
-        assert np.array_equal(l, gram_cholesky(a) * 2.0**exponent)
+            l, x = gram_cholesky(a * 2.0**exponent, _no_floor)
+        l1, x1 = gram_cholesky(a, _no_floor)
+        assert np.array_equal(l, l1 * 2.0**exponent)
+        assert np.array_equal(x, x1 * 2.0**-exponent)
+
+    def test_the_floor_sees_the_unscaled_pivots(self):
+        seen = []
+        gram_cholesky(2.0**540 * np.eye(2), lambda bound: seen.append(bound) or True)
+        assert seen == [2.0**540 / np.sqrt(2)]
 
     def test_a_factor_past_the_float64_range_raises(self):
-        # the first column norm of a is 2.1e308
-        a = 1.5e308 * np.array([[1.0, 0.5], [1.0, -0.5]])
+        # the first row norm of a is 2.1e308
+        a = 1.5e308 * np.array([[1.0, 1.0], [0.5, -0.5]])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(FactorizationError, match="Cholesky factor of the Gram overflowed"):
-                gram_cholesky(a)
+                gram_cholesky(a, _no_floor)
 
-    @pytest.mark.parametrize("a", [np.ones((3, 2)), np.zeros((2, 2))], ids=["rank-one", "zero"])
+    @pytest.mark.parametrize("a", [np.ones((2, 3)), np.zeros((2, 2))], ids=["rank-one", "zero"])
     def test_a_singular_gram_raises(self, a):
         with pytest.raises(FactorizationError, match="Cholesky factorization failed"):
-            gram_cholesky(a)
+            gram_cholesky(a, _no_floor)

@@ -1,7 +1,8 @@
 """Layering read from the source.
 
-Only dense_core calls the guarded factorizations of numpy.linalg, the
-kernel's certificates share one rule and one certified triangular inverse,
+Only dense_core calls the guarded factorizations and the inverse of
+numpy.linalg, the kernel's certificates share one rule and one certified
+Cholesky factor and inverse,
 private names cross from one module to another only where listed, every
 name the benchmark's tracer wraps exists, and an import kept only for the
 tracer is one the tracer wraps and nothing else uses.
@@ -18,7 +19,7 @@ SRC = pathlib.Path(qfmin.__file__).parent
 
 
 def _unguarded_calls(tree):
-    """Calls of np.linalg.eigh, np.linalg.cholesky, np.linalg.qr and of np.linalg.svd with vectors."""
+    """Calls of np.linalg.eigh, np.linalg.cholesky, np.linalg.qr, np.linalg.inv and of np.linalg.svd with vectors."""
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
@@ -35,7 +36,7 @@ def _unguarded_calls(tree):
             k.arg == "compute_uv" and isinstance(k.value, ast.Constant) and k.value.value is False
             for k in node.keywords
         )
-        if func.attr in ("eigh", "cholesky", "qr") or (func.attr == "svd" and not values_only):
+        if func.attr in ("eigh", "cholesky", "qr", "inv") or (func.attr == "svd" and not values_only):
             yield f"np.linalg.{func.attr} at line {node.lineno}"
 
 
@@ -49,11 +50,13 @@ def test_factorizations_go_through_dense_core(module):
 
 def test_the_check_sees_dense_core_calls():
     # one call site each: a second wrapper of a factorization would be a
-    # second error message and a second guard
+    # second error message and a second guard.  The Cholesky factorization
+    # and the inverse are the leaves that both block recursions share
     tree = ast.parse((SRC / "dense_core.py").read_text(encoding="utf-8"))
     assert sorted(call.split(" ")[0] for call in _unguarded_calls(tree)) == [
         "np.linalg.cholesky",
         "np.linalg.eigh",
+        "np.linalg.inv",
         "np.linalg.qr",
         "np.linalg.svd",
     ]
@@ -120,25 +123,33 @@ def test_the_rule_check_sees_an_inline_margin():
     assert set(_margin_reads(old)) == {("_cholesky_root", "CERTIFICATE_MARGIN"), ("_cholesky_root", "ABS_FLOOR")}
 
 
+# the dense_core functions that return the inverse of a triangular factor
+TRIANGLE_INVERSES = ("tri_inv", "cholesky_inverse", "gram_cholesky")
+
+
 def _tri_inv_calls(tree):
-    """The top-level definition around each call of `tri_inv`, by name or as an attribute."""
+    """The top-level definition around each call of a `TRIANGLE_INVERSES` name, by name or as an attribute."""
     for top in tree.body:
         for node in ast.walk(top):
             func = getattr(node, "func", None)
-            if "tri_inv" in (getattr(func, "id", None), getattr(func, "attr", None)):
+            if (getattr(func, "id", None) or getattr(func, "attr", None)) in TRIANGLE_INVERSES:
                 yield getattr(top, "name", "<module>")
 
 
 def test_minimizers_invert_triangles_in_one_place():
-    # a triangular factor is certified through _certified_tri_inv; only the
+    # a Cholesky factor and its inverse, of t or of the Gram of a W, are
+    # factored only where they are handed to _certified_cholesky; only the
     # full-rank branch of _row_factors inverts an R it already decided on
     tree = ast.parse((SRC / "minimizers.py").read_text(encoding="utf-8"))
-    assert sorted(_tri_inv_calls(tree)) == ["_certified_tri_inv", "_row_factors"]
+    assert sorted(_tri_inv_calls(tree)) == ["_certified_inverse", "_cholesky_root", "_row_factors"]
 
 
 def test_the_triangle_check_sees_an_inline_inverse():
-    old = ast.parse("def _cholesky_root(h, cfg):\n    x = dense_core.tri_inv(cholesky(h))\n")
-    assert list(_tri_inv_calls(old)) == ["_cholesky_root"]
+    old = ast.parse(
+        "def _cholesky_root(h, cfg):\n    x = dense_core.tri_inv(cholesky(h))\n"
+        "def _certified_inverse(x, ratio):\n    l, rinv = gram_cholesky(x)\n"
+    )
+    assert list(_tri_inv_calls(old)) == ["_cholesky_root", "_certified_inverse"]
 
 
 # (importer, source, name): every private name one qfmin module imports from

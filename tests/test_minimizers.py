@@ -500,6 +500,17 @@ class TestSolveDispatch:
         with np.errstate(all="ignore"), pytest.raises(FactorizationError, match="x is not finite"):
             minimize_posdef(QpProblem(t, a, b))
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_a_one_by_one_problem(self, dtype):
+        # min 2 x^2 subject to 3 x = 6: the gate must not change the caller's t
+        t = np.array([[2.0]], dtype=dtype)
+        p = QpProblem(t, np.array([[3.0]], dtype=dtype), np.array([6.0], dtype=dtype))
+        first, again = solve(p), solve(p)
+        assert first.method is Method.POSDEF
+        assert_allclose(first.xhat, [2.0], rtol=4 * _EPS)
+        assert np.array_equal(again.xhat, first.xhat)
+        assert np.array_equal(p.t, [[2.0]]) and np.array_equal(t, [[2.0]])
+
     def test_auto_routes_singular_form(self):
         p = QpProblem(t=EXAMPLE2_Q, a=EXAMPLE2_A, b=EXAMPLE2_B)
         auto = solve(p)
@@ -1181,9 +1192,9 @@ class TestRowFactorAccuracy:
         # differ from the Gram's: v g is pinv(x) to rounding
         x, _ = _planted_rows(np.random.default_rng(1), 2, 5e4, False)
         ratio = max(WARN_RATIO, DEFAULT_TOL.effective_rtol(4))
-        l = dense_core.gram_cholesky(x.conj().T)
-        _, s = minimizers._certified_tri_inv(l, lambda bound: minimizers._certifies(bound, ratio * fro_norm(x)))
-        assert s is not None and minimizers._certified_inverse(x, ratio) is None
+        rule = lambda bound: minimizers._certifies(bound, ratio * fro_norm(x))  # noqa: E731
+        assert minimizers._certified_cholesky(lambda admits: dense_core.gram_cholesky(x, admits), rule) is not None
+        assert minimizers._certified_inverse(x, ratio) is None
         rank, u, v, g, _ = minimizers._row_factors(x, _decide, DEFAULT_TOL)
         assert (rank, u) == (2, None)
         want = np.linalg.pinv(x)
@@ -1617,11 +1628,18 @@ class TestCertificates:
         )
         for r in not_inverted:
             assert minimizers._certified_inverse(r.conj().T, WARN_RATIO) is None
-        # an inverse with inf and NaN entries certifies nothing: the diagonal
-        # passes, and the entries 2^(i-j-1) 1e290 of the inverse overflow
+        # an inverse with inf or NaN entries certifies nothing: the pivots
+        # pass, and the entries 2^(i-j-1) 1e290 of the inverse overflow.  A
+        # Gram whose factor is this l is not numerically definite, so the
+        # factor call hands over l and the inverse tri_inv gives it, and that
+        # inverse with a NaN as well
         l = 1e-290 * (np.eye(64) - np.tri(64, k=-1))
-        g, s = minimizers._certified_tri_inv(l, lambda bound: minimizers._certifies(bound, WARN_RATIO * fro_norm(l)))
-        assert np.isinf(g).any() and np.isnan(g).any() and s is None
+        g = dense_core.tri_inv(l)
+        assert np.isinf(g).any()
+        rule = lambda bound: minimizers._certifies(bound, WARN_RATIO * fro_norm(l))  # noqa: E731
+        assert rule(dense_core._pivot_bound(np.diagonal(l))[0])
+        for inverse in (g, np.where(np.isinf(g), np.nan, g)):
+            assert minimizers._certified_cholesky(lambda admits: (l, inverse), rule) is None
         v, g, s = minimizers._certified_inverse(1e-200 * np.eye(2), WARN_RATIO)
         assert fro_norm(v @ g - 1e200 * np.eye(2)) <= 4 * _EPS * 1e200
         assert s == pytest.approx(1e-200 / np.sqrt(2), rel=4 * _EPS)
@@ -1637,14 +1655,85 @@ class TestCertificates:
         (got, _), log, _ = self.compare(p, Method.AUTO, monkeypatch)
         assert (log["cholesky"], got.method) == ([False], Method.PSD_COMPLEMENT)
 
+    @pytest.mark.parametrize("n, cplx", [(300, False), (400, True), (1000, False)], ids=["300", "400c", "1000"])
+    def test_the_block_recursion_keeps_x_within_b(self, monkeypatch, n, cplx):
+        # t of cond 1e2 to 1e9 on a random basis, past several leaves of the
+        # recursion: AUTO's W = L^{-*}, where its certificate passes, and
+        # the square-root reference's T^{-1/2} give x and the minimum within
+        # B, as they did with LAPACK's factor and tri_inv
+        rng = np.random.default_rng(n)
+
+        def draw(*shape):
+            x = rng.standard_normal(shape)
+            return x + 1j * rng.standard_normal(shape) if cplx else x
+
+        q = _random_unitary(rng, n, cplx)
+        certified, real = [], minimizers._cholesky_root
+
+        def spied(*args):
+            root = real(*args)
+            certified.append(root is not None)
+            return root
+
+        monkeypatch.setattr(minimizers, "_cholesky_root", spied)
+        for cond in (1e2, 1e5, 1e7, 1e9):
+            t = (q * np.logspace(0.0, -np.log10(cond), n)) @ q.conj().T
+            a = draw(n // 10, n)
+            p = QpProblem((t + t.conj().T) / 2, a, a @ draw(n))
+            got, want = solve(p), minimize_posdef(p)
+            bound = _agreement_bound(p)
+            assert _relative_gap(got.xhat, want.xhat) <= bound, cond
+            assert _relative_gap(got.min_value, want.min_value) <= bound, cond
+        # the certificate refuses cond 1e9: s^2 is about λ_min / 15 here
+        assert certified == [True, True, True, False]
+
     def test_tiny_pivot_skips_the_inverse(self, monkeypatch):
         inverted = []
-        factor = minimizers.tri_inv
-        monkeypatch.setattr(minimizers, "tri_inv", lambda l: inverted.append(l.shape) or factor(l))
+        factor = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda l: inverted.append(l.shape) or factor(l))
         t = np.array([[1.0, 1.0], [1.0, 1.0 + 2.0**-50]])
         r = solve(QpProblem(t, np.array([[1.0, 0.0]]), np.ones(1)))
         assert r.method is Method.PSD_COMPLEMENT
         assert inverted == [(1, 1)]  # R* of a W only
+
+    @pytest.mark.parametrize("case", ["refused-definite", "singular"])
+    def test_a_refused_t_stops_before_any_off_diagonal_inverse_block(self, monkeypatch, case):
+        # n = 2 * leaf + 1 halves into three leaves: rows [0, leaf), then
+        # about half a leaf each.  The definite t has one eigenvalue at 10
+        # times the definiteness gate, on the diagonal in the second leaf,
+        # so eigh calls it definite but its pivot floor refuses; the
+        # singular one has its rank inside the third leaf, where its
+        # factorization fails or is refused.  Either stops there: no block
+        # above a leaf, whose inverse would join its leaves by an
+        # off-diagonal block, is completed
+        leaf = dense_core._LEAF
+        n = 2 * leaf + 1
+        rng = np.random.default_rng(3)
+        if case == "singular":
+            g = rng.standard_normal((n, leaf + leaf // 2 + 4))
+            t = g @ g.T
+        else:
+            t = np.diag(rng.uniform(1.0, 2.0, n))
+            t[leaf + 4, leaf + 4] = 10 * DEFAULT_TOL.effective_rtol(n) * np.linalg.norm(t)
+        m = 5  # rows of a, so of the Gram of a W, which is factored after
+        a = rng.standard_normal((m, n))
+        p = QpProblem(t, a, a @ (t @ rng.standard_normal(n)))
+        recursion, calls, inverted = dense_core._factor_inverse, [], []
+        factor = np.linalg.inv
+
+        def spied(block, *args):
+            done = recursion(block, *args)
+            calls.append((block.shape[0], done))
+            return done
+
+        monkeypatch.setattr(dense_core, "_factor_inverse", spied)
+        monkeypatch.setattr(np.linalg, "inv", lambda l: inverted.append(l.shape[0]) or factor(l))
+        log = TestCertificates.run(p, Method.AUTO, False, monkeypatch)[1]
+        assert log["cholesky"] == [False]
+        completed = [rows for rows, done in calls if done and rows > m]
+        assert completed and max(completed) <= dense_core._LEAF
+        # every leaf before the refused one is inverted, for its panel, and no more
+        assert [rows for rows in inverted if rows > m] == completed
 
 
 def _invariance_case(seed, n, m, psd, complex_entries):
