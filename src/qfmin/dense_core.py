@@ -208,8 +208,8 @@ class Hermitian:
 
     `sym` is its symmetrized form, the matrix `eigh` and `cholesky` factor,
     and `norm` the Frobenius norm of the input, which may have overflowed
-    to inf.  `gram_cholesky` builds one from a Gram ``a* a``, which is
-    Hermitian by construction and needs no gate.
+    to inf.  `gram_cholesky` builds one from ``a a*``, the Gram of the rows
+    of `a`, which is Hermitian by construction and needs no gate.
     """
 
     sym: np.ndarray
@@ -281,40 +281,68 @@ def _pivot_bound(pivots: np.ndarray, norm: float = 0.0) -> tuple[float, float]:
     return (1.0 / norm if norm else 0.0), norm
 
 
-def _factor_inverse(a: np.ndarray, l: np.ndarray, x: np.ndarray, admits) -> bool:
-    """Fill the zeroed `l` and `x` with the Cholesky factor of `a` and its inverse; False where `admits` refuses a leaf.
+def _factor_inverse(a: np.ndarray, l: np.ndarray, x: np.ndarray, floor) -> None:
+    """Fill the zeroed `l` and `x` with the Cholesky factor of `a` and its inverse.
 
     Only the lower triangle of `a` enters the result.  A leaf of at most
     `_LEAF` rows is factored by np.linalg.cholesky, offered to
-    ``admits(l)``, and inverted by `_tri_inv`; the leaves come in the order
-    of their rows.  A larger `a` is halved: ``l11, x11`` of the leading
-    block, the panel ``l21 = a21 x11*``, ``l22, x22`` of the Schur
-    complement ``a22 - l21 l21*``, and last ``x21 = -x22 (l21 x11)``, so a
-    refused leaf leaves every off-diagonal block of `x` it would need
-    unformed.
+    ``floor(l)``, which raises FactorizationError where it refuses, and
+    inverted by `_tri_inv`; the leaves come in the order of their rows.  A
+    larger `a` is halved: ``l11, x11`` of the leading block, the panel
+    ``l21 = a21 x11*``, ``l22, x22`` of the Schur complement ``a22 - l21
+    l21*``, and last ``x21 = -x22 (l21 x11)``, so a refused leaf leaves
+    every off-diagonal block of `x` it would need unformed.
     """
     n = a.shape[0]
     if n <= _LEAF:
         l[...] = np.linalg.cholesky(a)
-        if not admits(l):
-            return False
+        floor(l)
         x[...] = _tri_inv(l)
-        return True
+        return
     k = n // 2
-    if not _factor_inverse(a[:k, :k], l[:k, :k], x[:k, :k], admits):
-        return False
+    _factor_inverse(a[:k, :k], l[:k, :k], x[:k, :k], floor)
     l21 = l[k:, :k]
     np.matmul(a[k:, :k], x[:k, :k].conj().T, out=l21)
     schur = l21 @ l21.conj().T
     np.subtract(a[k:, k:], schur, out=schur)
-    if not _factor_inverse(schur, l[k:, k:], x[k:, k:], admits):
-        return False
+    _factor_inverse(schur, l[k:, k:], x[k:, k:], floor)
     _lower_left(l, x, k)
-    return True
 
 
-def cholesky_inverse(h: Hermitian, admits) -> tuple[np.ndarray, np.ndarray] | None:
-    """``(l, x)``: lower triangular `l` with ``h.sym = l l*`` and ``x = l^{-1}``, from one block recursion.
+def _cholesky_pair(h: Hermitian, admits) -> tuple[np.ndarray, np.ndarray]:
+    """``(l, x)`` of `cholesky_inverse`, with every check but the offer of `s`."""
+    sym = h.sym
+    l, x = np.zeros_like(sym), np.zeros_like(sym)
+    norm = 0.0  # ||diag(l)^{-1}||_F over the leaves factored so far
+
+    def floor(leaf: np.ndarray) -> None:
+        nonlocal norm
+        bound, norm = _pivot_bound(np.diagonal(leaf), norm)
+        if not admits(bound):
+            raise FactorizationError("Cholesky pivot bound refused")
+
+    # an overflowed inverse spreads inf and NaN through the products; the
+    # guard or _checked_inverse refuses it
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            _factor_inverse(sym, l, x, floor)
+        except np.linalg.LinAlgError as exc:
+            raise FactorizationError(f"Cholesky factorization failed: {exc}") from exc
+        # l* z is the conjugate of l^T z for the real probes z
+        _guard("Cholesky", lambda z: l @ (l.T @ z).conj(), sym, h.norm)
+    return l, _checked_inverse(l, x)
+
+
+def _admitted(l: np.ndarray, x: np.ndarray, admits) -> tuple[np.ndarray, np.ndarray, float]:
+    """``(l, x, s)`` with ``s = 1 / ||x||_F``; FactorizationError where `admits` refuses `s`."""
+    s = 1.0 / fro_norm(x)
+    if not admits(s):
+        raise FactorizationError(f"1 / ||l^-1||_F = {s:.3e} refused")
+    return l, x, s
+
+
+def cholesky_inverse(h: Hermitian, admits) -> tuple[np.ndarray, np.ndarray, float]:
+    """``(l, x, s)``: ``h.sym = l l*`` for a lower triangular `l`, ``x = l^{-1}`` and ``s = 1 / ||x||_F``, where `admits` passes them.
 
     `_factor_inverse` halves `sym` down to leaves of at most `_LEAF` rows,
     which np.linalg.cholesky factors and `tri_inv`'s leaf inverse inverts;
@@ -322,12 +350,14 @@ def cholesky_inverse(h: Hermitian, admits) -> tuple[np.ndarray, np.ndarray] | No
     Res. Dev. 44(6), 2000).  The panel needs the inverse of the leading
     block, so `x` comes along the way.
 
-    `admits(d)` is a pivot floor: it is called on the `_pivot_bound` ``d``
-    of the pivots factored so far as each leaf is factored, and the
-    recursion stops, returning None, where it refuses.
-    ``d`` only falls as pivots join and stays above ``1 / ||x||_F``, so an
-    `admits` that fails every bound below one it fails refuses no `l` whose
-    ``1 / ||x||_F`` it would pass.
+    `admits` is the caller's certificate rule.  As each leaf is factored it
+    is offered the `_pivot_bound` ``d = (Σ |l_ii|^{-2})^{-1/2}`` of the
+    pivots factored so far, and last ``s <= σ_min(l)``.  ``d`` is at most
+    ``min |l_ii|``, only falls as pivots join, and stays at least `s`, as
+    ``x_ii = 1 / l_ii``.  So an `admits` that fails every bound below one
+    it fails, as a `_certifies` rule on the bound or its square does,
+    refuses no `l` whose `s` it would pass; and a refused leaf stops the
+    recursion before it forms inverse blocks that nothing would use.
 
     Backward error: LAPACK's factor satisfies ``l l* = sym + E`` with ``|E|
     <= γ_{n+1} |l| |l*|`` (Higham, Accuracy and Stability of Numerical
@@ -340,72 +370,49 @@ def cholesky_inverse(h: Hermitian, admits) -> tuple[np.ndarray, np.ndarray] | No
     & Higham's method, chapter 14): ``||E||_F <= c n eps κ_2(l) ||sym||_F``
     with a modest `c`.  With ``c = 1`` it held by a factor of more than 100
     in every case measured (README), up to n = 1000 and κ_2(l) = 1e12.
-    Both checks below measure the computed pair:
+    The probe guard of ``l l*`` against `sym`, relative to `norm`, and
+    `_checked_inverse`'s right-residual probe check of `x` measure the
+    computed pair.  The guard bounds `l` against `sym` only: ``l^{-1}``
+    carries the conditioning of `sym`, which `admits` has to cover.
 
-    - the probe guard of ``l l*`` against `sym`, relative to `norm`, so an
-      `l` whose backward error is past ``KTOL / c`` raises FactorizationError;
-    - `_checked_inverse`'s right-residual probe check of `x`; an `x` that
-      overflowed is returned with its inf or NaN entries for the caller to
-      refuse by its norm.
-
-    FactorizationError also where np.linalg.cholesky finds a leaf not
-    positive definite.  The guard bounds `l` against `sym` only: ``l^{-1}``
-    carries the conditioning of `sym`, which the caller's certificate has
-    to cover.
+    Every refusal raises FactorizationError: a leaf that np.linalg.cholesky
+    finds not positive definite, a pivot bound or `s` that `admits`
+    refuses, an `l` past the guard, and an `x` past the check, one with inf
+    or NaN entries included.
     """
-    sym = h.sym
-    l, x = np.zeros_like(sym), np.zeros_like(sym)
-    norm = 0.0  # ||diag(l)^{-1}||_F over the leaves factored so far
-
-    def floor(leaf: np.ndarray) -> bool:
-        nonlocal norm
-        bound, norm = _pivot_bound(np.diagonal(leaf), norm)
-        return admits(bound)
-
-    # an overflowed inverse spreads inf and NaN through the products; the
-    # guard or the caller refuses it
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            done = _factor_inverse(sym, l, x, floor)
-        except np.linalg.LinAlgError as exc:
-            raise FactorizationError(f"Cholesky factorization failed: {exc}") from exc
-        if not done:
-            return None
-        # l* z is the conjugate of l^T z for the real probes z
-        _guard("Cholesky", lambda z: l @ (l.T @ z).conj(), sym, h.norm)
-    return l, _checked_inverse(l, x)
+    return _admitted(*_cholesky_pair(h, admits), admits)
 
 
-def gram_cholesky(a: np.ndarray, admits) -> tuple[np.ndarray, np.ndarray] | None:
-    """``(l, x)``: lower triangular `l` with ``a a* = l l*`` and ``x = l^{-1}``, for a validated `a`: `cholesky_inverse` of its Gram.
+def gram_cholesky(a: np.ndarray, admits) -> tuple[np.ndarray, np.ndarray, float]:
+    """``(l, x, s)`` of `cholesky_inverse` for the Gram ``a a* = l l*`` of the rows of a validated `a`.
 
     Products and a block Cholesky recursion, all BLAS-3; `l*` is the `R` of
     the QR ``a* = Q R``, without `Q`.  The Gram is formed from the rows of
     `a` with one conjugated copy.  Outside the plain-norm band it is formed
     of `a` times the power of two of `_probe_scale`, which is exact and
     keeps ``||a||^2`` from overflowing or underflowing; `l` is then divided
-    by it, `x` multiplied by it and `admits` offered the pivot bound of the
-    unscaled `l`.  FactorizationError where `cholesky_inverse` fails on the
-    Gram or `l` overflows on the way back; None where `admits` refuses.  An
-    `x` that overflows on the way back holds inf.  The error of forming the
-    Gram is not the guard's: the caller's certificate measures it through
-    ``l^{-1} a``, which it forms anyway.
+    by it and `x` multiplied by it, and `admits` is offered the pivot
+    bounds and `s` of the unscaled `l`.  FactorizationError where
+    `cholesky_inverse` would refuse the Gram, and where `l` or `x` leaves
+    the float64 range on the way back.  The error of forming the Gram is
+    not the guard's: the caller's certificate measures it through ``l^{-1}
+    a``, which it forms anyway.
     """
     scale = _probe_scale(a, fro_norm(a))
     if scale != 1.0:
         a = a * scale
     gram = a @ a.conj().T
     floor = admits if scale == 1.0 else (lambda d: admits(d / scale))
-    pair = cholesky_inverse(Hermitian(sym=gram, norm=fro_norm(gram)), floor)
-    if pair is None or scale == 1.0:
-        return pair
-    l, x = pair
-    with np.errstate(over="ignore"):
-        l *= 1.0 / scale
-        x *= scale
-    if not np.isfinite(l).all():
-        raise FactorizationError("Cholesky factor of the Gram overflowed: a row norm of a is above the float64 range")
-    return l, x
+    l, x = _cholesky_pair(Hermitian(sym=gram, norm=fro_norm(gram)), floor)
+    if scale != 1.0:
+        with np.errstate(over="ignore"):
+            l *= 1.0 / scale
+            x *= scale
+        if not (np.isfinite(l).all() and np.isfinite(x).all()):
+            raise FactorizationError(
+                "Cholesky factor of the Gram overflowed, or its inverse did: a is outside the float64 range"
+            )
+    return _admitted(l, x, admits)
 
 
 def _lower_left(l: np.ndarray, x: np.ndarray, k: int) -> None:
@@ -427,7 +434,7 @@ def _tri_inv(l: np.ndarray) -> np.ndarray:
 
 
 def _checked_inverse(l: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """`x`, unless ``||l (x Z) - Z|| / sqrt(k) > (KTOL / c) ||l|| ||x||`` on the probes; one with inf or NaN entries unchecked.
+    """`x`, unless its norm is not finite or ``||l (x Z) - Z|| / sqrt(k) > (KTOL / c) ||l|| ||x||`` on the probes.
 
     The form of the right-residual bound of a stable inverse (Higham,
     Accuracy and Stability of Numerical Algorithms, §14.2).
@@ -436,7 +443,7 @@ def _checked_inverse(l: np.ndarray, x: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         x_norm = fro_norm(x)
         if not x_norm < np.inf:
-            return x
+            raise FactorizationError(f"triangular inverse overflowed: ||x|| = {x_norm}")
         z = _probes(l.shape[0])
         residual = l @ (x @ z)
         residual -= z
@@ -455,8 +462,7 @@ def tri_inv(l: np.ndarray) -> np.ndarray:
     ``x21 = -x22 (l21 x11)``, down to leaves of at most `_LEAF` rows, which
     np.linalg.inv inverts; an `l` that small gets np.linalg.inv's result
     itself.  FactorizationError where a block is singular, or where
-    `_checked_inverse` fails.  An inverse that overflowed holds inf or NaN;
-    it is returned unchecked, and the caller refuses it by its norm.
+    `_checked_inverse` fails, as an inverse that overflowed does.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         try:

@@ -316,39 +316,13 @@ def _certifies(bound: float, *gates: float) -> bool:
     return bound > CERTIFICATE_MARGIN * max(*gates, ABS_FLOOR)
 
 
-def _certified_cholesky(factor, rule):
-    """``(l, x, s)``: lower triangular `l`, ``x = l^{-1}`` and ``s = 1 / ||x||_F <= σ_min(l)``, where `rule` passes `s`, else None.
-
-    ``factor(admits)`` is the caller's `cholesky_inverse` or `gram_cholesky`
-    call, which returns ``(l, x)`` or None.  `rule` passes a bound, or its
-    square, through `_certifies`, so it fails every bound below one it
-    fails.  It is also the factorization's pivot floor, `admits`: ``d = (Σ
-    |l_ii|^{-2})^{-1/2}`` over the pivots factored so far is at least `s`,
-    as ``x_ii = 1 / l_ii``, and at most ``min |l_ii|``.  Where `d` fails, so
-    would `s`, and the factorization stops at that leaf, before it forms
-    inverse blocks that nothing would use.  So the floor is never weaker
-    than one on ``min |l_ii|`` and never refuses an `l` whose `s` would
-    pass.  A failed factorization, and an `x` with inf or NaN entries, pass
-    nothing.
-    """
-    try:
-        pair = factor(rule)
-    except FactorizationError:
-        pair = None
-    if pair is None:
-        return None
-    l, x = pair
-    s = 1.0 / fro_norm(x)
-    return (l, x, s) if rule(s) else None
-
-
 def _certified_inverse(x: np.ndarray, ratio: float):
     """``(v, g, s)`` with ``pinv(x) = v g`` and ``s <= σ_min(x)`` where they certify full row rank, else None.
 
-    `R` is the factor of the Gram ``x x* = R* R``, and `_certified_cholesky`
-    gives ``R*`` and ``R^{-*}``; a Gram whose Cholesky factorization fails
-    certifies nothing.  ``v* = R^{-*} x`` is formed by one product.
-    Were `R` exact, `v` would have orthonormal columns; the computed one
+    `R` is the factor of the Gram ``x x* = R* R``, and `gram_cholesky`
+    gives ``R*``, ``R^{-*}`` and ``s_R`` where the rule passes them; its
+    FactorizationError certifies nothing.  ``v* = R^{-*} x`` is formed by
+    one product.  Were `R` exact, `v` would have orthonormal columns; the computed one
     carries the error of the Gram, ``F = I - v* v`` of order ``eps
     κ(x)^2``, and ``x x* = R* (I - F) R``.  With ``f = ||F||_F`` and ``s_R
     = 1 / ||R^{-*}||_F <= σ_min(R)``:
@@ -375,12 +349,10 @@ def _certified_inverse(x: np.ndarray, ratio: float):
     `f` is tested first, so ``f < 1`` wherever `s` is formed.
     """
     gate = ratio * fro_norm(x)
-    certified = _certified_cholesky(
-        lambda admits: gram_cholesky(x, admits), lambda bound: _certifies(bound, gate)
-    )
-    if certified is None:
+    try:
+        l, rinv, s = gram_cholesky(x, lambda bound: _certifies(bound, gate))
+    except FactorizationError:
         return None
-    l, rinv, s = certified
     # v*, which needs no conjugated copy of x; v is its conjugate's transpose
     vh = rinv @ x
     # F and g are formed in place: three m by m temporaries fewer
@@ -451,8 +423,9 @@ def _cholesky_root(h: Hermitian, cfg: ToleranceConfig) -> np.ndarray | None:
     ``s = 1 / ||L^{-1}||_F <= σ_min(L)``, ``λ_min(t) = σ_min(L)^2 >= s^2``.
     So where ``s^2`` `_certifies` against that gate and ``n eps ||t||_F``,
     `eigh` would call `t` definite too; the margin also covers the rounding
-    of `L` and of its inverse.  None, and the caller takes `eigh`, for a
-    non-positive diagonal, or where `_certified_cholesky` certifies nothing.
+    of `L` and of its inverse.  The rule is `cholesky_inverse`'s `admits`.
+    None, and the caller takes `eigh`, for a non-positive diagonal, or where
+    the factorization raises FactorizationError.
     """
     diag = np.real(np.diagonal(h.sym))
     if not (diag.size and diag.min() > 0):
@@ -461,10 +434,11 @@ def _cholesky_root(h: Hermitian, cfg: ToleranceConfig) -> np.ndarray | None:
     pd_gate = cfg.pd_tol if cfg.pd_tol is not None else cfg.effective_rtol(n) * h.norm
     # n eps ||t||, the default rank rule's, bounds the rounding of eigh
     gates = (pd_gate, DEFAULT_TOL.effective_rtol(n) * h.norm)
-    certified = _certified_cholesky(
-        lambda admits: cholesky_inverse(h, admits), lambda bound: _certifies(bound * bound, *gates)
-    )
-    return None if certified is None else certified[1].conj().T
+    try:
+        x = cholesky_inverse(h, lambda bound: _certifies(bound * bound, *gates))[1]
+    except FactorizationError:
+        return None
+    return x.conj().T
 
 
 def _factorize(p: QpProblem, gate) -> _Factors:

@@ -1,8 +1,8 @@
 """Layering read from the source.
 
 Only dense_core calls the guarded factorizations and the inverse of
-numpy.linalg, the kernel's certificates share one rule and one certified
-Cholesky factor and inverse,
+numpy.linalg, the kernel's certificates share one rule, a triangular
+factorization refuses only by FactorizationError,
 private names cross from one module to another only where listed, every
 name the benchmark's tracer wraps exists, and an import kept only for the
 tracer is one the tracer wraps and nothing else uses.
@@ -127,19 +127,25 @@ def test_the_rule_check_sees_an_inline_margin():
 TRIANGLE_INVERSES = ("tri_inv", "cholesky_inverse", "gram_cholesky")
 
 
+def _inverts(node):
+    """Whether `node` calls a `TRIANGLE_INVERSES` name, by name or as an attribute."""
+    func = getattr(node, "func", None)
+    return (getattr(func, "id", None) or getattr(func, "attr", None)) in TRIANGLE_INVERSES
+
+
 def _tri_inv_calls(tree):
-    """The top-level definition around each call of a `TRIANGLE_INVERSES` name, by name or as an attribute."""
+    """The top-level definition around each call of a `TRIANGLE_INVERSES` name."""
     for top in tree.body:
         for node in ast.walk(top):
-            func = getattr(node, "func", None)
-            if (getattr(func, "id", None) or getattr(func, "attr", None)) in TRIANGLE_INVERSES:
+            if _inverts(node):
                 yield getattr(top, "name", "<module>")
 
 
 def test_minimizers_invert_triangles_in_one_place():
     # a Cholesky factor and its inverse, of t or of the Gram of a W, are
-    # factored only where they are handed to _certified_cholesky; only the
-    # full-rank branch of _row_factors inverts an R it already decided on
+    # factored only where the certificate hands its rule to the
+    # factorization; only the full-rank branch of _row_factors inverts an R
+    # it already decided on
     tree = ast.parse((SRC / "minimizers.py").read_text(encoding="utf-8"))
     assert sorted(_tri_inv_calls(tree)) == ["_certified_inverse", "_cholesky_root", "_row_factors"]
 
@@ -150,6 +156,69 @@ def test_the_triangle_check_sees_an_inline_inverse():
         "def _certified_inverse(x, ratio):\n    l, rinv = gram_cholesky(x)\n"
     )
     assert list(_tri_inv_calls(old)) == ["_cholesky_root", "_certified_inverse"]
+
+
+# The dense_core functions on the way to a triangular factor or inverse.
+# Each returns its result or raises FactorizationError; `_factor_inverse`
+# fills its arguments and returns nothing.
+RAISING = ("cholesky_inverse", "gram_cholesky", "_cholesky_pair", "_admitted", "_checked_inverse", "tri_inv")
+
+
+def _returned_verdicts(tree):
+    """``return None`` in a `RAISING` function, and a return with a value in `_factor_inverse`."""
+    for top in tree.body:
+        name = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Return):
+                continue
+            none = isinstance(node.value, ast.Constant) and node.value.value is None
+            if (name in RAISING and none) or (name == "_factor_inverse" and node.value is not None):
+                yield f"{name} at line {node.lineno}"
+
+
+def _none_tests_of_factors(tree):
+    """The top-level definition around each ``is None`` test of a `TRIANGLE_INVERSES` result.
+
+    A result is the call itself or a name assigned from an expression that
+    calls one.
+    """
+    for top in tree.body:
+        results = set()
+        for node in ast.walk(top):
+            if isinstance(node, ast.Assign) and any(_inverts(call) for call in ast.walk(node.value)):
+                results |= {n.id for target in node.targets for n in ast.walk(target) if isinstance(n, ast.Name)}
+        for node in ast.walk(top):
+            if not (
+                isinstance(node, ast.Compare)
+                and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+                and any(isinstance(c, ast.Constant) and c.value is None for c in node.comparators)
+            ):
+                continue
+            if getattr(node.left, "id", None) in results or _inverts(node.left):
+                yield getattr(top, "name", "<module>")
+
+
+def test_a_triangular_factorization_refuses_by_raising():
+    # cholesky_inverse, gram_cholesky and tri_inv return their factors or
+    # raise FactorizationError; the certificates turn that error into None,
+    # and never test a factor call's result for None
+    tree = ast.parse((SRC / "dense_core.py").read_text(encoding="utf-8"))
+    assert {*RAISING, "_factor_inverse"} <= {getattr(top, "name", None) for top in tree.body}
+    assert list(_returned_verdicts(tree)) == []
+    assert list(_none_tests_of_factors(ast.parse((SRC / "minimizers.py").read_text(encoding="utf-8")))) == []
+
+
+def test_the_refusal_check_sees_a_returned_verdict():
+    old = ast.parse(
+        "def _factor_inverse(a, l, x, admits):\n    if not admits(l):\n        return False\n    return True\n"
+        "def gram_cholesky(a, admits):\n    if pair is None:\n        return None\n    return pair\n"
+        "def _certified_inverse(x, ratio):\n"
+        "    certified = _certified_cholesky(lambda admits: gram_cholesky(x, admits), rule)\n"
+        "    if certified is None:\n        return None\n"
+        "def _cholesky_root(h, cfg):\n    return None if dense_core.cholesky_inverse(h, rule) is None else 1\n"
+    )
+    assert [v.split(" at ")[0] for v in _returned_verdicts(old)] == ["_factor_inverse"] * 2 + ["gram_cholesky"]
+    assert list(_none_tests_of_factors(old)) == ["_certified_inverse", "_cholesky_root"]
 
 
 # (importer, source, name): every private name one qfmin module imports from

@@ -1193,7 +1193,7 @@ class TestRowFactorAccuracy:
         x, _ = _planted_rows(np.random.default_rng(1), 2, 5e4, False)
         ratio = max(WARN_RATIO, DEFAULT_TOL.effective_rtol(4))
         rule = lambda bound: minimizers._certifies(bound, ratio * fro_norm(x))  # noqa: E731
-        assert minimizers._certified_cholesky(lambda admits: dense_core.gram_cholesky(x, admits), rule) is not None
+        dense_core.gram_cholesky(x, rule)  # raises where the rule refuses
         assert minimizers._certified_inverse(x, ratio) is None
         rank, u, v, g, _ = minimizers._row_factors(x, _decide, DEFAULT_TOL)
         assert (rank, u) == (2, None)
@@ -1631,15 +1631,17 @@ class TestCertificates:
         # an inverse with inf or NaN entries certifies nothing: the pivots
         # pass, and the entries 2^(i-j-1) 1e290 of the inverse overflow.  A
         # Gram whose factor is this l is not numerically definite, so the
-        # factor call hands over l and the inverse tri_inv gives it, and that
-        # inverse with a NaN as well
+        # check of the recursion refuses the inverse the leaves give, and
+        # that inverse with a NaN as well
         l = 1e-290 * (np.eye(64) - np.tri(64, k=-1))
-        g = dense_core.tri_inv(l)
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = dense_core._tri_inv(l)
         assert np.isinf(g).any()
         rule = lambda bound: minimizers._certifies(bound, WARN_RATIO * fro_norm(l))  # noqa: E731
         assert rule(dense_core._pivot_bound(np.diagonal(l))[0])
         for inverse in (g, np.where(np.isinf(g), np.nan, g)):
-            assert minimizers._certified_cholesky(lambda admits: (l, inverse), rule) is None
+            with pytest.raises(FactorizationError, match="triangular inverse overflowed"):
+                dense_core._checked_inverse(l, inverse)
         v, g, s = minimizers._certified_inverse(1e-200 * np.eye(2), WARN_RATIO)
         assert fro_norm(v @ g - 1e200 * np.eye(2)) <= 4 * _EPS * 1e200
         assert s == pytest.approx(1e-200 / np.sqrt(2), rel=4 * _EPS)
@@ -1718,22 +1720,120 @@ class TestCertificates:
         m = 5  # rows of a, so of the Gram of a W, which is factored after
         a = rng.standard_normal((m, n))
         p = QpProblem(t, a, a @ (t @ rng.standard_normal(n)))
-        recursion, calls, inverted = dense_core._factor_inverse, [], []
+        recursion, completed, inverted = dense_core._factor_inverse, [], []
         factor = np.linalg.inv
 
         def spied(block, *args):
-            done = recursion(block, *args)
-            calls.append((block.shape[0], done))
-            return done
+            recursion(block, *args)  # raises where a leaf fails or is refused
+            completed.append(block.shape[0])
 
         monkeypatch.setattr(dense_core, "_factor_inverse", spied)
         monkeypatch.setattr(np.linalg, "inv", lambda l: inverted.append(l.shape[0]) or factor(l))
         log = TestCertificates.run(p, Method.AUTO, False, monkeypatch)[1]
         assert log["cholesky"] == [False]
-        completed = [rows for rows, done in calls if done and rows > m]
+        completed = [rows for rows in completed if rows > m]
         assert completed and max(completed) <= dense_core._LEAF
         # every leaf before the refused one is inverted, for its panel, and no more
         assert [rows for rows in inverted if rows > m] == completed
+
+
+def _leaf_result(name, change):
+    """A patch of np.linalg.`name` that applies ``change(out)`` to the leaf factor or inverse it returns."""
+    backend = getattr(np.linalg, name)
+
+    def patched(x):
+        out = backend(x)
+        change(out)
+        return out
+
+    return name, patched
+
+
+def _perturb(out):
+    out[-1, 0] += 1e-3 * fro_norm(out)
+
+
+def _overflow(out):
+    out[-1, 0] = np.inf
+
+
+_UNIT_GRADED = np.eye(30) - np.tri(30, k=-1)  # unit pivots; its inverse has the entries 2^(i-j-1)
+_SMALL_T = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
+_SMALL_ROWS = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 3.0]])
+
+# (kind, factor): the operand, a patch of numpy.linalg or None, and the
+# message of the refusal, None where the rule certifies.  "t" is factored by
+# _cholesky_root's cholesky_inverse and "gram" by _certified_inverse's
+# gram_cholesky, each under its own rule; "gram, no floor" by gram_cholesky
+# under a rule that passes every bound, and "tri_inv" by tri_inv.  Neither
+# rule lets an l or x past the float64 range through: an overflowed ||x||_F
+# makes the gate inf, and an x past the range has s below ABS_FLOOR
+REFUSALS = {
+    ("certified", "t"): (_SMALL_T, None, None),
+    ("certified", "gram"): (_SMALL_ROWS, None, None),
+    ("not-definite", "t"): (np.ones((2, 2)), None, "Cholesky factorization failed"),
+    ("not-definite", "gram"): (np.ones((2, 3)), None, "Cholesky factorization failed"),
+    ("pivot-floor", "t"): (np.diag([1.0, 1e-30]), None, "pivot bound refused"),
+    ("pivot-floor", "gram"): (np.diag([1.0, 1e-7]), None, "pivot bound refused"),
+    ("s-rule", "t"): (_UNIT_GRADED @ _UNIT_GRADED.T, None, r"1 / \|\|l\^-1\|\|_F = 2.794e-09 refused"),
+    ("s-rule", "gram"): (_UNIT_GRADED[:20, :20], None, r"1 / \|\|l\^-1\|\|_F = 2.861e-06 refused"),
+    ("guard", "t"): (_SMALL_T, _leaf_result("cholesky", _perturb), "Cholesky probe residual"),
+    ("guard", "gram"): (_SMALL_ROWS, _leaf_result("cholesky", _perturb), "Cholesky probe residual"),
+    ("non-finite-inverse", "t"): (_SMALL_T, _leaf_result("inv", _overflow), "triangular inverse overflowed"),
+    ("non-finite-inverse", "gram"): (_SMALL_ROWS, _leaf_result("inv", _overflow), "triangular inverse overflowed"),
+    ("non-finite-inverse", "tri_inv"): (1e-309 * np.eye(2), None, "triangular inverse overflowed"),
+    # the first row norm of this a is 2.1e308
+    ("l-out-of-range", "gram, no floor"): (
+        1.5e308 * np.array([[1.0, 1.0], [0.5, -0.5]]),
+        None,
+        "Cholesky factor of the Gram overflowed",
+    ),
+    # the smaller singular value of this a is 3.8e-312
+    ("x-out-of-range", "gram, no floor"): (1e-311 * np.array([[2.0, 1.0], [1.0, 1.0]]), None, "its inverse did"),
+}
+
+
+@pytest.mark.parametrize("kind, factor", list(REFUSALS))
+def test_every_refusal_is_a_factorization_error(monkeypatch, kind, factor):
+    # each refusal of a triangular factorization raises FactorizationError,
+    # which the certificate that asked for it turns into None; where the
+    # rule certifies, it saw s = 1 / ||x||_F last
+    operand, patch, match = REFUSALS[kind, factor]
+    if patch is not None:
+        monkeypatch.setattr(np.linalg, *patch)
+    if factor == "tri_inv":
+        with pytest.raises(FactorizationError, match=match):
+            dense_core.tri_inv(operand)
+        return
+    if factor == "gram, no floor":
+        with pytest.raises(FactorizationError, match=match):
+            dense_core.gram_cholesky(operand, lambda bound: True)
+        return
+    name = "cholesky_inverse" if factor == "t" else "gram_cholesky"
+    real, offered, outcome = getattr(minimizers, name), [], []
+
+    def spied(x, admits):
+        try:
+            out = real(x, lambda bound: offered.append(bound) or admits(bound))
+        except FactorizationError as exc:
+            outcome.append(exc)
+            raise
+        outcome.append(out)
+        return out
+
+    monkeypatch.setattr(minimizers, name, spied)
+    if factor == "t":
+        got = minimizers._cholesky_root(dense_core.hermitian(operand), DEFAULT_TOL)
+    else:
+        got = minimizers._certified_inverse(operand, WARN_RATIO)
+    (out,) = outcome
+    if match is None:
+        l, x, s = out
+        assert got is not None
+        assert offered[-1] == s == 1.0 / fro_norm(x)
+    else:
+        assert got is None
+        assert isinstance(out, FactorizationError) and re.search(match, str(out)), out
 
 
 def _invariance_case(seed, n, m, psd, complex_entries):
