@@ -11,9 +11,10 @@ gives the same x, as ``pinv(A W U) = U* pinv(A W)`` for unitary U.  The R of
 ``V = (A W)* R^{-1}``, certify full row rank, ``pinv(A W) = V G`` with V
 formed once and ``G`` one Schulz step from ``R^{-*}``; otherwise a
 Householder QR and an SVD of its small R.  Those factors depend on
-``(T, A)`` only, so the last operator's are kept and a further ``b`` needs
-no factorization, only O(n^2 + nm) work to recognise the operator and
-apply them.  The square-root route ``T^{-1/2} pinv(A T^{-1/2}) b`` stays
+``(T, A)`` only, so the last operator's are kept, with those of one
+reused operator whose miss ran ``eigh``, and a further ``b`` needs no
+factorization, only O(n^2 + nm) work to recognise the operator and apply
+them.  The square-root route ``T^{-1/2} pinv(A T^{-1/2}) b`` stays
 literal and uncached as an independent reference, a Lat-invariance
 shortcut collapses the solution to ``pinv(A) b``, and ``min_norm_ls`` is
 the unconstrained baseline.
@@ -237,6 +238,8 @@ class _Factors:
     made, in order, replayed on a hit so that it warns as the miss did.  A
     decision that `_certified_inverse` showed to keep every value without a
     warning is not made, so not listed.
+    `by_eigh` records that the miss factored `t` by `eigh`, and `reused` that
+    the entry has served a hit: the memo retains only an entry with both.
     """
 
     t: np.ndarray
@@ -249,36 +252,55 @@ class _Factors:
     g: np.ndarray
     notes: tuple[Diagnostic, ...]
     spectra: tuple[tuple[np.ndarray, int], ...]
+    by_eigh: bool
+    reused: bool = False
 
 
-# The factors of the last operator solved.  One slot, so at most one
-# problem's factors stay alive; it is replaced by a single assignment, so
-# concurrent callers can at worst both miss.
+# Two slots: the factors of the last operator solved, and of one retained
+# operator, the last that served a hit and whose miss ran `eigh`, the
+# costliest miss to repeat.  So at most two problems' factors stay alive,
+# and an operator never reused, or certified by Cholesky, is never
+# retained.  Each slot is replaced by a single assignment, so concurrent
+# callers can at worst both miss.
 _memo: _Factors | None = None
+_retained: _Factors | None = None
 
 
 def _same(kept: np.ndarray, given: np.ndarray) -> bool:
-    return kept.shape == given.shape and kept.dtype == given.dtype and np.array_equal(kept, given)
+    # the first row rejects another operator of the same shape in O(n)
+    return (
+        kept.shape == given.shape
+        and kept.dtype == given.dtype
+        and np.array_equal(kept[:1], given[:1])
+        and np.array_equal(kept, given)
+    )
 
 
 def _factors(p: QpProblem, gate) -> _Factors:
     """The factor stage of `p`, reused while ``(t, a, tol)`` is unchanged.
 
     `gate` raises the route's error for a spectrum class it does not solve;
-    it runs right after the class is known, on a hit as on a miss.  A miss
-    releases the previous factors first and stores the new ones only once
+    it runs right after the class is known, on a hit as on a miss.  A hit
+    may come from either slot.  A miss releases the last operator's factors
+    first, retaining them in place of the retained entry only where they
+    served a hit and came from `eigh`, and stores the new ones only once
     they are complete.
     """
-    global _memo
-    entry = _memo
-    if entry is not None and entry.tol == p.tol and _same(entry.t, p.t) and _same(entry.a, p.a):
-        gate(entry.cls)
-        for sigma, dim in entry.spectra:
-            rank_decide(sigma, p.tol, dim=dim)
-        return entry
-    # Drop both references first, so the old factors are freed before the
-    # new ones are made and peak memory holds one problem's factors.
-    entry = _memo = None
+    global _memo, _retained
+    for entry in (_memo, _retained):
+        if entry is not None and entry.tol == p.tol and _same(entry.t, p.t) and _same(entry.a, p.a):
+            gate(entry.cls)
+            for sigma, dim in entry.spectra:
+                rank_decide(sigma, p.tol, dim=dim)
+            entry.reused = True
+            return entry
+    entry, _memo = _memo, None
+    if entry is not None and entry.reused and entry.by_eigh:
+        _retained = entry
+    # Drop the last reference first, so that factors not retained are
+    # freed before the new ones are made and peak memory holds at most
+    # the retained entry besides the miss.
+    entry = None
     _memo = _factorize(p, gate)
     return _memo
 
@@ -486,6 +508,7 @@ def _factorize(p: QpProblem, gate) -> _Factors:
         g=g,
         notes=tuple(notes),
         spectra=tuple(spectra),
+        by_eigh=eig is not None,
     )
 
 
@@ -510,13 +533,18 @@ def _require_feasible(u: np.ndarray | None, b: np.ndarray, cls: SpectrumClass) -
 def _result(p: QpProblem, xhat: np.ndarray, min_value: float, method: Method, notes) -> MinimizationResult:
     """The result of a route, with the residual ``||a xhat - b||``; FactorizationError for a non-finite `xhat`.
 
-    A `min_value` that overflowed to inf next to a finite `xhat` is kept.
+    A `min_value` that overflowed to inf next to a finite `xhat` is kept,
+    and a `min_value_overflow` diagnostic says so.
     """
     if not np.isfinite(xhat).all():
         raise FactorizationError(
             "x is not finite: the minimizer is outside the float64 range or its factors overflowed"
         )
-    return MinimizationResult(xhat, min_value, fro_norm(p.a @ xhat - p.b), method, tuple(notes))
+    notes = tuple(notes)
+    if np.isinf(min_value):
+        message = "the minimum is above the float64 range; x is finite"
+        notes += (Diagnostic("min_value_overflow", message),)
+    return MinimizationResult(xhat, min_value, fro_norm(p.a @ xhat - p.b), method, notes)
 
 
 def _apply(p: QpProblem, f: _Factors, method: Method) -> MinimizationResult:

@@ -1,9 +1,25 @@
 import numpy as np
 import pytest
 
+from qfmin import minimizers
+
 # Every numpy.linalg factorization or solve the library can call; a new one
 # has to join this list, so that none goes uncounted.
 LINALG_CALLS = ("eigh", "cholesky", "svd", "qr", "inv", "solve")
+
+
+@pytest.fixture(autouse=True)
+def cold_memo():
+    """Empty both slots of the factor memo before every test, whatever ran before.
+
+    The value empties them again, for a test that needs a second miss.
+    """
+
+    def forget():
+        minimizers._memo = minimizers._retained = None
+
+    forget()
+    return forget
 
 
 @pytest.fixture

@@ -252,6 +252,17 @@ class TestSolve:
         assert code == 0
         assert json.loads(out)["xhat"] == pytest.approx([1.0, 1.0])
 
+    def test_overflowing_minimum_is_noted(self, tmp_path, capsys):
+        # x = [5e199, 5e199] is finite, and its minimum 5e399 is not
+        path = write(tmp_path, {"t": [[1, 0], [0, 1]], "a": [[1, 1]], "b": [1e200]})
+        code, out, _ = run(capsys, "solve", "--problem", path)
+        assert code == 0
+        doc = json.loads(out, parse_constant=lambda c: pytest.fail(f"{c} is not strict JSON"))
+        assert doc["min_value"] is None
+        assert doc["xhat"] == pytest.approx([5e199, 5e199], rel=1e-15)
+        codes = [d["code"] for d in doc["diagnostics"]]
+        assert codes == ["reduced_rank", "min_value_overflow", "cor1_shortcut"]
+
     def test_wrong_route_for_singular_form_exits_three(self, tmp_path, capsys):
         path = write(tmp_path, SINGULAR_FORM)
         code, _, _ = run(capsys, "solve", "--problem", path, "--method", "posdef")

@@ -584,14 +584,19 @@ class TestResultInvariants:
             value = quad_value(t, r.xhat + d)
             assert value >= r.min_value - 1e-10
 
+    @pytest.mark.parametrize("method", [Method.AUTO, Method.POSDEF_DIAG, Method.POSDEF], ids=lambda m: m.value)
+    def test_an_overflowing_minimum_is_noted(self, method):
+        # x = [5e199, 5e199] is finite, and its minimum 5e399 is not
+        p = QpProblem(np.eye(2), np.array([[1.0, 1.0]]), np.array([1e200]))
+        r = solve(p, method)
+        assert r.xhat == pytest.approx([5e199, 5e199], rel=1e-15)
+        assert r.min_value == np.inf
+        note = Diagnostic("min_value_overflow", "the minimum is above the float64 range; x is finite")
+        assert r.diagnostics[1] == note
+        finite = solve(QpProblem(p.t, p.a, np.array([1e150])), method)
+        assert "min_value_overflow" not in [d.code for d in finite.diagnostics]
 
-@pytest.fixture
-def cold_memo(monkeypatch):
-    """Start from an empty memo of factors, whatever ran before."""
-    monkeypatch.setattr(minimizers, "_memo", None)
 
-
-@pytest.mark.usefixtures("cold_memo")
 class TestFactorizationCounts:
     """numpy.linalg calls made by one AUTO solve: one factorization of t, one of the Gram of a W.
 
@@ -678,6 +683,15 @@ def fresh_rhs(t, a, seed):
     return a @ x
 
 
+# Operators whose miss runs eigh: a singular t, with a row of a at cosine
+# 1e-9 to its range so that every solve warns, and a definite t whose least
+# eigenvalue is too small for the Cholesky certificate.
+EIGH_OPERATORS = {
+    "singular": lambda: (np.diag([1.0, 1.0, 0.0]), np.array([[1.0, 0.0, 0.0], [0.0, 1e-9, 1.0]])),
+    "refused-definite": lambda: (np.diag(np.logspace(0.0, -13.0, 12)), random_pd_problem(12, 6, seed=6)[1]),
+}
+
+
 def outcome(r):
     """A solve's whole result, `x` to the byte, or its error class and message."""
     if isinstance(r, QfminError):
@@ -686,12 +700,11 @@ def outcome(r):
     return r.xhat.dtype, r.xhat.shape, r.xhat.tobytes(), r.min_value, r.feasibility_residual, r.method, notes
 
 
-@pytest.mark.usefixtures("cold_memo")
 class TestFactorMemo:
-    """solve and the kernel routes reuse the last operator's factors."""
+    """solve and the kernel routes reuse the factors of the last operator and of one retained operator."""
 
     @pytest.mark.parametrize("case", sorted(SHARED_OPERATORS))
-    def test_second_rhs_factors_nothing(self, count_linalg, case, monkeypatch):
+    def test_second_rhs_factors_nothing(self, count_linalg, case, cold_memo):
         t, a, b = SHARED_OPERATORS[case]()
         solve(QpProblem(t, a, b))
         b2 = fresh_rhs(t, a, seed=1)
@@ -701,7 +714,7 @@ class TestFactorMemo:
         # rank is certified
         each = 1 if case == "pd-square" else 0
         assert counts == {"eigh": 0, "cholesky": each, "svd": 0, "qr": 0, "inv": each, "solve": 0, "svdvals": 0}
-        monkeypatch.setattr(minimizers, "_memo", None)
+        cold_memo()
         assert outcome(hit) == outcome(solve(QpProblem(t, a, b2)))
 
     def test_kernel_routes_share_the_memo(self, count_linalg, monkeypatch):
@@ -720,7 +733,7 @@ class TestFactorMemo:
         "change",
         ["mutate-t", "complex-t", "tol"],
     )
-    def test_changed_operator_misses(self, count_linalg, change, monkeypatch):
+    def test_changed_operator_misses(self, count_linalg, change, cold_memo):
         t, a, b = random_pd_problem(10, 4, seed=4)
         tol = ToleranceConfig()
         first = solve(QpProblem(t, a, b, tol))
@@ -735,7 +748,7 @@ class TestFactorMemo:
         # a definite t misses by its certified Cholesky factorization, and
         # the rank of a W by the Cholesky factorization of its Gram
         assert (counts["cholesky"], counts["eigh"]) == (2, 0)
-        monkeypatch.setattr(minimizers, "_memo", None)
+        cold_memo()
         assert outcome(again) == outcome(solve(QpProblem(t, a, b, tol)))
         if change == "mutate-t":
             assert again.min_value == pytest.approx(2.0 * first.min_value, rel=1e-12)
@@ -867,7 +880,7 @@ class TestFactorMemo:
         bent[0, 1] += 1.0
         with pytest.raises(NotHermitianError):
             solve(QpProblem(bent, a, b))
-        assert minimizers._memo is None  # a rejected miss, like any miss, empties the slot
+        assert minimizers._memo is None  # a rejected miss, like any miss, empties the last slot
 
     def test_caller_mutation_in_place_is_gated(self):
         t, a, b = random_pd_problem(12, 6, seed=5)
@@ -910,6 +923,94 @@ class TestFactorMemo:
         solve(QpProblem(t, a, b))
         assert (counts["cholesky"], counts["eigh"]) == (2, 0)
 
+    @staticmethod
+    def seen(t, a, b):
+        """The `outcome` of an AUTO solve, and the class and text of each warning it raised."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            r = solve(QpProblem(t, a, b))
+        return outcome(r), [(w.category, str(w.message)) for w in caught]
+
+    def reuse(self, case):
+        """``(t, a, outcome of the miss)`` of an `EIGH_OPERATORS` case solved twice, then retained.
+
+        The second solve is a hit, and the certified miss after it moves
+        the entry to the retained slot.
+        """
+        t, a = EIGH_OPERATORS[case]()
+        miss = self.seen(t, a, fresh_rhs(t, a, seed=1))
+        assert minimizers._memo.by_eigh
+        self.seen(t, a, fresh_rhs(t, a, seed=2))
+        solve(QpProblem(*SHARED_OPERATORS["pd"]()))
+        assert minimizers._retained.t.shape == t.shape
+        return t, a, miss
+
+    @pytest.mark.parametrize("case", sorted(EIGH_OPERATORS))
+    def test_a_reused_eigh_entry_survives_certified_misses(self, count_linalg, case):
+        t, a, miss = self.reuse(case)
+        # a second certified miss releases the first and keeps the retained entry
+        solve(QpProblem(*random_pd_problem(12, 6, seed=6)))
+        counts = count_linalg()
+        assert self.seen(t, a, fresh_rhs(t, a, seed=1)) == miss
+        assert counts == dict.fromkeys(counts, 0)
+        # the singular case warns, and its hit warns alike
+        assert miss[1] or case == "refused-definite"
+        if case == "refused-definite":
+            assert minimizers._retained.cls is SpectrumClass.POSITIVE_DEFINITE
+
+    def test_only_reused_eigh_entries_are_retained(self):
+        operators = [
+            EIGH_OPERATORS["singular"](),
+            EIGH_OPERATORS["refused-definite"](),
+            SHARED_OPERATORS["psd"]()[:2],
+            SHARED_OPERATORS["pd"]()[:2],
+        ]
+        # distinct operators, each solved once: only the last one's entry stays
+        for t, a in operators:
+            self.seen(t, a, fresh_rhs(t, a, seed=1))
+        assert minimizers._retained is None
+        # a hit on a Cholesky-certified operator does not retain it either
+        t, a = operators[-1]
+        self.seen(t, a, fresh_rhs(t, a, seed=2))
+        t, a = operators[0]
+        self.seen(t, a, fresh_rhs(t, a, seed=1))
+        assert minimizers._retained is None
+        assert minimizers._memo.t.shape == t.shape
+
+    def test_a_t_changed_in_place_misses_the_retained_copy(self, gated):
+        t, a, _ = self.reuse("singular")
+        assert gated == [t.shape, (12, 12)]
+        t[-1, 0] += 1.0  # the retained entry holds its own copy of t; the first rows agree
+        with pytest.raises(NotHermitianError):
+            solve(QpProblem(t, a, fresh_rhs(t, a, seed=1)))
+        assert gated == [t.shape, (12, 12), t.shape]
+
+    def test_a_rejected_miss_leaves_the_retained_entry(self, count_linalg):
+        t, a, miss = self.reuse("refused-definite")
+        retained = minimizers._retained
+        with pytest.raises(NotPositiveError):
+            solve(QpProblem(np.diag([1.0, -1.0]), np.ones((1, 2)), np.ones(1)))
+        assert (minimizers._memo, minimizers._retained) == (None, retained)
+        counts = count_linalg()
+        assert self.seen(t, a, fresh_rhs(t, a, seed=1)) == miss
+        assert counts == dict.fromkeys(counts, 0)
+
+    def test_another_operator_is_rejected_by_its_first_row(self, monkeypatch):
+        t, a, _ = self.reuse("refused-definite")
+        # the last slot holds another operator of the same shapes
+        assert (minimizers._memo.t.shape, minimizers._memo.a.shape) == (t.shape, a.shape)
+        sizes = []
+        equal = np.array_equal
+
+        def spied(kept, given, *args, **kwargs):
+            sizes.append(np.size(given))
+            return equal(kept, given, *args, **kwargs)
+
+        monkeypatch.setattr(np, "array_equal", spied)
+        self.seen(t, a, fresh_rhs(t, a, seed=3))
+        # the last slot: the first row of t; the retained slot: both first rows, then t and a whole
+        assert sizes == [t.shape[1], t.shape[1], t.size, a.shape[1], a.size]
+
 
 def svd_row_factors(x, decide, cfg=None):
     """The thin-SVD construction that `_row_factors` replaced, kept as its reference."""
@@ -921,21 +1022,26 @@ def svd_row_factors(x, decide, cfg=None):
     return k, u, v, g, decision.sigma_kept_min
 
 
-def observed(p, method):
+@pytest.fixture
+def observed(cold_memo):
     """What a caller sees of one solve on a cold memo.
 
     The method, the diagnostic codes with the `reduced_rank` value, and the
     warning classes, or the error class; and `x`.
     """
-    minimizers._memo = None
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            r = solve(p, method)
-        except QfminError as exc:
-            return (type(exc), [w.category for w in caught]), None
-    notes = [(d.code, d.value if d.code == "reduced_rank" else None) for d in r.diagnostics]
-    return (r.method, notes, [w.category for w in caught]), r.xhat
+
+    def see(p, method):
+        cold_memo()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                r = solve(p, method)
+            except QfminError as exc:
+                return (type(exc), [w.category for w in caught]), None
+        notes = [(d.code, d.value if d.code == "reduced_rank" else None) for d in r.diagnostics]
+        return (r.method, notes, [w.category for w in caught]), r.xhat
+
+    return see
 
 
 def _duplicated_rows():
@@ -978,7 +1084,7 @@ class TestRowFactors:
     """The QR-first kernel against the thin SVD of ``a W`` it replaced."""
 
     @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
-    def test_matches_the_svd_reference(self, case, monkeypatch):
+    def test_matches_the_svd_reference(self, case, monkeypatch, observed):
         p = QpProblem(*KERNEL_CASES[case]())
         definite = classify_spectrum(np.linalg.eigvalsh(p.t)) is SpectrumClass.POSITIVE_DEFINITE
         for method in (Method.AUTO, Method.POSDEF_DIAG if definite else Method.PSD_COMPLEMENT):
@@ -990,7 +1096,7 @@ class TestRowFactors:
             if ref is not None:
                 assert fro_norm(x - ref) <= 1e-12 * fro_norm(ref)
 
-    def test_rank_deficiency_is_kept(self):
+    def test_rank_deficiency_is_kept(self, observed):
         # the duplicated row leaves rank 3, and a b off that range is refused
         got, _ = observed(QpProblem(*_duplicated_rows()), Method.AUTO)
         assert ("reduced_rank", 3.0) in got[1]
@@ -1002,7 +1108,6 @@ class TestRowFactors:
     @pytest.mark.parametrize("case", ["ill-conditioned", "psd-rank-below-m", "complex-psd"])
     def test_hit_repeats_the_miss(self, case):
         p = QpProblem(*KERNEL_CASES[case]())
-        minimizers._memo = None
         runs = []
         for _ in range(2):
             with warnings.catch_warnings(record=True) as caught:
@@ -1518,7 +1623,9 @@ class TestCertificates:
             spy("rank_decide", decided)
             spy("_conditioning_certified", lambda passed, *_: log["conditioning"].append(passed))
             spy("_complement_conditioning", lambda notes, _, quiet: log["notes"].append((notes, not quiet)))
+            # both slots of the memo empty, and restored after the run
             m.setattr(minimizers, "_memo", None)
+            m.setattr(minimizers, "_retained", None)
             if refuse:
                 m.setattr(minimizers, "_certifies", lambda *args: False)
             try:
