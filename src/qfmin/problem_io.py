@@ -2,9 +2,12 @@
 
 A problem file is a single JSON document with keys ``t``, ``a``, ``b``
 and an optional ``tol`` object.  Matrix entries are numbers or two
-element ``[re, im]`` pairs for complex values.  Output documents render
-every float with 17 significant digits so that round-trips are lossless
-and repeated runs are bitwise identical; nonfinite floats become ``null``.
+element ``[re, im]`` pairs for complex values.  Files are streamed a
+chunk of text at a time, so besides the arrays a load holds one chunk
+plus at most twice the text of the longest row, and one row of parsed
+JSON.  Output documents render every float with 17 significant digits so
+that round-trips are lossless and repeated runs are bitwise identical;
+nonfinite floats become ``null``.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from dataclasses import fields
 from numbers import Real
 
@@ -23,6 +27,15 @@ from .errors import ProblemFileError
 ENV_RTOL = "QFMIN_RTOL"
 
 TOL_KEYS = tuple(f.name for f in fields(ToleranceConfig))
+
+# Characters of text the streaming reader reads at a time.
+_CHUNK = 1 << 16
+# A value cut by the end of the text read so far fails to decode within
+# this many characters of that end: a cut number, constant ("-Infinit")
+# or tol key ("angle_war") fails at its first character.  A failure
+# further back is the document's own.
+_CUT_REACH = 16
+_WS = re.compile(r"[ \t\n\r]*")
 
 
 def _entry_to_scalar(entry, where: str):
@@ -72,28 +85,6 @@ def vector_from_list(entries, name: str) -> np.ndarray:
     return np.array(parsed, dtype=np.float64)
 
 
-def _bulk_array(value, ndim: int):
-    """`value` as a `ndim`-d array in one numpy conversion, or None.
-
-    Accepts a nonempty rectangular block whose entries are all int or float
-    scalars, or all ``[re, im]`` pairs of them.  Anything else returns None
-    and is left to the per-entry parser, which writes the error messages.
-    Pairs become complex through a view of the float64 pairs, so signed
-    zeros and infinite parts come through as they do entry by entry.
-    """
-    try:
-        arr = np.array(value)
-    except ValueError:
-        return None
-    if arr.dtype.kind not in "if" or 0 in arr.shape:
-        return None
-    if arr.ndim == ndim:
-        return arr.astype(np.float64, copy=False)
-    if arr.ndim == ndim + 1 and arr.shape[-1] == 2:
-        return arr.astype(np.float64, copy=False).view(np.complex128).reshape(arr.shape[:-1])
-    return None
-
-
 def _tolerance(value, source: str) -> float:
     """`value` as a float, if it is finite and positive."""
     try:
@@ -105,14 +96,167 @@ def _tolerance(value, source: str) -> float:
     return v
 
 
-def load_problem_arrays(path):
-    """Parse a problem file into raw arrays plus the file's tol overrides."""
+class _RepeatedKey(ValueError):
+    """One object of a document names a key twice."""
+
+
+def _unique_keys(pairs) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise _RepeatedKey(key)
+        obj[key] = value
+    return obj
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
+class _Unusual(Exception):
+    """A document the stream leaves to the per-entry parser."""
+
+
+class _Stream:
+    """A problem document read chunk by chunk, one row of `t` or `a` at a time.
+
+    Each row, all of `b` and all of `tol` go through `json`'s own decoder,
+    so every number is the float `json.loads` would give.  The stream
+    accepts only documents whose entries are all int or float scalars, or
+    all ``[re, im]`` pairs of them, row by row; it raises `_Unusual` (or
+    the decoder's `ValueError`) on anything else.
+    """
+
+    def __init__(self, handle):
+        self.handle = handle
+        self.size = os.fstat(handle.fileno()).st_size
+        self.buf = ""
+        self.pos = 0
+        self.longest = 0
+
+    def _more(self) -> bool:
+        """Drop the text before the cursor and read one more chunk."""
+        chunk = self.handle.read(_CHUNK)
+        if chunk:
+            self.buf = self.buf[self.pos:] + chunk
+            self.pos = 0
+        return bool(chunk)
+
+    def _peek(self) -> str:
+        """The next character after whitespace, or "" at the end of the file."""
+        while True:
+            self.pos = _WS.match(self.buf, self.pos).end()
+            if self.pos < len(self.buf):
+                return self.buf[self.pos]
+            if not self._more():
+                return ""
+
+    def _take(self, expected: str) -> str:
+        """Step past the next character, which must be one of `expected`."""
+        char = self._peek()
+        if not char or char not in expected:
+            raise _Unusual
+        self.pos += 1
+        return char
+
+    def _decode(self):
+        """The JSON value at the next character, and where its text starts."""
+        self._peek()
+        # Rows of one matrix have about the same length, so holding the
+        # longest value so far spares most rows a failed first decode.
+        while len(self.buf) - self.pos < self.longest and self._more():
+            pass
+        while True:
+            try:
+                value, end = _DECODER.raw_decode(self.buf, self.pos)
+            except json.JSONDecodeError as exc:
+                held = len(self.buf) - self.pos
+                if exc.pos < len(self.buf) - _CUT_REACH or not self._more():
+                    raise
+                # read on until the text held has at least doubled, so that a
+                # value of many chunks is decoded a logarithmic number of times
+                while len(self.buf) - self.pos < 2 * held and self._more():
+                    pass
+            else:
+                start, self.pos = self.pos, end
+                self.longest = max(self.longest, end - start)
+                return value, start
+
+    def _vector(self) -> np.ndarray:
+        """The next list, a row of `t` or `a` or all of `b`, as a float64 or complex128 vector."""
+        if self._peek() != "[":
+            raise _Unusual
+        value, start = self._decode()
+        # numpy reads a true among numbers as 1.0.  No number holds the
+        # "u" of true or the "l" of false.
+        if self.buf.find("u", start, self.pos) >= 0 or self.buf.find("l", start, self.pos) >= 0:
+            raise _Unusual
+        arr = np.array(value)
+        if arr.dtype.kind not in "if" or 0 in arr.shape:
+            raise _Unusual
+        if arr.ndim == 1:
+            return arr.astype(np.float64, copy=False)
+        if arr.ndim == 2 and arr.shape[1] == 2:
+            # a view of the float64 pairs keeps signed zeros and infinite parts
+            return arr.astype(np.float64, copy=False).view(np.complex128).reshape(-1)
+        raise _Unusual
+
+    def _matrix(self) -> np.ndarray:
+        """The next list of rows, each written into the result as it is decoded."""
+        self._take("[")
+        out, rows = None, 0
+        while True:
+            row = self._vector()
+            width = row.shape[0]
+            if out is None:
+                # t is square, and each row takes at least 2 width + 1
+                # characters of the file
+                out = np.empty((max(1, min(width, self.size // (2 * width + 1))), width), row.dtype)
+            elif row.dtype != out.dtype or width != out.shape[1]:
+                raise _Unusual
+            if rows == out.shape[0]:
+                out.resize((2 * rows, width), refcheck=False)
+            out[rows] = row
+            rows += 1
+            if self._take(",]") == "]":
+                out.resize((rows, width), refcheck=False)
+                return out
+
+    def read(self):
+        """(t, a, b, tol) of a document the stream accepts."""
+        self._take("{")
+        found = {}
+        while True:
+            if self._peek() != '"':
+                raise _Unusual
+            key, _ = self._decode()
+            if key in found or key not in ("t", "a", "b", "tol"):
+                raise _Unusual
+            self._take(":")
+            if key == "b":
+                found[key] = self._vector()
+            elif key != "tol":
+                found[key] = self._matrix()
+            else:
+                found[key], _ = self._decode()
+                if not isinstance(found[key], dict):
+                    raise _Unusual
+            if self._take(",}") == "}":
+                break
+        if self._peek() or not {"t", "a", "b"} <= found.keys():
+            raise _Unusual
+        return found["t"], found["a"], found["b"], found.get("tol")
+
+
+def _parse_document(path):
+    """The whole file through `json.loads` and the per-entry parser."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ProblemFileError(f"cannot read {path}: {exc}") from exc
+    except _RepeatedKey as exc:
+        raise ProblemFileError(f"{path}: repeated key {exc.args[0]!r}") from None
     except json.JSONDecodeError as exc:
         raise ProblemFileError(f"{path} is not valid JSON: {exc}") from exc
     except (ValueError, RecursionError) as exc:
@@ -126,19 +270,30 @@ def load_problem_arrays(path):
     unknown = [k for k in doc if k not in ("t", "a", "b", "tol")]
     if unknown:
         raise ProblemFileError(f"{path}: unknown keys {unknown}")
-    # numpy reads a true among numbers as 1.0, so a document that spells a
-    # boolean anywhere goes to the per-entry parser, which rejects it.
-    bulk = "true" not in text and "false" not in text
-    arrays = []
-    for key, ndim, parse in (
-        ("t", 2, matrix_from_nested),
-        ("a", 2, matrix_from_nested),
-        ("b", 1, vector_from_list),
-    ):
-        arr = _bulk_array(doc[key], ndim) if bulk else None
-        arrays.append(parse(doc[key], key) if arr is None else arr)
-    t, a, b = arrays
-    tol = doc.get("tol")
+    return (
+        matrix_from_nested(doc["t"], "t"),
+        matrix_from_nested(doc["a"], "a"),
+        vector_from_list(doc["b"], "b"),
+        doc.get("tol"),
+    )
+
+
+def load_problem_arrays(path):
+    """Parse a problem file into raw arrays plus the file's tol overrides.
+
+    The file is streamed.  A document the stream does not accept (a
+    boolean, null or string entry, ragged rows, scalars mixed with pairs,
+    an integer numpy holds only as uint64 or object, a repeated key,
+    trailing data, any decode error) is read again whole and parsed entry
+    by entry, which writes every error message.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            t, a, b, tol = _Stream(handle).read()
+    except OSError as exc:
+        raise ProblemFileError(f"cannot read {path}: {exc}") from exc
+    except (_Unusual, ValueError, RecursionError):
+        t, a, b, tol = _parse_document(path)
     if tol is not None:
         if not isinstance(tol, dict):
             raise ProblemFileError(f"{path}: 'tol' must be an object")

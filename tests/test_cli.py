@@ -325,6 +325,15 @@ class TestSolve:
         assert (code, out) == (1, "")
         assert err.startswith("qfmin: error:")
 
+    @pytest.mark.parametrize("command", ["solve", "check"])
+    def test_repeated_key_exits_one(self, tmp_path, capsys, command):
+        # json.loads alone keeps the last t, and the file solved with 2 I
+        path = tmp_path / "twice.json"
+        path.write_text('{"t": [[1, 0], [0, 1]], "a": [[1, 1]], "b": [1], "t": [[2, 0], [0, 2]]}')
+        code, out, err = run(capsys, command, "--problem", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"qfmin: error: {path}: repeated key 't'\n"
+
 
 class TestCheck:
     def test_singular_form_report(self, tmp_path, capsys):

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,6 +115,44 @@ class TestLoadProblem:
         with pytest.raises(ProblemFileError, match="position 36"):
             load_problem_arrays(str(path))
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"t": [[1, 0], [0, 1]], "a": [[1, 1]], "b": [1], "t": [[2, 0], [0, 2]]}', "t"),
+            ('{"t": [[1]], "a": [[1]], "b": [1], "tol": {"rtol": 1e-9, "rtol": 1e-8}}', "rtol"),
+            ('{"t": [[1]], "a": [[1]], "b": [1], "tol": {}, "tol": {"rtol": 1e-8}}', "tol"),
+        ],
+        ids=["top-level", "in-tol", "tol-twice"],
+    )
+    def test_rejects_repeated_key(self, tmp_path, text, key):
+        path = tmp_path / "twice.json"
+        path.write_text(text)
+        with pytest.raises(ProblemFileError, match=f"repeated key '{key}'"):
+            load_problem_arrays(str(path))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('\ufeff{"t": [[1]], "a": [[1]], "b": [1]}', "Unexpected UTF-8 BOM"),
+            ('{"t": [[1]], "a": [[1]], "b": [1]} x', "Extra data"),
+            ('{"t": [[1]], "a": [[1]], "b": [1]}{}', "Extra data"),
+            ('{"t": [[1, null]], "a": [[1]], "b": [1]}', "'t' row 0: entries must be numbers"),
+            ('{"t": [[1]], "a": [[1]], "b": [false]}', "'b' entry 0: booleans"),
+        ],
+        ids=["bom", "trailing-text", "second-object", "null-entry", "boolean-b"],
+    )
+    def test_rejects_what_json_loads_rejects(self, tmp_path, text, message):
+        path = tmp_path / "odd.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ProblemFileError, match=re.escape(message)):
+            load_problem_arrays(str(path))
+
+    def test_null_tol_is_no_tol(self, tmp_path):
+        path = tmp_path / "null.json"
+        path.write_text('{"tol": null, "t": [[2]], "a": [[1]], "b": [1]}')
+        t, _, _, tol = load_problem_arrays(str(path))
+        assert (t.tolist(), tol) == ([[2.0]], None)
+
 
 def _nested(arr):
     if np.iscomplexobj(arr):
@@ -137,8 +176,16 @@ ENTRIES = {
 }
 
 
+TOL = st.dictionaries(
+    st.sampled_from(problem_io.TOL_KEYS),
+    st.floats(min_value=1e-300, max_value=1e300),
+)
+LAYOUTS = [{}, {"indent": 2}, {"separators": (",", ":")}]
+
+
 @st.composite
 def documents(draw):
+    """(text, streamable): a problem document, and whether the stream must accept it."""
     style = draw(st.sampled_from(sorted(ENTRIES)))
     entry = ENTRIES[style]
 
@@ -150,7 +197,12 @@ def documents(draw):
             rows[-1] = rows[-1][:-1]
         return rows
 
-    return {"t": matrix(), "a": matrix(), "b": draw(st.lists(entry, min_size=1, max_size=4))}
+    doc = {"t": matrix(), "a": matrix(), "b": draw(st.lists(entry, min_size=1, max_size=4))}
+    if draw(st.booleans()):
+        doc["tol"] = draw(TOL)
+    doc = {key: doc[key] for key in draw(st.permutations(list(doc)))}
+    text = json.dumps(doc, **draw(st.sampled_from(LAYOUTS)))
+    return text, style in ("float", "int")
 
 
 def _per_entry(doc):
@@ -165,32 +217,49 @@ def _per_entry(doc):
         return str(exc)
 
 
+def _problem_file(tmp_path, n, complex_entries):
+    t, a, b = random_pd_problem(n, n // 2, seed=3, complex_entries=complex_entries)
+    return write_problem(tmp_path, {"t": _nested(t), "a": _nested(a), "b": _nested(b)}), (t, a, b)
+
+
 class TestBulkParse:
+    # A chunk of a few characters cuts rows, numbers and keys at every place.
+    @pytest.mark.parametrize("chunk", [problem_io._CHUNK, 5], ids=["chunk", "few-characters"])
     @settings(
         max_examples=300,
         deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
-    @given(doc=documents())
-    def test_matches_per_entry_parser(self, tmp_path, doc):
+    @given(document=documents())
+    def test_matches_per_entry_parser(self, tmp_path, chunk, document):
+        text, streamable = document
         path = tmp_path / "doc.json"
-        path.write_text(json.dumps(doc))
-        expected = _per_entry(json.loads(path.read_text()))
-        try:
-            got = list(load_problem_arrays(str(path))[:3])
-        except ProblemFileError as exc:
-            got = str(exc)
+        path.write_text(text)
+        doc = json.loads(path.read_text())
+        expected = _per_entry(doc)
+        fallbacks = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(problem_io, "_CHUNK", chunk)
+            mp.setattr(problem_io, "_parse_document",
+                       lambda p, parse=problem_io._parse_document: fallbacks.append(p) or parse(p))
+            try:
+                got = load_problem_arrays(str(path))
+            except ProblemFileError as exc:
+                got = str(exc)
+        if streamable:
+            assert fallbacks == []
         if isinstance(expected, str) or isinstance(got, str):
             assert got == expected
             return
         for g, e in zip(got, expected):
             assert (g.dtype, g.shape, g.tobytes()) == (e.dtype, e.shape, e.tobytes())
+        assert got[3] == doc.get("tol")
 
+    @pytest.mark.parametrize("n", [50, 200])
     @pytest.mark.parametrize("complex_entries", [False, True])
-    def test_well_formed_file_skips_per_entry_parser(self, tmp_path, monkeypatch, complex_entries):
+    def test_well_formed_file_skips_per_entry_parser(self, tmp_path, monkeypatch, complex_entries, n):
         # A silent fall back to the per-entry parser shows only here.
-        t, a, b = random_pd_problem(50, 25, seed=3, complex_entries=complex_entries)
-        path = write_problem(tmp_path, {"t": _nested(t), "a": _nested(a), "b": _nested(b)})
+        path, (t, a, b) = _problem_file(tmp_path, n, complex_entries)
         calls = []
         real_entry = problem_io._entry_to_scalar
 
@@ -203,6 +272,46 @@ class TestBulkParse:
         assert calls == []
         for g, e in zip(got, (t, a, b)):
             assert g.dtype == e.dtype and np.array_equal(g, e)
+
+    def test_a_row_of_many_chunks_is_decoded_a_few_times(self, tmp_path, monkeypatch):
+        # Decoded again after each 16-character chunk, the rows below took
+        # 631 decodes.
+        path = write_problem(tmp_path, {"t": [[0.5] * 2000], "a": [[1.0] * 2000], "b": [1.0]})
+        decoder, starts = problem_io._DECODER, []
+
+        class Counting:
+            def raw_decode(self, text, start):
+                starts.append(start)
+                return decoder.raw_decode(text, start)
+
+        monkeypatch.setattr(problem_io, "_CHUNK", 16)
+        monkeypatch.setattr(problem_io, "_DECODER", Counting())
+        t, a, b, _ = load_problem_arrays(path)
+        assert (t.shape, a.shape, b.shape) == ((1, 2000), (1, 2000), (1,))
+        assert len(starts) < 100
+
+    def test_a_wide_row_allocates_only_the_rows_the_file_can_hold(self, tmp_path):
+        # width rows, the square guess, would be 7.2 GB here
+        path = write_problem(tmp_path, {"t": [[0.0] * 30000], "a": [[1.0]], "b": [1.0]})
+        tracemalloc.start()
+        try:
+            t = load_problem_arrays(path)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert t.shape == (1, 30000) and peak < 10e6
+
+    def test_load_holds_the_arrays_and_little_more(self, tmp_path):
+        # A whole document as Python lists and floats peaks at about 13
+        # times the arrays here.
+        path, _ = _problem_file(tmp_path, 200, True)
+        tracemalloc.start()
+        try:
+            arrays = load_problem_arrays(path)[:3]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * sum(arr.nbytes for arr in arrays) + 2 * problem_io._CHUNK
 
 
 class TestResolveTolerances:
