@@ -144,10 +144,11 @@ class MinimizationResult:
 
 
 def quad_value(t, x) -> float:
-    """Real quadratic-form value ``<x, t x>`` (Hermitian t)."""
+    """Real quadratic-form value ``<x, t x>`` (Hermitian t); inf when it is above the float64 range."""
     tm = as_matrix(t)
     xv = as_vector(x)
-    return float(np.real(np.vdot(xv, tm @ xv)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.real(np.vdot(xv, tm @ xv)))
 
 
 def min_norm_ls(a, b, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

@@ -3,15 +3,18 @@
 A problem file is a single JSON document with keys ``t``, ``a``, ``b``
 and an optional ``tol`` object.  Matrix entries are numbers or two
 element ``[re, im]`` pairs for complex values.  Files are streamed a
-chunk of text at a time, so besides the arrays a load holds one chunk
-plus at most twice the text of the longest row, and one row of parsed
-JSON.  Output documents render every float with 17 significant digits so
-that round-trips are lossless and repeated runs are bitwise identical;
+chunk of text at a time, so besides the arrays a load holds one chunk,
+at most twice the text of the longest row, and the decoded rows of the
+matrix being read until they are stacked.  A piped input is held in
+memory whole, so that the per-entry parser can read it again.  Output
+documents render every float with 17 significant digits so that
+round-trips are lossless and repeated runs are bitwise identical;
 nonfinite floats become ``null``.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
@@ -128,7 +131,6 @@ class _Stream:
 
     def __init__(self, handle):
         self.handle = handle
-        self.size = os.fstat(handle.fileno()).st_size
         self.buf = ""
         self.pos = 0
         self.longest = 0
@@ -201,25 +203,14 @@ class _Stream:
         raise _Unusual
 
     def _matrix(self) -> np.ndarray:
-        """The next list of rows, each written into the result as it is decoded."""
+        """The next list of rows, stacked at its closing bracket."""
         self._take("[")
-        out, rows = None, 0
-        while True:
-            row = self._vector()
-            width = row.shape[0]
-            if out is None:
-                # t is square, and each row takes at least 2 width + 1
-                # characters of the file
-                out = np.empty((max(1, min(width, self.size // (2 * width + 1))), width), row.dtype)
-            elif row.dtype != out.dtype or width != out.shape[1]:
+        rows = [self._vector()]
+        while self._take(",]") == ",":
+            rows.append(self._vector())
+            if rows[-1].dtype != rows[0].dtype or rows[-1].shape != rows[0].shape:
                 raise _Unusual
-            if rows == out.shape[0]:
-                out.resize((2 * rows, width), refcheck=False)
-            out[rows] = row
-            rows += 1
-            if self._take(",]") == "]":
-                out.resize((rows, width), refcheck=False)
-                return out
+        return np.stack(rows)
 
     def read(self):
         """(t, a, b, tol) of a document the stream accepts."""
@@ -247,14 +238,11 @@ class _Stream:
         return found["t"], found["a"], found["b"], found.get("tol")
 
 
-def _parse_document(path):
-    """The whole file through `json.loads` and the per-entry parser."""
+def _parse_document(handle, path):
+    """The text of `handle` from its start through `json.loads` and the per-entry parser."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-        doc = json.loads(text, object_pairs_hook=_unique_keys)
-    except OSError as exc:
-        raise ProblemFileError(f"cannot read {path}: {exc}") from exc
+        handle.seek(0)
+        doc = json.loads(handle.read(), object_pairs_hook=_unique_keys)
     except _RepeatedKey as exc:
         raise ProblemFileError(f"{path}: repeated key {exc.args[0]!r}") from None
     except json.JSONDecodeError as exc:
@@ -284,16 +272,20 @@ def load_problem_arrays(path):
     The file is streamed.  A document the stream does not accept (a
     boolean, null or string entry, ragged rows, scalars mixed with pairs,
     an integer numpy holds only as uint64 or object, a repeated key,
-    trailing data, any decode error) is read again whole and parsed entry
-    by entry, which writes every error message.
+    trailing data, any decode error) is read again from its start and
+    parsed entry by entry, which writes every error message.  A file that
+    cannot seek, such as a pipe, is first read whole into memory.
     """
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            t, a, b, tol = _Stream(handle).read()
+        with open(path, "rb") as raw:
+            source = raw if raw.seekable() else io.BytesIO(raw.read())
+            handle = io.TextIOWrapper(source, encoding="utf-8")
+            try:
+                t, a, b, tol = _Stream(handle).read()
+            except (_Unusual, ValueError, RecursionError):
+                t, a, b, tol = _parse_document(handle, path)
     except OSError as exc:
         raise ProblemFileError(f"cannot read {path}: {exc}") from exc
-    except (_Unusual, ValueError, RecursionError):
-        t, a, b, tol = _parse_document(path)
     if tol is not None:
         if not isinstance(tol, dict):
             raise ProblemFileError(f"{path}: 'tol' must be an object")

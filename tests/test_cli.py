@@ -44,13 +44,17 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_process(*argv):
-    """`qfmin.cli` in a subprocess, where numpy's RuntimeWarning is not an error."""
+def run_process(*argv, stdin=None):
+    """`qfmin.cli` in a subprocess, where numpy's RuntimeWarning is not an error.
+
+    Bytes given as `stdin` are piped in, and the output is then bytes too.
+    """
     src = os.path.dirname(os.path.dirname(qfmin.__file__))
     return subprocess.run(
         [sys.executable, "-m", "qfmin.cli", *argv],
+        input=stdin,
         capture_output=True,
-        text=True,
+        text=stdin is None,
         env={**os.environ, "PYTHONPATH": src},
     )
 
@@ -263,6 +267,14 @@ class TestSolve:
         codes = [d["code"] for d in doc["diagnostics"]]
         assert codes == ["reduced_rank", "min_value_overflow", "cor1_shortcut"]
 
+    def test_verify_of_an_overflowing_minimum(self, tmp_path, capsys):
+        # x = [1e20, 0] is finite, and both minima, 1e340, are not
+        path = write(tmp_path, {"t": [[1e300, 0], [0, 1e300]], "a": [[1e-10, 0]], "b": [1e10]})
+        code, out, err = run(capsys, "solve", "--verify", "--problem", path)
+        assert (code, err) == (0, "")
+        doc = json.loads(out, parse_constant=lambda c: pytest.fail(f"{c} is not strict JSON"))
+        assert doc["verify"] == {"oracle_min": None, "oracle_gap": None}
+
     def test_wrong_route_for_singular_form_exits_three(self, tmp_path, capsys):
         path = write(tmp_path, SINGULAR_FORM)
         code, _, _ = run(capsys, "solve", "--problem", path, "--method", "posdef")
@@ -324,6 +336,25 @@ class TestSolve:
         code, out, err = run(capsys, "solve", "--problem", str(path))
         assert (code, out) == (1, "")
         assert err.startswith("qfmin: error:")
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b'{"t": [[2, [0, 1]], [[0, -1], 2]], "a": [[1, 1]], "b": [1]}',
+            b'{"t": [[1.5, true], [0, 1]], "a": [[1, 0]], "b": [1]}',
+            b'{"t": [[1]], "a": [[1]], "b": [1], "\xe9": 1}',
+        ],
+        ids=["mixed-rows", "boolean", "invalid-utf8"],
+    )
+    def test_piped_input_reads_as_the_file_does(self, tmp_path, content):
+        # each goes to the per-entry parser, which reads the text again:
+        # a pipe cannot be read twice
+        path = tmp_path / "problem.json"
+        path.write_bytes(content)
+        by_path = run_process("solve", "--problem", str(path), stdin=b"")
+        piped = run_process("solve", "--problem", "/dev/stdin", stdin=content)
+        assert (piped.returncode, piped.stdout) == (by_path.returncode, by_path.stdout)
+        assert piped.stderr == by_path.stderr.replace(bytes(path), b"/dev/stdin")
 
     @pytest.mark.parametrize("command", ["solve", "check"])
     def test_repeated_key_exits_one(self, tmp_path, capsys, command):
@@ -541,6 +572,15 @@ class TestL2Demo:
         with pytest.raises(SystemExit) as excinfo:
             main(["l2demo", "--sizes", "5,3"])
         assert excinfo.value.code == 1
+
+    @pytest.mark.parametrize(
+        "sizes, message", [("x", "sizes must be integers: 'x'"), ("0", "sizes must be positive")]
+    )
+    def test_malformed_sizes_usage_error(self, capsys, sizes, message):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["l2demo", "--sizes", sizes])
+        assert excinfo.value.code == 1
+        assert capsys.readouterr().err.endswith(f"--sizes: {message}\n")
 
     def test_csv_write_failure_exits_one(self, tmp_path, capsys):
         code, _, err = run(

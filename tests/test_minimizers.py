@@ -387,6 +387,14 @@ class TestCor1Shortcut:
         full = minimize_posdef(p)
         assert np.linalg.norm(short.xhat - full.xhat) <= 1e-8
 
+    def test_an_overflowing_minimum_is_noted(self):
+        # x = [1e10, 1e10] is finite, and its minimum 2e320 is not
+        p = QpProblem(t=1e300 * np.eye(2), a=np.eye(2), b=np.array([1e10, 1e10]))
+        r = try_cor1_shortcut(p)
+        assert r.xhat == pytest.approx([1e10, 1e10], rel=1e-15)
+        assert r.min_value == np.inf
+        assert [d.code for d in r.diagnostics] == ["cor1_shortcut", "min_value_overflow"]
+
     def test_requires_positive_definite(self):
         p = QpProblem(t=np.diag([1.0, 0.0]), a=np.eye(2), b=np.ones(2))
         with pytest.raises(NotPositiveDefiniteError):

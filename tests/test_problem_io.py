@@ -138,14 +138,23 @@ class TestLoadProblem:
             ('{"t": [[1]], "a": [[1]], "b": [1]}{}', "Extra data"),
             ('{"t": [[1, null]], "a": [[1]], "b": [1]}', "'t' row 0: entries must be numbers"),
             ('{"t": [[1]], "a": [[1]], "b": [false]}', "'b' entry 0: booleans"),
+            ("[1]", "top level must be a JSON object"),
+            ('{"t": [[1]], "a": [[1]], "b": [1], "tol": 1}', "'tol' must be an object"),
+            # the one input whose decode error the stream raises itself
+            ('{"t": [[1, 2,]], "a": [[1]], "b": [1]}',
+             "is not valid JSON: Expecting value: line 1 column 14 (char 13)"),
         ],
-        ids=["bom", "trailing-text", "second-object", "null-entry", "boolean-b"],
+        ids=["bom", "trailing-text", "second-object", "null-entry", "boolean-b", "top-level-list",
+             "tol-not-object", "comma-in-row"],
     )
-    def test_rejects_what_json_loads_rejects(self, tmp_path, text, message):
+    def test_rejects_what_json_loads_rejects(self, tmp_path, monkeypatch, text, message):
         path = tmp_path / "odd.json"
         path.write_text(text, encoding="utf-8")
-        with pytest.raises(ProblemFileError, match=re.escape(message)):
-            load_problem_arrays(str(path))
+        # a chunk of a few characters cuts the text at every place
+        for chunk in (problem_io._CHUNK, 5):
+            monkeypatch.setattr(problem_io, "_CHUNK", chunk)
+            with pytest.raises(ProblemFileError, match=re.escape(message)):
+                load_problem_arrays(str(path))
 
     def test_null_tol_is_no_tol(self, tmp_path):
         path = tmp_path / "null.json"
@@ -241,7 +250,7 @@ class TestBulkParse:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(problem_io, "_CHUNK", chunk)
             mp.setattr(problem_io, "_parse_document",
-                       lambda p, parse=problem_io._parse_document: fallbacks.append(p) or parse(p))
+                       lambda h, p, parse=problem_io._parse_document: fallbacks.append(p) or parse(h, p))
             try:
                 got = load_problem_arrays(str(path))
             except ProblemFileError as exc:
@@ -291,7 +300,8 @@ class TestBulkParse:
         assert len(starts) < 100
 
     def test_a_wide_row_allocates_only_the_rows_the_file_can_hold(self, tmp_path):
-        # width rows, the square guess, would be 7.2 GB here
+        # the decoded rows and their stack hold 0.5 MB; width rows, as for
+        # a square t, would be 7.2 GB here
         path = write_problem(tmp_path, {"t": [[0.0] * 30000], "a": [[1.0]], "b": [1.0]})
         tracemalloc.start()
         try:
