@@ -309,38 +309,6 @@ def _factor_inverse(a: np.ndarray, l: np.ndarray, x: np.ndarray, floor) -> None:
     _lower_left(l, x, k)
 
 
-def _cholesky_pair(h: Hermitian, admits) -> tuple[np.ndarray, np.ndarray]:
-    """``(l, x)`` of `cholesky_inverse`, with every check but the offer of `s`."""
-    sym = h.sym
-    l, x = np.zeros_like(sym), np.zeros_like(sym)
-    norm = 0.0  # ||diag(l)^{-1}||_F over the leaves factored so far
-
-    def floor(leaf: np.ndarray) -> None:
-        nonlocal norm
-        bound, norm = _pivot_bound(np.diagonal(leaf), norm)
-        if not admits(bound):
-            raise FactorizationError("Cholesky pivot bound refused")
-
-    # an overflowed inverse spreads inf and NaN through the products; the
-    # guard or _checked_inverse refuses it
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            _factor_inverse(sym, l, x, floor)
-        except np.linalg.LinAlgError as exc:
-            raise FactorizationError(f"Cholesky factorization failed: {exc}") from exc
-        # l* z is the conjugate of l^T z for the real probes z
-        _guard("Cholesky", lambda z: l @ (l.T @ z).conj(), sym, h.norm)
-    return l, _checked_inverse(l, x)
-
-
-def _admitted(l: np.ndarray, x: np.ndarray, admits) -> tuple[np.ndarray, np.ndarray, float]:
-    """``(l, x, s)`` with ``s = 1 / ||x||_F``; FactorizationError where `admits` refuses `s`."""
-    s = 1.0 / fro_norm(x)
-    if not admits(s):
-        raise FactorizationError(f"1 / ||l^-1||_F = {s:.3e} refused")
-    return l, x, s
-
-
 def cholesky_inverse(h: Hermitian, admits) -> tuple[np.ndarray, np.ndarray, float]:
     """``(l, x, s)``: ``h.sym = l l*`` for a lower triangular `l`, ``x = l^{-1}`` and ``s = 1 / ||x||_F``, where `admits` passes them.
 
@@ -380,7 +348,29 @@ def cholesky_inverse(h: Hermitian, admits) -> tuple[np.ndarray, np.ndarray, floa
     refuses, an `l` past the guard, and an `x` past the check, one with inf
     or NaN entries included.
     """
-    return _admitted(*_cholesky_pair(h, admits), admits)
+    sym = h.sym
+    l, x = np.zeros_like(sym), np.zeros_like(sym)
+    norm = 0.0  # ||diag(l)^{-1}||_F over the leaves factored so far
+
+    def floor(leaf: np.ndarray) -> None:
+        nonlocal norm
+        bound, norm = _pivot_bound(np.diagonal(leaf), norm)
+        if not admits(bound):
+            raise FactorizationError("Cholesky pivot bound refused")
+
+    # an overflowed inverse spreads inf and NaN through the products; the
+    # guard or _checked_inverse refuses it
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            _factor_inverse(sym, l, x, floor)
+        except np.linalg.LinAlgError as exc:
+            raise FactorizationError(f"Cholesky factorization failed: {exc}") from exc
+        # l* z is the conjugate of l^T z for the real probes z
+        _guard("Cholesky", lambda z: l @ (l.T @ z).conj(), sym, h.norm)
+    s = 1.0 / fro_norm(_checked_inverse(l, x))
+    if not admits(s):
+        raise FactorizationError(f"1 / ||l^-1||_F = {s:.3e} refused")
+    return l, x, s
 
 
 def gram_cholesky(a: np.ndarray, admits) -> tuple[np.ndarray, np.ndarray, float]:
@@ -390,29 +380,30 @@ def gram_cholesky(a: np.ndarray, admits) -> tuple[np.ndarray, np.ndarray, float]
     the QR ``a* = Q R``, without `Q`.  The Gram is formed from the rows of
     `a` with one conjugated copy.  Outside the plain-norm band it is formed
     of `a` times the power of two of `_probe_scale`, which is exact and
-    keeps ``||a||^2`` from overflowing or underflowing; `l` is then divided
-    by it and `x` multiplied by it, and `admits` is offered the pivot
-    bounds and `s` of the unscaled `l`.  FactorizationError where
-    `cholesky_inverse` would refuse the Gram, and where `l` or `x` leaves
-    the float64 range on the way back.  The error of forming the Gram is
-    not the guard's: the caller's certificate measures it through ``l^{-1}
-    a``, which it forms anyway.
+    keeps ``||a||^2`` from overflowing or underflowing; `l` and `s` are
+    then divided by it, `s` exactly, and `x` multiplied by it, and `admits`
+    is offered the pivot bounds and `s` of the unscaled `l`.
+    FactorizationError where `cholesky_inverse` would refuse the Gram, and
+    where `l` or `x` leaves the float64 range on the way back.  The error
+    of forming the Gram is not the guard's: the caller's certificate
+    measures it through ``l^{-1} a``, which it forms anyway.
     """
     scale = _probe_scale(a, fro_norm(a))
     if scale != 1.0:
         a = a * scale
     gram = a @ a.conj().T
-    floor = admits if scale == 1.0 else (lambda d: admits(d / scale))
-    l, x = _cholesky_pair(Hermitian(sym=gram, norm=fro_norm(gram)), floor)
-    if scale != 1.0:
-        with np.errstate(over="ignore"):
-            l *= 1.0 / scale
-            x *= scale
-        if not (np.isfinite(l).all() and np.isfinite(x).all()):
-            raise FactorizationError(
-                "Cholesky factor of the Gram overflowed, or its inverse did: a is outside the float64 range"
-            )
-    return _admitted(l, x, admits)
+    h = Hermitian(sym=gram, norm=fro_norm(gram))
+    if scale == 1.0:
+        return cholesky_inverse(h, admits)
+    l, x, s = cholesky_inverse(h, lambda d: admits(d / scale))
+    with np.errstate(over="ignore"):
+        l *= 1.0 / scale
+        x *= scale
+    if not (np.isfinite(l).all() and np.isfinite(x).all()):
+        raise FactorizationError(
+            "Cholesky factor of the Gram overflowed, or its inverse did: a is outside the float64 range"
+        )
+    return l, x, s / scale
 
 
 def _lower_left(l: np.ndarray, x: np.ndarray, k: int) -> None:

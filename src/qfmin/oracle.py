@@ -129,10 +129,8 @@ def _feasible_directions(t, a, cfg: ToleranceConfig) -> np.ndarray:
     # and the product of the two orthonormal bases is orthonormal too.  The
     # caller passes `a` with unit rows, so no row's scale moves the rank
     # decision.
-    range_t = range_basis(t, cfg)
-    if range_t.dim == 0:
-        return np.zeros((t.shape[0], 0), dtype=t.dtype)
-    return range_t.basis @ null_basis(a @ range_t.basis, cfg).basis
+    range_t = range_basis(t, cfg).basis
+    return range_t @ null_basis(a @ range_t, cfg).basis
 
 
 def grid_refute(

@@ -308,9 +308,9 @@ def resolve_tolerances(
 ) -> ToleranceConfig:
     """Blend tolerance sources: flags beat file values beat the environment.
 
-    Only ``QFMIN_RTOL`` is read from the environment, and only when
-    neither the flags nor the file set ``rtol``.  Every value, whatever
-    its source, must be finite and positive.
+    Only ``QFMIN_RTOL`` is read from the environment; it is always read
+    and checked, and a flag or the file's ``rtol`` overrides it.  Every
+    value, whatever its source, must be finite and positive.
     """
     if env is None:
         env = os.environ

@@ -2,10 +2,11 @@
 
 Only dense_core calls the guarded factorizations and the inverse of
 numpy.linalg, the kernel's certificates share one rule, a triangular
-factorization refuses only by FactorizationError,
-private names cross from one module to another only where listed, every
-name the benchmark's tracer wraps exists, and an import kept only for the
-tracer is one the tracer wraps and nothing else uses.
+factorization refuses only by FactorizationError, one function runs the
+block Cholesky recursion, private names cross from one module to another
+only where listed, every name the benchmark's tracer wraps exists, and an
+import kept only for the tracer is one the tracer wraps and nothing else
+uses.
 """
 
 import ast
@@ -161,7 +162,7 @@ def test_the_triangle_check_sees_an_inline_inverse():
 # The dense_core functions on the way to a triangular factor or inverse.
 # Each returns its result or raises FactorizationError; `_factor_inverse`
 # fills its arguments and returns nothing.
-RAISING = ("cholesky_inverse", "gram_cholesky", "_cholesky_pair", "_admitted", "_checked_inverse", "tri_inv")
+RAISING = ("cholesky_inverse", "gram_cholesky", "_checked_inverse", "tri_inv")
 
 
 def _returned_verdicts(tree):
@@ -219,6 +220,29 @@ def test_the_refusal_check_sees_a_returned_verdict():
     )
     assert [v.split(" at ")[0] for v in _returned_verdicts(old)] == ["_factor_inverse"] * 2 + ["gram_cholesky"]
     assert list(_none_tests_of_factors(old)) == ["_certified_inverse", "_cholesky_root"]
+
+
+def _callers(tree, name):
+    """The top-level definitions that call `name` by name."""
+    for top in tree.body:
+        if any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == name for n in ast.walk(top)):
+            yield getattr(top, "name", "<module>")
+
+
+def test_one_entry_runs_the_cholesky_recursion():
+    # gram_cholesky is cholesky_inverse of the prescaled Gram, so the
+    # recursion, its checks and the offer of s to admits sit in one function
+    tree = ast.parse((SRC / "dense_core.py").read_text(encoding="utf-8"))
+    assert sorted(_callers(tree, "_factor_inverse")) == ["_factor_inverse", "cholesky_inverse"]
+    assert list(_callers(tree, "cholesky_inverse")) == ["gram_cholesky"]
+
+
+def test_the_entry_check_sees_a_second_caller():
+    old = ast.parse(
+        "def _cholesky_pair(h, admits):\n    _factor_inverse(h.sym, l, x, floor)\n"
+        "def cholesky_inverse(h, admits):\n    return _admitted(*_cholesky_pair(h, admits), admits)\n"
+    )
+    assert list(_callers(old, "_factor_inverse")) == ["_cholesky_pair"]
 
 
 # (importer, source, name): every private name one qfmin module imports from

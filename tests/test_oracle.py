@@ -190,6 +190,11 @@ class TestGridRefute:
         b = np.ones(3)
         assert grid_refute(2.0 * np.eye(3), a, b, np.linalg.solve(a, b), n_samples=10)
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_zero_form_has_no_direction_to_search(self, dtype):
+        # R(0) is {0}: no feasible direction, so the candidate stands
+        assert grid_refute(np.zeros((3, 3), dtype), np.ones((1, 3)), [1.0], [1 / 3, 1 / 3, 1 / 3])
+
     def test_rejects_infeasible_candidate(self):
         with pytest.raises(OracleError):
             grid_refute(np.eye(2), np.eye(2), np.ones(2), np.zeros(2), n_samples=10)

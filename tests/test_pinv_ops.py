@@ -14,6 +14,7 @@ from qfmin import (
     NotEpError,
     NotPositiveError,
     SubspaceBasis,
+    ToleranceConfig,
     adjoint,
     ep_decompose,
     is_ep,
@@ -233,6 +234,17 @@ class TestEpDecompose:
         dec = ep_decompose(scale * np.diag([1.0, 0.0]))
         assert dec.rank == 1
         assert_allclose(dec.a1, [[scale]], rtol=1e-14)
+
+    def test_accepts_what_is_ep_accepts(self):
+        # under a coarse rtol the rank decision drops 5e-4 of t: the EP test
+        # passes, and reconstruct() is the rank-3 part pinv keeps
+        q = np.linalg.qr(np.random.default_rng(7).standard_normal((6, 6)))[0]
+        t = (q * [1.0, 0.5, 0.2, 5e-4, 0.0, 0.0]) @ q.T
+        cfg = ToleranceConfig(rtol=1e-3)
+        assert is_ep(t, cfg)
+        dec = ep_decompose(t, cfg)
+        assert dec.rank == rank_decide(np.linalg.svd(t, compute_uv=False), cfg).rank == 3
+        assert np.linalg.norm(dec.reconstruct() - t) == pytest.approx(5e-4, rel=1e-6)
 
     def test_factors_once_and_warns_once(self, monkeypatch):
         calls = []
@@ -478,6 +490,24 @@ class TestLatInvariant:
         sub = SubspaceBasis(np.eye(2), 2)
         with pytest.raises(DimensionMismatchError):
             lat_invariant(sub, np.eye(3))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: rank_decide(np.ones((2, 2))), "sigma must be a 1-d array"),
+        (lambda: is_ep(np.ones((2, 3))), "the EP test needs a square matrix"),
+        (lambda: ep_decompose(np.ones((2, 3))), "EP decomposition needs a square matrix"),
+        (
+            lambda: lat_invariant(SubspaceBasis(np.eye(2)[:, :1], 2), np.ones((2, 3))),
+            "invariance test needs a square matrix",
+        ),
+    ],
+    ids=["rank_decide", "is_ep", "ep_decompose", "lat_invariant"],
+)
+def test_shape_guards(call, message):
+    with pytest.raises(DimensionMismatchError, match=message):
+        call()
 
 
 class TestSubspaceBasis:

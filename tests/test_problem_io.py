@@ -143,9 +143,16 @@ class TestLoadProblem:
             # the one input whose decode error the stream raises itself
             ('{"t": [[1, 2,]], "a": [[1]], "b": [1]}',
              "is not valid JSON: Expecting value: line 1 column 14 (char 13)"),
+            # lists that are neither a row of numbers nor of [re, im] pairs
+            ('{"t": [[[1, 2, 3]]], "a": [[1]], "b": [1]}',
+             "'t' row 0: entries must be numbers or [re, im] pairs, got [1, 2, 3]"),
+            ('{"t": [[[[1, 2]]]], "a": [[1]], "b": [1]}',
+             "'t' row 0: entries must be numbers or [re, im] pairs, got [[1, 2]]"),
+            ('{"t": [[1]], "a": [[1]], "b": [[1, 2, 3]]}',
+             "'b' entry 0: entries must be numbers or [re, im] pairs, got [1, 2, 3]"),
         ],
         ids=["bom", "trailing-text", "second-object", "null-entry", "boolean-b", "top-level-list",
-             "tol-not-object", "comma-in-row"],
+             "tol-not-object", "comma-in-row", "triple-entry", "nested-pair", "triple-b-entry"],
     )
     def test_rejects_what_json_loads_rejects(self, tmp_path, monkeypatch, text, message):
         path = tmp_path / "odd.json"
@@ -350,6 +357,15 @@ class TestResolveTolerances:
             resolve_tolerances(None, {}, env={"QFMIN_RTOL": "abc"})
         with pytest.raises(ProblemFileError):
             resolve_tolerances(None, {}, env={"QFMIN_RTOL": "-1"})
+
+    @pytest.mark.parametrize(
+        "file_tol, flags", [({"rtol": 1e-9}, {}), (None, {"rtol": 1e-8})], ids=["file", "flag"]
+    )
+    def test_rejects_bad_env_under_an_override(self, file_tol, flags):
+        # every tolerance must be valid, whichever of the three sources it
+        # comes from, even where a higher source overrides it
+        with pytest.raises(ProblemFileError, match="QFMIN_RTOL='abc' is not a number"):
+            resolve_tolerances(file_tol, flags, env={"QFMIN_RTOL": "abc"})
 
     @pytest.mark.parametrize("raw", ["nan", "inf", "0"])
     def test_rejects_nonfinite_env(self, raw):
