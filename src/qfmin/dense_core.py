@@ -208,8 +208,10 @@ class Hermitian:
 
     `sym` is its symmetrized form, the matrix `eigh` and `cholesky` factor,
     and `norm` the Frobenius norm of the input, which may have overflowed
-    to inf.  `gram_cholesky` builds one from ``a a*``, the Gram of the rows
-    of `a`, which is Hermitian by construction and needs no gate.
+    to inf.  Where the input is exactly Hermitian, `sym` is the validated
+    input itself, which may be the caller's array: nothing writes to it.
+    `gram_cholesky` builds one from ``a a*``, the Gram of the rows of `a`,
+    which is Hermitian by construction and needs no gate.
     """
 
     sym: np.ndarray
@@ -223,7 +225,9 @@ def hermitian(a) -> Hermitian:
     ``a/2 - a*/2`` against ``||a/2||`` where a part of `a` is above half the
     float64 maximum.  The input is then symmetrized as ``a - (a - a*) / 2``,
     which cannot overflow, so that the factors of `sym` are exactly
-    consistent.
+    consistent.  Where that difference is exactly zero, `sym` is the
+    validated input itself, which the formula would reproduce to the bit,
+    and no copy of it stays alive.
     """
     arr = as_matrix(a)
     if arr.shape[0] != arr.shape[1]:
@@ -244,6 +248,10 @@ def hermitian(a) -> Hermitian:
     if not _within(sym, herm, ref, norm * 0.5 if halve else norm, HTOL):
         herm = 2.0 * herm if halve else herm
         raise NotHermitianError(f"t deviates from its adjoint by {herm:.3e} (norm {norm:.3e})")
+    if herm == 0.0:
+        # a - 0 is a to the bit, so the input is its own symmetrized form,
+        # and the difference is freed before anything factors it
+        return Hermitian(sym=arr, norm=norm)
     if not halve:
         sym *= 0.5
     np.subtract(arr, sym, out=sym)
@@ -367,7 +375,7 @@ def cholesky_inverse(h: Hermitian, admits) -> tuple[np.ndarray, np.ndarray, floa
             raise FactorizationError(f"Cholesky factorization failed: {exc}") from exc
         # l* z is the conjugate of l^T z for the real probes z
         _guard("Cholesky", lambda z: l @ (l.T @ z).conj(), sym, h.norm)
-    s = 1.0 / fro_norm(_checked_inverse(l, x))
+    s = 1.0 / _checked_inverse(l, x)
     if not admits(s):
         raise FactorizationError(f"1 / ||l^-1||_F = {s:.3e} refused")
     return l, x, s
@@ -424,8 +432,8 @@ def _tri_inv(l: np.ndarray) -> np.ndarray:
     return x
 
 
-def _checked_inverse(l: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """`x`, unless its norm is not finite or ``||l (x Z) - Z|| / sqrt(k) > (KTOL / c) ||l|| ||x||`` on the probes.
+def _checked_inverse(l: np.ndarray, x: np.ndarray) -> float:
+    """``||x||_F``, unless it is not finite or ``||l (x Z) - Z|| / sqrt(k) > (KTOL / c) ||l|| ||x||`` on the probes.
 
     The form of the right-residual bound of a stable inverse (Higham,
     Accuracy and Stability of Numerical Algorithms, §14.2).
@@ -443,7 +451,7 @@ def _checked_inverse(l: np.ndarray, x: np.ndarray) -> np.ndarray:
         raise FactorizationError(
             f"triangular inverse probe residual {err:.3e} exceeds {KTOL / _PROBE_C:.1e} * ||l|| ||x||"
         )
-    return x
+    return x_norm
 
 
 def tri_inv(l: np.ndarray) -> np.ndarray:
@@ -460,4 +468,5 @@ def tri_inv(l: np.ndarray) -> np.ndarray:
             x = _tri_inv(l)
         except np.linalg.LinAlgError as exc:
             raise FactorizationError(f"triangular inverse failed: {exc}") from exc
-    return _checked_inverse(l, x)
+    _checked_inverse(l, x)
+    return x

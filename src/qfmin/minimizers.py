@@ -11,8 +11,8 @@ gives the same x, as ``pinv(A W U) = U* pinv(A W)`` for unitary U.  The R of
 ``V = (A W)* R^{-1}``, certify full row rank, ``pinv(A W) = V G`` with V
 formed once and ``G`` one Schulz step from ``R^{-*}``; otherwise a
 Householder QR and an SVD of its small R.  Those factors depend on
-``(T, A)`` only, so the last operator's are kept, with those of one
-reused operator whose miss ran ``eigh``, and a further ``b`` needs no
+``(T, A)`` only, so the last operator's are kept, with those of the last
+two earlier operators that served a hit, and a further ``b`` needs no
 factorization, only O(n^2 + nm) work to recognise the operator and apply
 them.  The square-root route ``T^{-1/2} pinv(A T^{-1/2}) b`` stays
 literal and uncached as an independent reference, a Lat-invariance
@@ -239,8 +239,8 @@ class _Factors:
     made, in order, replayed on a hit so that it warns as the miss did.  A
     decision that `_certified_inverse` showed to keep every value without a
     warning is not made, so not listed.
-    `by_eigh` records that the miss factored `t` by `eigh`, and `reused` that
-    the entry has served a hit: the memo retains only an entry with both.
+    `reused` records that the entry has served a hit: the memo retains only
+    such an entry.
     """
 
     t: np.ndarray
@@ -253,18 +253,21 @@ class _Factors:
     g: np.ndarray
     notes: tuple[Diagnostic, ...]
     spectra: tuple[tuple[np.ndarray, int], ...]
-    by_eigh: bool
     reused: bool = False
 
 
-# Two slots: the factors of the last operator solved, and of one retained
-# operator, the last that served a hit and whose miss ran `eigh`, the
-# costliest miss to repeat.  So at most two problems' factors stay alive,
-# and an operator never reused, or certified by Cholesky, is never
-# retained.  Each slot is replaced by a single assignment, so concurrent
-# callers can at worst both miss.
+# The factors of the last operator solved, and `_retained`: those of the
+# last `_RETAINED` earlier operators that served a hit, most recently
+# retained first.  An operator never reused is never retained, so traffic
+# with no repeats holds one entry.  The count is set by memory: an entry at
+# n = 400, m = 200 holds about 4 MB (the copies of t and a, W and the row
+# factors), 8% of the shared-operator workload's peak RSS, whose bound is
+# 10% (README).  Each slot is replaced by a single assignment, so
+# concurrent callers can at worst both miss, or drop an entry the other
+# retained.
+_RETAINED = 2
 _memo: _Factors | None = None
-_retained: _Factors | None = None
+_retained: tuple[_Factors, ...] = ()
 
 
 def _same(kept: np.ndarray, given: np.ndarray) -> bool:
@@ -282,13 +285,13 @@ def _factors(p: QpProblem, gate) -> _Factors:
 
     `gate` raises the route's error for a spectrum class it does not solve;
     it runs right after the class is known, on a hit as on a miss.  A hit
-    may come from either slot.  A miss releases the last operator's factors
-    first, retaining them in place of the retained entry only where they
-    served a hit and came from `eigh`, and stores the new ones only once
-    they are complete.
+    may come from any entry, and moves none.  A miss releases the last
+    operator's factors first: where they served a hit they go to the front
+    of `_retained`, which drops its oldest entry past `_RETAINED`.  The new
+    factors are stored only once they are complete.
     """
     global _memo, _retained
-    for entry in (_memo, _retained):
+    for entry in (_memo, *_retained):
         if entry is not None and entry.tol == p.tol and _same(entry.t, p.t) and _same(entry.a, p.a):
             gate(entry.cls)
             for sigma, dim in entry.spectra:
@@ -296,11 +299,11 @@ def _factors(p: QpProblem, gate) -> _Factors:
             entry.reused = True
             return entry
     entry, _memo = _memo, None
-    if entry is not None and entry.reused and entry.by_eigh:
-        _retained = entry
+    if entry is not None and entry.reused:
+        _retained = (entry, *_retained)[:_RETAINED]
     # Drop the last reference first, so that factors not retained are
     # freed before the new ones are made and peak memory holds at most
-    # the retained entry besides the miss.
+    # the retained entries besides the miss.
     entry = None
     _memo = _factorize(p, gate)
     return _memo
@@ -487,15 +490,18 @@ def _factorize(p: QpProblem, gate) -> _Factors:
         spectra.append((sigma, dim))
         return rank_decide(sigma, cfg, dim=dim)
 
+    w = q = None
     if eig is not None:
         w, q = _range_eigenpairs(eig, cls, decide)
         root = q / np.sqrt(w)
+    del eig  # all its eigenvectors, where only the kept ones are needed
     aw = _times_root(p.a, root)
     rank, u, v, g, s = _row_factors(aw, decide, cfg)
     del aw  # freed before the rest of the miss allocates
     notes = [_constraint_note(p, rank)]
     if cls is SpectrumClass.PSD_SINGULAR and not _conditioning_certified(p, rank, s, w):
         notes.extend(_complement_conditioning(p, q, decide))
+    del q  # freed before the copies below
     return _Factors(
         # copied last, once the factorizations have freed their workspace,
         # so that the copy does not raise the peak memory of a miss
@@ -509,7 +515,6 @@ def _factorize(p: QpProblem, gate) -> _Factors:
         g=g,
         notes=tuple(notes),
         spectra=tuple(spectra),
-        by_eigh=eig is not None,
     )
 
 

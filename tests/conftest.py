@@ -10,13 +10,13 @@ LINALG_CALLS = ("eigh", "cholesky", "svd", "qr", "inv", "solve")
 
 @pytest.fixture(autouse=True)
 def cold_memo():
-    """Empty both slots of the factor memo before every test, whatever ran before.
+    """Empty the factor memo before every test, whatever ran before.
 
-    The value empties them again, for a test that needs a second miss.
+    The value empties it again, for a test that needs a second miss.
     """
 
     def forget():
-        minimizers._memo = minimizers._retained = None
+        minimizers._memo, minimizers._retained = None, ()
 
     forget()
     return forget

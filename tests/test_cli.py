@@ -462,6 +462,27 @@ class TestCheck:
         # angles here are below pi/4, where no cosine is needed
         assert calls == {"eigh": 1, "cholesky": 0, "svd": 1, "qr": 0, "inv": 0, "solve": 0, "svdvals": 2}
 
+    @pytest.mark.parametrize(
+        "doc",
+        [SINGULAR_FORM, {"t": [[2, 1], [1, 2]], "a": [[1, 1]], "b": [1]}, {"t": [[0, 1], [0, 0]], "a": [[1, 0]], "b": [1]}],
+        ids=["singular", "definite", "non-hermitian"],
+    )
+    def test_read_only_arrays_give_the_same_report(self, tmp_path, capsys, monkeypatch, doc):
+        # the Hermitian gate may hand the loaded t on as the matrix that eigh
+        # factors; a check that wrote to t, a or b would raise on these arrays
+        path = write(tmp_path, doc)
+        expected = run(capsys, "check", "--problem", path)
+        load = cli.load_problem_arrays
+
+        def frozen(source):
+            t, a, b, tol = load(source)
+            for x in (t, a, b):
+                x.flags.writeable = False
+            return t, a, b, tol
+
+        monkeypatch.setattr(cli, "load_problem_arrays", frozen)
+        assert run(capsys, "check", "--problem", path) == expected
+
     def test_non_hermitian_factors_once(self, tmp_path, capsys, count_linalg):
         path = write(tmp_path, {"t": [[1, 1e-9], [0, 1e-12]], "a": [[1, 0]], "b": [1]})
         calls = count_linalg()

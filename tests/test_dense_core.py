@@ -402,15 +402,31 @@ class TestHermitian:
         a = a / np.abs(np.stack([a.real, a.imag])).max() * scale
         assert np.array_equal(hermitian(a).sym, _symmetrized_as_before(a))
 
+    @pytest.mark.parametrize("scale", [1.0, 1e308], ids=["plain", "halved"])
+    @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+    def test_an_exactly_hermitian_input_is_its_own_sym(self, scale, complex_entries):
+        # the old expression gives the input back to the bit, signed zeros
+        # included, so the gate returns the input itself and copies nothing
+        rng = np.random.default_rng(12)
+        a = _draw(rng, (70, 70), complex_entries)
+        a = (a + a.conj().T) / 2
+        a = a / np.abs(np.stack([a.real, a.imag])).max() * scale
+        a[0, 1] = a[1, 0] = -0.0
+        assert hermitian(a).sym is a
+        assert _symmetrized_as_before(a).tobytes() == a.tobytes()
+
     @pytest.mark.parametrize("scale", [2.0, 1.5e308], ids=["plain", "halved"])
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_a_one_by_one_input_is_left_as_it_is(self, scale, dtype):
-        # the transpose of a 1 by 1 matrix is contiguous already; the gate
-        # still works on a copy of it, not on the caller's array
+        # an exactly Hermitian input is its own symmetrized form, so `sym`
+        # may be the caller's array: a read-only one passes the gate and
+        # both factorizations of `sym`, none of which writes to it
         a = np.array([[scale]], dtype=dtype)
+        a.flags.writeable = False
         h = hermitian(a)
+        eigh(h)
+        cholesky_inverse(h, lambda bound: True)
         assert a[0, 0] == scale and h.sym[0, 0] == scale
-        assert not np.shares_memory(h.sym, a)
 
 
 def _graded_factor(n, complex_entries, cond):

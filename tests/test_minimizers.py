@@ -942,31 +942,31 @@ class TestFactorMemo:
     def reuse(self, case):
         """``(t, a, outcome of the miss)`` of an `EIGH_OPERATORS` case solved twice, then retained.
 
-        The second solve is a hit, and the certified miss after it moves
-        the entry to the retained slot.
+        The second solve is a hit, and the miss after it moves the entry
+        to the front of the retained entries.
         """
         t, a = EIGH_OPERATORS[case]()
         miss = self.seen(t, a, fresh_rhs(t, a, seed=1))
-        assert minimizers._memo.by_eigh
         self.seen(t, a, fresh_rhs(t, a, seed=2))
         solve(QpProblem(*SHARED_OPERATORS["pd"]()))
-        assert minimizers._retained.t.shape == t.shape
+        assert [entry.t.shape for entry in minimizers._retained] == [t.shape]
         return t, a, miss
 
     @pytest.mark.parametrize("case", sorted(EIGH_OPERATORS))
-    def test_a_reused_eigh_entry_survives_certified_misses(self, count_linalg, case):
+    def test_a_reused_entry_survives_misses_of_operators_never_reused(self, count_linalg, case):
         t, a, miss = self.reuse(case)
-        # a second certified miss releases the first and keeps the retained entry
+        # a second miss releases the first, never reused, and keeps the retained entry
         solve(QpProblem(*random_pd_problem(12, 6, seed=6)))
         counts = count_linalg()
         assert self.seen(t, a, fresh_rhs(t, a, seed=1)) == miss
         assert counts == dict.fromkeys(counts, 0)
         # the singular case warns, and its hit warns alike
         assert miss[1] or case == "refused-definite"
+        assert len(minimizers._retained) == 1
         if case == "refused-definite":
-            assert minimizers._retained.cls is SpectrumClass.POSITIVE_DEFINITE
+            assert minimizers._retained[0].cls is SpectrumClass.POSITIVE_DEFINITE
 
-    def test_only_reused_eigh_entries_are_retained(self):
+    def test_only_reused_entries_are_retained(self):
         operators = [
             EIGH_OPERATORS["singular"](),
             EIGH_OPERATORS["refused-definite"](),
@@ -976,14 +976,80 @@ class TestFactorMemo:
         # distinct operators, each solved once: only the last one's entry stays
         for t, a in operators:
             self.seen(t, a, fresh_rhs(t, a, seed=1))
-        assert minimizers._retained is None
-        # a hit on a Cholesky-certified operator does not retain it either
+        assert minimizers._retained == ()
+        # a hit retains the operator, one that Cholesky certified too
         t, a = operators[-1]
         self.seen(t, a, fresh_rhs(t, a, seed=2))
+        hit = minimizers._memo
         t, a = operators[0]
         self.seen(t, a, fresh_rhs(t, a, seed=1))
-        assert minimizers._retained is None
+        assert minimizers._retained == (hit,)
         assert minimizers._memo.t.shape == t.shape
+
+    def test_one_shot_traffic_retains_nothing(self, count_linalg):
+        operators = [case() for case in EIGH_OPERATORS.values()]
+        operators += [SHARED_OPERATORS[case]()[:2] for case in sorted(SHARED_OPERATORS)]
+        counts = count_linalg()
+        # twice round, so that the second round would hit anything retained
+        for round_ in range(2):
+            for t, a in operators:
+                before = sum(counts.values())
+                self.seen(t, a, fresh_rhs(t, a, seed=round_))
+                assert sum(counts.values()) > before
+                assert minimizers._retained == ()
+
+    @staticmethod
+    def rotation():
+        """The shared-operator workload's three pairs at n = 12: two definite and one singular."""
+        return [
+            random_pd_problem(12, 6, seed=5)[:2],
+            random_pd_problem(12, 6, seed=6)[:2],
+            random_psd_problem(12, 6, rank=9, seed=5)[:2],
+        ]
+
+    def cycle(self, operators, seed):
+        """Solve four fresh `b` against each of `operators` in turn; the `seen` of each solve."""
+        return [self.seen(t, a, fresh_rhs(t, a, seed=seed + k)) for t, a in operators for k in range(4)]
+
+    def test_a_rotation_of_three_operators_factors_nothing_in_its_second_cycle(self, count_linalg):
+        operators = self.rotation()
+        self.cycle(operators, seed=0)
+        counts = count_linalg()
+        self.cycle(operators, seed=10)
+        assert counts == dict.fromkeys(counts, 0)
+
+    def test_a_fourth_reused_operator_evicts_the_least_recently_reused(self, count_linalg):
+        operators = self.rotation()
+        self.cycle(operators, seed=0)
+        fourth = random_pd_problem(12, 6, seed=7)[:2]  # the shapes of the definite pairs
+        self.cycle([fourth], seed=0)
+        # the first operator's entry went; the other three hit
+        counts = count_linalg()
+        self.cycle(operators[1:] + [fourth], seed=10)
+        assert counts == dict.fromkeys(counts, 0)
+        t, a = operators[0]
+        solve(QpProblem(t, a, fresh_rhs(t, a, seed=10)))
+        assert counts["cholesky"] == 2
+
+    @pytest.mark.parametrize("by", ["eigh", "cholesky"])
+    def test_a_hit_from_each_position_is_a_cold_solve(self, cold_memo, by):
+        if by == "eigh":
+            operators = [EIGH_OPERATORS["singular"](), EIGH_OPERATORS["refused-definite"](), SHARED_OPERATORS["psd"]()[:2]]
+        else:
+            operators = self.rotation()  # its definite pairs are retained
+        self.cycle(operators, seed=0)
+        # retained oldest last, then the last operator solved
+        entries = [*minimizers._retained[::-1], minimizers._memo]
+        assert [entry.t.shape for entry in entries] == [t.shape for t, _ in operators]
+        problems = [(t, a, fresh_rhs(t, a, seed=10)) for t, a in operators]
+        hits = [self.seen(*problem) for problem in problems]
+        assert [*minimizers._retained[::-1], minimizers._memo] == entries  # hits move nothing
+        cold = []
+        for problem in problems:
+            cold_memo()
+            cold.append(self.seen(*problem))
+        assert hits == cold
+        assert hits[0][1] or by == "cholesky"  # the singular operator warns, on its hit as cold
 
     def test_a_t_changed_in_place_misses_the_retained_copy(self, gated):
         t, a, _ = self.reuse("singular")
@@ -1018,6 +1084,43 @@ class TestFactorMemo:
         self.seen(t, a, fresh_rhs(t, a, seed=3))
         # the last slot: the first row of t; the retained slot: both first rows, then t and a whole
         assert sizes == [t.shape[1], t.shape[1], t.size, a.shape[1], a.size]
+
+
+READ_ONLY_CASES = {
+    **SHARED_OPERATORS,
+    "pd-complex": lambda: random_pd_problem(12, 6, seed=5, complex_entries=True),
+    "singular": lambda: (*EIGH_OPERATORS["singular"](), np.array([1.0, 2e-9])),
+}
+
+
+def _attempt(route, p):
+    """The `outcome` of ``route(p)``, with its warnings, or None where the shortcut does not apply."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            r = route(p)
+        except QfminError as exc:
+            r = exc
+    return r if r is None else outcome(r), [(w.category, str(w.message)) for w in caught]
+
+
+@pytest.mark.parametrize("case", sorted(READ_ONLY_CASES))
+def test_read_only_inputs_solve_through_every_route(case, cold_memo):
+    # the Hermitian gate may hand the caller's t on as the matrix to factor;
+    # a route that wrote to t, a or b would raise on these arrays
+    arrays = READ_ONLY_CASES[case]()
+    frozen = [x.copy() for x in arrays]
+    for x in frozen:
+        x.flags.writeable = False
+    methods = [m for m in Method if m is not Method.COR1_SHORTCUT]
+    routes = [lambda p, m=m: solve(p, m) for m in methods] + [try_cor1_shortcut]
+    for route in routes:
+        cold_memo()
+        expected = _attempt(route, QpProblem(*arrays))
+        cold_memo()
+        # cold, then a hit where the route reads the memo
+        assert [_attempt(route, QpProblem(*frozen)) for _ in range(2)] == [expected] * 2
+    assert all(np.array_equal(x, y) for x, y in zip(frozen, arrays))
 
 
 def svd_row_factors(x, decide, cfg=None):
@@ -1631,9 +1734,9 @@ class TestCertificates:
             spy("rank_decide", decided)
             spy("_conditioning_certified", lambda passed, *_: log["conditioning"].append(passed))
             spy("_complement_conditioning", lambda notes, _, quiet: log["notes"].append((notes, not quiet)))
-            # both slots of the memo empty, and restored after the run
+            # the memo empty, and restored after the run
             m.setattr(minimizers, "_memo", None)
-            m.setattr(minimizers, "_retained", None)
+            m.setattr(minimizers, "_retained", ())
             if refuse:
                 m.setattr(minimizers, "_certifies", lambda *args: False)
             try:
